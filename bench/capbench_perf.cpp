@@ -6,9 +6,7 @@
 // (synthetic packets), the Figure 6.6 filter run (full frame bytes through
 // the BPF VM) and the Figure 6.8 four-application run (scheduler heavy) —
 // plus micro loops over the DES hot paths (event scheduling, event
-// cancellation, dense concurrent timers, arena packet recycling).  Every
-// event-queue-bound case runs under BOTH priority backends (`_heap` /
-// `_wheel` name suffixes) for a head-to-head comparison in one document.
+// cancellation, dense concurrent timers, arena packet recycling).
 // Results go to stdout and, with --json, into a schema-stable
 // capbench.perf.v1 document that CI and BENCH_*.json snapshots consume.
 //
@@ -27,7 +25,6 @@
 #include "capbench/capture/rss.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
 #include "capbench/harness/experiment.hpp"
@@ -96,23 +93,18 @@ struct ChainEvent {
     }
 };
 
-std::string backend_suffix(capbench::sim::EventQueueBackend backend) {
-    return std::string("_") + capbench::sim::to_string(backend);
-}
-
-PerfCase micro_event_loop(capbench::sim::EventQueueBackend backend, std::uint64_t iters) {
-    capbench::sim::Simulator sim{backend};
+PerfCase micro_event_loop(std::uint64_t iters) {
+    capbench::sim::Simulator sim;
     std::uint64_t remaining = iters;
     for (int chain = 0; chain < 8; ++chain)
         sim.schedule_in(capbench::sim::Duration{chain + 1}, ChainEvent{&sim, &remaining});
     const auto t0 = Clock::now();
     sim.run();
-    return micro_case("event_queue_hot_loop" + backend_suffix(backend), iters,
-                      seconds_since(t0));
+    return micro_case("event_queue_hot_loop", iters, seconds_since(t0));
 }
 
-PerfCase micro_cancel_churn(capbench::sim::EventQueueBackend backend, std::uint64_t iters) {
-    capbench::sim::Simulator sim{backend};
+PerfCase micro_cancel_churn(std::uint64_t iters) {
+    capbench::sim::Simulator sim;
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         // A timeout that never fires plus the event that beats it: the
@@ -123,13 +115,11 @@ PerfCase micro_cancel_churn(capbench::sim::EventQueueBackend backend, std::uint6
         sim.step();
     }
     sim.run();
-    return micro_case("event_cancel_churn" + backend_suffix(backend), iters,
-                      seconds_since(t0));
+    return micro_case("event_cancel_churn", iters, seconds_since(t0));
 }
 
 /// A self-rescheduling timer with a fixed period — one of ~1k running
-/// concurrently, the dense steady state where the O(1) wheel beats the
-/// O(log n) heap.
+/// concurrently, the dense steady state that keeps the heap ~1k deep.
 struct DenseTimer {
     capbench::sim::Simulator* sim;
     std::uint64_t* remaining;
@@ -142,21 +132,20 @@ struct DenseTimer {
     }
 };
 
-PerfCase micro_dense_timer(capbench::sim::EventQueueBackend backend, std::uint64_t iters) {
-    capbench::sim::Simulator sim{backend};
+PerfCase micro_dense_timer(std::uint64_t iters) {
+    capbench::sim::Simulator sim;
     constexpr int kTimers = 1024;
     std::uint64_t remaining = iters;
     for (int i = 0; i < kTimers; ++i) {
-        // Coprime-ish periods spread firings across buckets instead of
-        // phase-locking every timer onto the same tick.
+        // Coprime-ish periods spread firings out instead of phase-locking
+        // every timer onto the same tick.
         const std::int64_t period = 100 + 7 * (i % 97);
         sim.schedule_in(capbench::sim::Duration{period},
                         DenseTimer{&sim, &remaining, period});
     }
     const auto t0 = Clock::now();
     sim.run();
-    return micro_case("dense_timer_steady" + backend_suffix(backend), iters,
-                      seconds_since(t0));
+    return micro_case("dense_timer_steady", iters, seconds_since(t0));
 }
 
 /// Defeats constant propagation of a value so a branch on it is really
@@ -234,11 +223,10 @@ std::vector<std::byte> synth_frame(std::uint32_t size) {
 
 /// The Figure 6.5 filter-cost micro, one case per execution tier: the
 /// optimized 50-instruction program over a frame-size mix — interpreter
-/// (`Vm`), verifier-backed token-threaded dispatch (`ThreadedVm` on the
-/// pre-decoded program), and the native x86-64 tier (`JitProgram`).  All
-/// tiers execute the same instruction stream, so the ratios isolate
-/// dispatch + bounds-check-elision + codegen gains.
-enum class FilterTier { kInterpreter, kThreaded, kJit };
+/// (`Vm`) and the native x86-64 tier (`JitProgram` on the pre-decoded
+/// program).  Both tiers execute the same instruction stream, so the ratio
+/// isolates dispatch + bounds-check-elision + codegen gains.
+enum class FilterTier { kInterpreter, kJit };
 
 PerfCase micro_filter_tier(FilterTier tier, std::uint64_t iters) {
     const auto prog = capbench::bpf::filter::compile_filter(
@@ -255,26 +243,14 @@ PerfCase micro_filter_tier(FilterTier tier, std::uint64_t iters) {
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         const auto& frame = frames[i % frames.size()];
-        switch (tier) {
-            case FilterTier::kInterpreter:
-                sum += capbench::bpf::Vm::run(prog, frame).accept_len;
-                break;
-            case FilterTier::kThreaded:
-                sum += capbench::bpf::ThreadedVm::run(decoded, frame).accept_len;
-                break;
-            case FilterTier::kJit:
-                sum += jitted
-                           ->run(frame, static_cast<std::uint32_t>(frame.size()))
-                           .accept_len;
-                break;
-        }
+        sum += tier == FilterTier::kJit
+                   ? jitted->run(frame, static_cast<std::uint32_t>(frame.size())).accept_len
+                   : capbench::bpf::Vm::run(prog, frame).accept_len;
     }
     const double wall = seconds_since(t0);
     opaque(sum);
-    const char* name = tier == FilterTier::kInterpreter ? "filter_interpreter_fig65"
-                       : tier == FilterTier::kThreaded  ? "filter_threaded_fig65"
-                                                        : "filter_jit_fig65";
-    return micro_case(name, iters, wall);
+    return micro_case(tier == FilterTier::kJit ? "filter_jit_fig65" : "filter_interpreter_fig65",
+                      iters, wall);
 }
 
 /// The per-packet RSS cost a multi-queue NIC pays: one Toeplitz 4-tuple
@@ -398,62 +374,48 @@ int main(int argc, char** argv) {
     std::cout << "capbench_perf (" << report.build_type << ", " << packets
               << " packets/macro run)\n";
 
-    const capbench::sim::EventQueueBackend backends[] = {
-        capbench::sim::EventQueueBackend::kHeap, capbench::sim::EventQueueBackend::kWheel};
-
-    for (const auto backend : backends) {
-        const std::string suffix = backend_suffix(backend);
-        {
-            // Figure 6.2 baseline: four SUTs, default buffers, synthetic packets.
-            auto suts = capbench::harness::standard_suts();
-            RunConfig cfg = base;
-            cfg.event_queue = backend;
-            report.cases.push_back(run_macro("fig_6_2_baseline" + suffix, suts, cfg));
-            print_case(report.cases.back());
-        }
-        {
-            // Figure 6.6: the 50-instruction filter over real frame bytes.
-            auto suts = capbench::harness::standard_suts();
-            capbench::harness::apply_increased_buffers(suts);
-            for (auto& sut : suts)
-                sut.filter_expression = capbench::harness::fig_6_5_filter_expression();
-            RunConfig cfg = base;
-            cfg.full_bytes = true;
-            cfg.event_queue = backend;
-            report.cases.push_back(run_macro("fig_6_6_filter" + suffix, suts, cfg));
-            print_case(report.cases.back());
-        }
-        {
-            // Figure 6.8: four capturing applications per SUT (scheduler heavy).
-            auto suts = capbench::harness::standard_suts();
-            capbench::harness::apply_increased_buffers(suts);
-            for (auto& sut : suts) sut.app_count = 4;
-            RunConfig cfg = base;
-            cfg.event_queue = backend;
-            report.cases.push_back(run_macro("fig_6_8_multiapp4" + suffix, suts, cfg));
-            print_case(report.cases.back());
-        }
-        {
-            // Multi-queue receive: one swan, four RSS queues on four cores,
-            // 4096 flows through the indirection table (per-queue rings,
-            // IRQ spreading and per-CPU kernel lanes all in play).
-            std::vector<SutConfig> suts{capbench::harness::standard_sut("swan")};
-            capbench::harness::apply_increased_buffers(suts);
-            suts[0].cores = 4;
-            suts[0].nic.queues = 4;
-            RunConfig cfg = base;
-            cfg.flow_count = 4096;
-            cfg.event_queue = backend;
-            report.cases.push_back(run_macro("multiqueue_dispatch" + suffix, suts, cfg));
-            print_case(report.cases.back());
-        }
-        report.cases.push_back(micro_event_loop(backend, micro_iters));
-        print_case(report.cases.back());
-        report.cases.push_back(micro_cancel_churn(backend, micro_iters));
-        print_case(report.cases.back());
-        report.cases.push_back(micro_dense_timer(backend, micro_iters));
+    // Figure 6.2 baseline: four SUTs, default buffers, synthetic packets.
+    report.cases.push_back(
+        run_macro("fig_6_2_baseline", capbench::harness::standard_suts(), base));
+    print_case(report.cases.back());
+    {
+        // Figure 6.6: the 50-instruction filter over real frame bytes.
+        auto suts = capbench::harness::standard_suts();
+        capbench::harness::apply_increased_buffers(suts);
+        for (auto& sut : suts)
+            sut.filter_expression = capbench::harness::fig_6_5_filter_expression();
+        RunConfig cfg = base;
+        cfg.full_bytes = true;
+        report.cases.push_back(run_macro("fig_6_6_filter", suts, cfg));
         print_case(report.cases.back());
     }
+    {
+        // Figure 6.8: four capturing applications per SUT (scheduler heavy).
+        auto suts = capbench::harness::standard_suts();
+        capbench::harness::apply_increased_buffers(suts);
+        for (auto& sut : suts) sut.app_count = 4;
+        report.cases.push_back(run_macro("fig_6_8_multiapp4", suts, base));
+        print_case(report.cases.back());
+    }
+    {
+        // Multi-queue receive: one swan, four RSS queues on four cores,
+        // 4096 flows through the indirection table (per-queue rings,
+        // IRQ spreading and per-CPU kernel lanes all in play).
+        std::vector<SutConfig> suts{capbench::harness::standard_sut("swan")};
+        capbench::harness::apply_increased_buffers(suts);
+        suts[0].cores = 4;
+        suts[0].nic.queues = 4;
+        RunConfig cfg = base;
+        cfg.flow_count = 4096;
+        report.cases.push_back(run_macro("multiqueue_dispatch", suts, cfg));
+        print_case(report.cases.back());
+    }
+    report.cases.push_back(micro_event_loop(micro_iters));
+    print_case(report.cases.back());
+    report.cases.push_back(micro_cancel_churn(micro_iters));
+    print_case(report.cases.back());
+    report.cases.push_back(micro_dense_timer(micro_iters));
+    print_case(report.cases.back());
 
     report.cases.push_back(micro_arena_churn(micro_iters));
     print_case(report.cases.back());
@@ -465,8 +427,6 @@ int main(int argc, char** argv) {
     print_case(report.cases.back());
 
     report.cases.push_back(micro_filter_tier(FilterTier::kInterpreter, micro_iters));
-    print_case(report.cases.back());
-    report.cases.push_back(micro_filter_tier(FilterTier::kThreaded, micro_iters));
     print_case(report.cases.back());
     if (capbench::bpf::JitProgram::supported()) {
         report.cases.push_back(micro_filter_tier(FilterTier::kJit, micro_iters));

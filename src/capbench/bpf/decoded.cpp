@@ -169,18 +169,16 @@ DecodedProgram decode(const Program& prog, const analysis::FactTable& facts) {
 }
 
 ExecTier parse_exec_tier(const std::string& value) {
-    if (value == "threaded") return ExecTier::kThreaded;
     if (value == "interpreter") return ExecTier::kInterpreter;
     if (value == "jit") return ExecTier::kJit;
-    throw std::runtime_error(
-        "CAPBENCH_BPF_TIER: expected 'threaded', 'interpreter' or 'jit', got '" +
-        value + "'");
+    throw std::runtime_error("CAPBENCH_BPF_TIER: expected 'interpreter' or 'jit', got '" +
+                             value + "'");
 }
 
 ExecTier exec_tier() {
     static const ExecTier tier = [] {
         const char* env = std::getenv("CAPBENCH_BPF_TIER");
-        return env == nullptr ? ExecTier::kThreaded : parse_exec_tier(env);
+        return env == nullptr ? ExecTier::kJit : parse_exec_tier(env);
     }();
     return tier;
 }

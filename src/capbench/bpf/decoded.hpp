@@ -1,4 +1,4 @@
-// Pre-decoded BPF programs: the tier-1 execution format.
+// Pre-decoded BPF programs: the input of the native code generator.
 //
 // decode() runs once at attach time and pays everything the interpreter
 // pays per packet: opcode-field masking collapses into one dense token,
@@ -6,8 +6,7 @@
 // the specialized token per site — unchecked load variants where a
 // dominating load already proves the bytes present, immediate loads where
 // the value is a proven constant, exact shifts where the count is known.
-// The token stream is what the threaded dispatcher (threaded_vm.hpp)
-// executes and what the tier-2 native code generator (jit/) consumes.
+// The token stream is what the native code generator (jit/) consumes.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,8 @@ enum class Tok : std::uint8_t {
 };
 
 /// DecodedInsn::flags bit: the liveness pass proved this scratch store is
-/// never read.  The threaded tier still executes it (one store is cheaper
-/// than a branch there); the JIT emits no body but still counts it so
-/// insns_executed stays byte-identical across tiers.
+/// never read.  The JIT emits no body but still counts it so
+/// insns_executed stays byte-identical to the interpreter.
 inline constexpr std::uint8_t kDecodedDeadStore = 1u << 0;
 
 struct DecodedInsn {
@@ -80,19 +78,19 @@ struct DecodedProgram {
 DecodedProgram decode(const Program& prog, const analysis::FactTable& facts);
 
 /// Which tier FilterRunner executes.  Read once per process from
-/// CAPBENCH_BPF_TIER ("threaded", the default, "interpreter", or "jit");
-/// all tiers produce bit-identical verdicts, so figures are unaffected.
-enum class ExecTier { kThreaded, kInterpreter, kJit };
+/// CAPBENCH_BPF_TIER ("jit", the default, or "interpreter", the checked
+/// reference tier); both produce bit-identical verdicts, so figures are
+/// unaffected.
+enum class ExecTier { kInterpreter, kJit };
 ExecTier exec_tier();
 /// Strict parse; throws std::runtime_error on anything else.
 ExecTier parse_exec_tier(const std::string& value);
 
-/// Portable fallback policy: a jit request downgrades to the threaded tier
+/// Portable fallback policy: a jit request downgrades to the interpreter
 /// on builds that cannot emit native code (JitProgram::supported() false).
 /// Pure so the non-x86-64 path is unit-testable everywhere.
 constexpr ExecTier effective_tier(ExecTier requested, bool jit_supported) {
-    return requested == ExecTier::kJit && !jit_supported ? ExecTier::kThreaded
-                                                         : requested;
+    return jit_supported ? requested : ExecTier::kInterpreter;
 }
 
 }  // namespace capbench::bpf

@@ -1,4 +1,4 @@
-// Minimal x86-64 assembler for the BPF tier-2 code generator.
+// Minimal x86-64 assembler for the BPF native code generator.
 //
 // Emits into a plain byte vector: REX-aware ModRM/SIB encoding for the
 // handful of instruction forms the BPF lowering needs, plus labels with

@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-// The tier-2 JIT needs an x86-64 target and POSIX mmap/mprotect.  Other
+// The JIT needs an x86-64 target and POSIX mmap/mprotect.  Other
 // builds keep the full class compiling (supported() false, constructor
 // throws) so callers fall back without #ifdefs of their own.
 #if defined(__x86_64__) && !defined(_WIN32) && \

@@ -41,7 +41,7 @@ struct Emitter {
 
     // Adds the deferred count to r9d.  Called before binding a jump-target
     // label and before any instruction that can fault, branch or return, so
-    // r9d holds the exact ThreadedVm-style count (the current instruction
+    // r9d holds the exact Vm::run count (the current instruction
     // included) at every fault site, return and control-flow merge.
     void flush() {
         if (pending != 0) {
@@ -50,7 +50,7 @@ struct Emitter {
         }
     }
 
-    // cmp data_len, k + size; jb fault.  Exactly the threaded tier's
+    // cmp data_len, k + size; jb fault.  Exactly the interpreter's
     // `off + size > size` (B: `off >= size` equals `off + 1 > size`).
     // Returns false when the load faults unconditionally (k + size
     // overflows 32 bits: no packet can satisfy it).
@@ -137,8 +137,8 @@ struct Emitter {
         }
     }
 
-    // Unchecked indirect load: address [data + X + k] like the threaded
-    // tier's *U tokens (the fact table proved it in bounds).
+    // Unchecked indirect load: address [data + X + k] for the decoder's
+    // *U tokens (the fact table proved it in bounds).
     void load_ind_unchecked(std::uint32_t k, std::uint32_t size) {
         if (k <= static_cast<std::uint32_t>(kMaxDisp)) {
             const auto disp = static_cast<std::int32_t>(k);

@@ -1,4 +1,4 @@
-// Tier-2 BPF execution: DecodedProgram tokens lowered to native x86-64.
+// Native BPF execution: DecodedProgram tokens lowered to x86-64 machine code.
 //
 // The generated function is the BESS `bpf_filter_func_t` shape — one call
 // per packet, no interpreter loop — with the whole VmResult packed into
@@ -10,13 +10,12 @@
 //
 // Abort semantics (div-by-zero, out-of-bounds checked load, falling off
 // the end) and the executed-instruction count are byte-identical to the
-// interpreter and threaded tiers: the count register is flushed to the
-// exact value before every faultable check, counting the faulting
-// instruction itself, just as the other tiers count an instruction before
-// executing it.  The verifier facts drive the same elisions decode()
-// already picked — unchecked loads (`safe_load`), folded constants — plus
-// one the threaded tier declines: scratch stores flagged liveness-dead
-// emit no code at all (still counted as executed).
+// interpreter: the count register is flushed to the exact value before
+// every faultable check, counting the faulting instruction itself, just as
+// the interpreter counts an instruction before executing it.  The verifier
+// facts drive the elisions decode() picked — unchecked loads
+// (`safe_load`), folded constants — and scratch stores flagged
+// liveness-dead emit no code at all (still counted as executed).
 #pragma once
 
 #include <cstddef>
@@ -48,7 +47,7 @@ public:
 
     /// Compiles to an RX mapping.  Throws std::runtime_error when
     /// !supported() or the mapping fails.  `prog` must come from decode()
-    /// of a verified program (same precondition as ThreadedVm::run).
+    /// of a verified program.
     static std::shared_ptr<const JitProgram> compile(const DecodedProgram& prog);
 
     [[nodiscard]] VmResult run(std::span<const std::byte> data,

@@ -18,8 +18,8 @@
 
 namespace capbench::bpf {
 
-/// One cached filter: the decoded tier-1 form (always present) plus the
-/// tier-2 native code (null until some caller asked for it).
+/// One cached filter: the decoded form (always present) plus its
+/// native code (null until some caller asked for it).
 struct CachedFilter {
     std::shared_ptr<const DecodedProgram> decoded;
     std::shared_ptr<const JitProgram> jit;

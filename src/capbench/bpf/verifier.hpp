@@ -11,7 +11,7 @@
 //
 // `verify_or_throw` is the gate every capture stack attaches through
 // (capture::FilterRunner::install): a rejected program never reaches the
-// packet path, which is what lets the threaded tier drop its per-packet
+// packet path, which is what lets the native tier drop its per-packet
 // checks.
 #pragma once
 

@@ -14,7 +14,7 @@ BsdBpfDev::BsdBpfDev(hostsim::Machine& machine, const OsSpec& os, std::uint64_t 
 void BsdBpfDev::install_filter(bpf::Program program) {
     filter_.install(std::move(program));
     if (app_obs() != nullptr)
-        app_obs()->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
+        app_obs()->filter_installed(filter_.decoded());
 }
 
 std::uint64_t BsdBpfDev::slot_bytes(std::uint32_t caplen) const {

@@ -14,7 +14,7 @@ LinuxPacketSocket::LinuxPacketSocket(hostsim::Machine& machine, const OsSpec& os
 void LinuxPacketSocket::install_filter(bpf::Program program) {
     filter_.install(std::move(program));
     if (app_obs() != nullptr)
-        app_obs()->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
+        app_obs()->filter_installed(filter_.decoded());
 }
 
 std::uint64_t LinuxPacketSocket::truesize(std::uint32_t frame_len) const {

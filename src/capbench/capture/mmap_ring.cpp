@@ -16,7 +16,7 @@ MmapRing::MmapRing(hostsim::Machine& machine, const OsSpec& os, std::uint64_t ri
 void MmapRing::install_filter(bpf::Program program) {
     filter_.install(std::move(program));
     if (app_obs() != nullptr)
-        app_obs()->filter_installed(filter_.decoded(), filter_.jit() != nullptr);
+        app_obs()->filter_installed(filter_.decoded());
 }
 
 hostsim::Work MmapRing::plan(const net::PacketPtr& packet, int queue) {

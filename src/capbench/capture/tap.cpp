@@ -37,9 +37,8 @@ void FilterRunner::install(bpf::Program program) {
             bpf::verify_or_throw(program);
         } else {
             // Verifies (throws on rejection); compiles native code at most
-            // once per distinct program under the jit tier.
-            bpf::CachedFilter cached =
-                bpf::cache_filter(program, tier == bpf::ExecTier::kJit);
+            // once per distinct program.
+            bpf::CachedFilter cached = bpf::cache_filter(program, true);
             decoded_ = std::move(cached.decoded);
             jit_ = std::move(cached.jit);
         }

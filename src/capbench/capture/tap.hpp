@@ -12,7 +12,6 @@
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/insn.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/vm.hpp"
 #include "capbench/hostsim/arch.hpp"
 #include "capbench/hostsim/machine.hpp"
@@ -183,21 +182,18 @@ public:
 
     /// The attach-time gate shared by all three capture stacks: runs the
     /// verifier (throwing std::invalid_argument with the structured
-    /// finding on error-severity results) and caches the decoded tier-1
-    /// form — and, under CAPBENCH_BPF_TIER=jit, the compiled tier-2 code —
-    /// per program id.  An empty program clears the filter.  A jit request
-    /// on a build without native support falls back to the threaded tier.
+    /// finding on error-severity results) and, unless
+    /// CAPBENCH_BPF_TIER=interpreter, caches the decoded form and its
+    /// compiled native code per program id.  An empty program clears the
+    /// filter.  A build without native support runs the interpreter.
     void install(bpf::Program program);
 
     [[nodiscard]] bool has_filter() const { return !program_.empty(); }
 
-    /// The decoded program executed by the threaded tier; null when no
-    /// filter is installed or CAPBENCH_BPF_TIER=interpreter.  Also set
-    /// under the jit tier (it backs the compiled code's id and stats).
+    /// The decoded program the native code was compiled from (it backs
+    /// the compiled code's id and stats); null when no filter is installed
+    /// or the interpreter runs.
     [[nodiscard]] const bpf::DecodedProgram* decoded() const { return decoded_.get(); }
-
-    /// The compiled tier-2 code; null unless the jit tier is active.
-    [[nodiscard]] const bpf::JitProgram* jit() const { return jit_.get(); }
 
     [[nodiscard]] Verdict run(const net::Packet& packet, std::uint32_t snaplen) const {
         Verdict v;
@@ -211,10 +207,8 @@ public:
                 ? packet.bytes()
                 : synthetic_template().subspan(
                       0, std::min<std::size_t>(whole, synthetic_template().size()));
-        const bpf::VmResult r =
-            jit_ != nullptr       ? jit_->run(data, whole)
-            : decoded_ != nullptr ? bpf::ThreadedVm::run(*decoded_, data, whole)
-                                  : bpf::Vm::run(program_, data, whole);
+        const bpf::VmResult r = jit_ != nullptr ? jit_->run(data, whole)
+                                                : bpf::Vm::run(program_, data, whole);
         v.accept = r.accept_len > 0;
         v.aborted = r.aborted;
         v.caplen = std::min({snaplen, whole, v.accept ? r.accept_len : 0u});

@@ -16,7 +16,6 @@
 #include "capbench/bpf/asm_text.hpp"
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/program_cache.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/filter/lexer.hpp"

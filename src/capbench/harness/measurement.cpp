@@ -45,7 +45,6 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
 
     tb.link_gbps = config.link_gbps;
     tb.distribute_round_robin = config.distribute_round_robin;
-    tb.event_queue = config.event_queue;
     Testbed bed{std::move(tb)};
     if (observer) observer->reserve(config.packets);
     bed.start_suts();
@@ -172,7 +171,6 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     result.generated = generated;
     result.offered_mbps = bed.generator().stats().achieved_mbps();
     result.events_executed = bed.sim().events_executed();
-    result.event_queue_backend = sim::to_string(bed.sim().backend());
     const sim::Duration window = gen_end - (sim::SimTime{} + config.warmup);
     for (std::size_t i = 0; i < bed.suts().size(); ++i) {
         auto& sut = *bed.suts()[i];

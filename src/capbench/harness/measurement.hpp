@@ -39,9 +39,8 @@ struct RunConfig {
     /// Round-robin load distribution instead of the passive splitter
     /// (Section 7.2's distributed-analysis extension).
     bool distribute_round_robin = false;
-    /// Event-queue priority backend for the run's simulator (heap or
-    /// wheel); results are bit-identical under either, only speed differs.
-    sim::EventQueueBackend event_queue = sim::event_queue_backend_from_env();
+    /// Kept only so existing code naming it compiles; see EventQueueBackend.
+    sim::EventQueueBackend event_queue = sim::EventQueueBackend::kHeap;
     sim::Duration warmup = sim::milliseconds(50);
     /// Time between the last generated packet and stopping the capture
     /// applications (step 5 of Figure 3.2 follows generation immediately;
@@ -97,9 +96,6 @@ struct RunResult {
     /// the capbench_perf harness, deliberately NOT part of the scenario
     /// JSON schema (it would break byte-stable figures output).
     std::uint64_t events_executed = 0;
-    /// "heap" or "wheel": which event-queue backend the run used.  Like
-    /// events_executed, metadata only — not part of the scenario JSON.
-    std::string event_queue_backend;
     std::vector<SutRunResult> suts;
     /// Lifecycle metrics; `metrics.enabled` only when the run observed.
     /// Across run_repeated reps these are raw sums (never averaged), so the

@@ -4,7 +4,7 @@
 
 namespace capbench::harness {
 
-Testbed::Testbed(TestbedConfig config) : sim_(config.event_queue) {
+Testbed::Testbed(TestbedConfig config) {
     link_ = std::make_unique<net::Link>(sim_, config.link_gbps);
     config.gen.link_gbps = config.link_gbps;
     gen_ = std::make_unique<pktgen::Generator>(sim_, *link_, config.gen_nic,

@@ -29,9 +29,8 @@ struct TestbedConfig {
     /// a round-robin distributor (each packet goes to ONE sniffer) — the
     /// load-distribution approach of Section 7.2.
     bool distribute_round_robin = false;
-    /// Priority backend for the simulator's event queue.  Purely a perf
-    /// choice: results are bit-identical under either.
-    sim::EventQueueBackend event_queue = sim::event_queue_backend_from_env();
+    /// Kept only so existing code naming it compiles; see EventQueueBackend.
+    sim::EventQueueBackend event_queue = sim::EventQueueBackend::kHeap;
     /// Lifecycle/metrics observer; null (the default) disables every hook.
     obs::Observer* observer = nullptr;
 };

@@ -7,7 +7,7 @@
 
 namespace capbench::obs {
 
-void AppObserver::filter_installed(const bpf::DecodedProgram* decoded, bool jitted) {
+void AppObserver::filter_installed(const bpf::DecodedProgram* decoded) {
     // One install per endpoint per run and insertion-ordered counter
     // names, so the metrics snapshot stays byte-stable across --jobs.
     Registry& reg = sut_->owner_->registry_;
@@ -19,7 +19,6 @@ void AppObserver::filter_installed(const bpf::DecodedProgram* decoded, bool jitt
         reg.counter(prefix + ".dead_stores_elided").inc(decoded->stats.dead_stores);
         reg.counter(prefix + ".unchecked_loads").inc(decoded->stats.unchecked_loads);
     }
-    if (jitted) reg.counter(prefix + ".jit_installs").inc();
 }
 
 void AppObserver::disk_writer_attached() {

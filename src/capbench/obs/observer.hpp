@@ -60,9 +60,10 @@ public:
 
     /// A BPF filter was attached to this endpoint.  Attach time, not the
     /// hot path: registers/bumps the per-SUT `bpf.*` registry counters
-    /// (installs, decoded program size, dead stores elided, jit installs).
-    /// `decoded` is null under the interpreter tier.
-    void filter_installed(const bpf::DecodedProgram* decoded, bool jitted);
+    /// (installs, decoded program size, dead stores elided, unchecked
+    /// loads).  `decoded` is null under the interpreter tier; otherwise the
+    /// filter runs as native code compiled from it.
+    void filter_installed(const bpf::DecodedProgram* decoded);
 
     /// A capture-to-disk writer pipeline attached to this app.  Registers
     /// the spill counter and interns the ring-occupancy trace name lazily,

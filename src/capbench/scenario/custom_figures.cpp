@@ -11,7 +11,6 @@
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
 #include "capbench/dist/builtin.hpp"
@@ -209,12 +208,11 @@ CustomResult fig_6_13_table() {
 
 CustomResult ext_filter_tiers_table() {
     // The Figure 6.5 story, retold for execution tiers: the same filter
-    // programs run through the portable interpreter, the token-threaded
-    // tier 1 dispatcher (verifier fact table -> decode-time bounds-check
-    // elision and constant folding) and, where the build supports it, the
-    // tier 2 native x86-64 jit.  Host wall-time per packet is the payload
-    // here, so the numbers vary run to run; the instruction counts and
-    // decode statistics are deterministic.
+    // programs run through the portable interpreter and, where the build
+    // supports it, the native x86-64 jit (verifier fact table -> decode-time
+    // bounds-check elision and constant folding).  Host wall-time per packet
+    // is the payload here, so the numbers vary run to run; the instruction
+    // counts and decode statistics are deterministic.
     const std::string expr = harness::fig_6_5_filter_expression();
     struct Case {
         const char* label;
@@ -247,9 +245,8 @@ CustomResult ext_filter_tiers_table() {
     CustomResult result;
     TableData table;
     const bool jit = bpf::JitProgram::supported();
-    table.headers = {"filter",      "insns",       "mean executed", "loads unchecked",
-                     "loads folded", "interp ns",  "threaded ns",   "t1 speedup",
-                     "jit ns",      "jit speedup"};
+    table.headers = {"filter",       "insns",     "mean executed", "loads unchecked",
+                     "loads folded", "interp ns", "jit ns",        "jit speedup"};
     for (const auto& c : cases) {
         const auto verified = bpf::verify(c.prog);
         const auto decoded = bpf::decode(c.prog, verified.facts);
@@ -259,11 +256,7 @@ CustomResult ext_filter_tiers_table() {
         double executed = 0;
         for (const auto& frame : frames) {
             const auto interp = bpf::Vm::run(c.prog, frame);
-            const auto threaded = bpf::ThreadedVm::run(decoded, frame);
             executed += interp.insns_executed;
-            if (interp.accept_len != threaded.accept_len ||
-                interp.aborted != threaded.aborted)
-                throw std::logic_error("ext_filter_tiers: tier verdict mismatch");
             if (compiled != nullptr) {
                 const auto native = compiled->run(
                     frame, static_cast<std::uint32_t>(frame.size()));
@@ -276,9 +269,6 @@ CustomResult ext_filter_tiers_table() {
         executed /= static_cast<double>(frames.size());
         const double interp_ns = time_ns_per_run(
             [&c](const auto& frame) { return bpf::Vm::run(c.prog, frame).accept_len; });
-        const double threaded_ns = time_ns_per_run([&decoded](const auto& frame) {
-            return bpf::ThreadedVm::run(decoded, frame).accept_len;
-        });
         const double jit_ns =
             compiled != nullptr
                 ? time_ns_per_run([&compiled](const auto& frame) {
@@ -292,23 +282,19 @@ CustomResult ext_filter_tiers_table() {
                               std::to_string(decoded.stats.unchecked_loads) + "/" +
                                   std::to_string(decoded.stats.packet_loads),
                               std::to_string(decoded.stats.folded_loads),
-                              fmt("%7.1f", interp_ns), fmt("%7.1f", threaded_ns),
-                              fmt("%4.2fx", interp_ns / threaded_ns),
+                              fmt("%7.1f", interp_ns),
                               compiled != nullptr ? fmt("%7.1f", jit_ns) : "-",
                               compiled != nullptr ? fmt("%4.2fx", interp_ns / jit_ns)
                                                   : "-"});
     }
     result.tables.push_back(std::move(table));
     result.notes =
-        std::string("dispatch: ") +
-        (bpf::ThreadedVm::computed_goto() ? "computed-goto (token-threaded)"
-                                          : "dense switch (portable fallback)") +
-        std::string("\ntier 2: ") +
+        std::string("jit: ") +
         (jit ? "native x86-64 code (W^X mmap, fact-driven check elision)"
-             : "unavailable on this build — jit requests fall back to threaded") +
-        "\nAll tiers execute the same instruction stream (1:1 decode), so the\n"
+             : "unavailable on this build — filters run on the interpreter") +
+        "\nBoth tiers execute the same instruction stream (1:1 decode), so the\n"
         "simulated filter cost is identical; the speedup is host time saved by\n"
-        "pre-decoding, threaded/native dispatch and bounds-check elision.";
+        "pre-decoding, native dispatch and bounds-check elision.";
     return result;
 }
 

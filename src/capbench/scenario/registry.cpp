@@ -347,7 +347,7 @@ std::vector<Scenario> build_registry() {
     }
     all.push_back(custom_scenario(
         "ext_filter_tiers",
-        "BPF execution tiers: interpreter vs. token-threaded vs. native jit, "
+        "BPF execution tiers: interpreter vs. native jit, "
         "fig-6.5-style filter cost sweep (host time)",
         detail::ext_filter_tiers_table));
     {

@@ -1,39 +1,17 @@
 #include "capbench/sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
-#include <string_view>
 #include <utility>
 
 namespace capbench::sim {
-
-const char* to_string(EventQueueBackend backend) {
-    return backend == EventQueueBackend::kWheel ? "wheel" : "heap";
-}
-
-EventQueueBackend event_queue_backend_from_env() {
-    const char* raw = std::getenv("CAPBENCH_EVENT_QUEUE");
-    if (raw == nullptr) return EventQueueBackend::kHeap;
-    const std::string_view value{raw};
-    if (value == "heap") return EventQueueBackend::kHeap;
-    if (value == "wheel") return EventQueueBackend::kWheel;
-    throw std::runtime_error("CAPBENCH_EVENT_QUEUE must be \"heap\" or \"wheel\", got \"" +
-                             std::string(value) + "\"");
-}
 
 EventHandle EventQueue::push(SimTime t, Action action) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slots_[slot];
     s.action = std::move(action);
     s.state = SlotState::kScheduled;
-    const std::uint64_t seq = next_seq_++;
-    if (backend_ == EventQueueBackend::kWheel) {
-        wheel_.insert(slot, t, seq);
-    } else {
-        heap_push(HeapEntry{t, seq, slot});
-    }
+    heap_push(HeapEntry{t, next_seq_++, slot});
     ++live_;
     ++stats_.pushed;
     return EventHandle{this, slot, s.generation};
@@ -49,16 +27,9 @@ void EventQueue::cancel(std::uint32_t slot, std::uint64_t generation) {
     s.action.reset();
     --live_;
     ++stats_.cancelled;
-    if (backend_ == EventQueueBackend::kWheel) {
-        // The wheel unlinks in O(1), so the slot goes straight back to the
-        // freelist — no tombstone, no backlog.
-        wheel_.erase(slot);
-        release_slot(slot);
-    } else {
-        // The heap entry stays behind as a tombstone until it surfaces.
-        s.state = SlotState::kCancelled;
-        ++cancelled_backlog_;
-    }
+    // The heap entry stays behind as a tombstone until it surfaces.
+    s.state = SlotState::kCancelled;
+    ++cancelled_backlog_;
 }
 
 bool EventQueue::is_pending(std::uint32_t slot, std::uint64_t generation) const {
@@ -68,28 +39,17 @@ bool EventQueue::is_pending(std::uint32_t slot, std::uint64_t generation) const 
 }
 
 SimTime EventQueue::next_time() {
-    if (backend_ == EventQueueBackend::kWheel) {
-        if (wheel_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
-        return wheel_.min_time();
-    }
     purge_cancelled_head();
     if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
     return heap_.front().time;
 }
 
 SimTime EventQueue::pop_and_run() {
-    SimTime time;
-    std::uint32_t slot = kNoSlot;
-    if (backend_ == EventQueueBackend::kWheel) {
-        if (wheel_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
-        slot = wheel_.pop_min(time);
-    } else {
-        purge_cancelled_head();
-        if (heap_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
-        time = heap_.front().time;
-        slot = heap_.front().slot;
-        heap_pop_front();
-    }
+    purge_cancelled_head();
+    if (heap_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
+    const SimTime time = heap_.front().time;
+    const std::uint32_t slot = heap_.front().slot;
+    heap_pop_front();
     Slot& s = slots_[slot];
     // Move the action out and release the slot before running: the action
     // may push new events (which can reuse this slot) and EventHandles to
@@ -108,7 +68,6 @@ void EventQueue::clear() {
     // Bump generations of every occupied slot so outstanding handles are
     // inert, then rebuild a pristine freelist over the whole slab.
     heap_.clear();
-    wheel_.clear();
     free_head_ = kNoSlot;
     for (std::size_t i = slots_.size(); i > 0; --i) {
         Slot& s = slots_[i - 1];

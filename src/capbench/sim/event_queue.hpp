@@ -6,17 +6,10 @@
 // (no allocation in steady state) and cancellation is a generation check —
 // no per-event shared_ptr control block.
 //
-// Two priority backends index the slab behind the identical interface and
-// pop in the identical (time, seq) total order, selected per queue (default
-// from the CAPBENCH_EVENT_QUEUE environment variable):
-//  * kHeap — a 4-ary min-heap of 24-byte (time, seq, slot) entries,
-//    O(log n) per operation.  Cancellation is lazy: the slot is released
-//    and its callback destroyed immediately, but the heap entry stays as a
-//    tombstone until it surfaces; cancelled_backlog() counts those.
-//  * kWheel — a hierarchical timing wheel (sim/timing_wheel.*), O(1)
-//    amortized push/pop for the dense-timer steady state.  Cancellation
-//    unlinks in O(1); the wheel keeps no tombstones, so
-//    cancelled_backlog() stays 0.
+// The slab is indexed by a 4-ary min-heap of 24-byte (time, seq, slot)
+// entries, O(log n) per operation.  Cancellation is lazy: the slot is
+// released and its callback destroyed immediately, but the heap entry stays
+// as a tombstone until it surfaces; cancelled_backlog() counts those.
 //
 //  * EventHandle is (queue, slot index, generation).  A slot's generation
 //    is bumped whenever its event fires or is cancelled, so stale handles —
@@ -32,23 +25,15 @@
 
 #include "capbench/sim/inplace_function.hpp"
 #include "capbench/sim/time.hpp"
-#include "capbench/sim/timing_wheel.hpp"
 
 namespace capbench::sim {
 
 class EventQueue;
 
-/// Which priority structure an EventQueue indexes its slab with.
-enum class EventQueueBackend : std::uint8_t { kHeap, kWheel };
-
-/// "heap" or "wheel".
-[[nodiscard]] const char* to_string(EventQueueBackend backend);
-
-/// Reads CAPBENCH_EVENT_QUEUE: unset defaults to kHeap, "heap"/"wheel"
-/// select a backend, anything else throws std::runtime_error (the same
-/// fail-loudly convention as the CAPBENCH_JOBS family — a typo must not
-/// silently benchmark the wrong implementation).
-[[nodiscard]] EventQueueBackend event_queue_backend_from_env();
+/// The heap is the only event queue.  This one-value enum exists solely so
+/// that code naming TestbedConfig::event_queue, RunConfig::event_queue or
+/// Simulator{backend} keeps compiling; it selects nothing.
+enum class EventQueueBackend : std::uint8_t { kHeap };
 
 /// Handle to a scheduled event; allows cancellation.  Copyable; all copies
 /// refer to the same scheduled event.  A default-constructed handle is
@@ -85,11 +70,6 @@ public:
         std::uint64_t cancelled = 0;
     };
 
-    explicit EventQueue(EventQueueBackend backend = event_queue_backend_from_env())
-        : backend_(backend) {}
-
-    [[nodiscard]] EventQueueBackend backend() const { return backend_; }
-
     /// Schedules `action` to run at absolute time `t`.
     EventHandle push(SimTime t, Action action);
 
@@ -101,8 +81,7 @@ public:
     [[nodiscard]] std::size_t size() const { return live_; }
 
     /// Cancelled entries still occupying heap positions (they are discarded
-    /// when they surface).  Always 0 under the wheel backend, which unlinks
-    /// eagerly.  Exposed for stats/diagnostics.
+    /// when they surface).  Exposed for stats/diagnostics.
     [[nodiscard]] std::size_t cancelled_backlog() const { return cancelled_backlog_; }
 
     /// Number of slab slots ever created (capacity high-water mark).
@@ -164,10 +143,8 @@ private:
     /// (or the heap is empty).
     void purge_cancelled_head();
 
-    EventQueueBackend backend_ = EventQueueBackend::kHeap;
     std::vector<Slot> slots_;
-    std::vector<HeapEntry> heap_;  // kHeap backend
-    TimingWheel wheel_;            // kWheel backend (ids are slab slot indices)
+    std::vector<HeapEntry> heap_;
     std::uint32_t free_head_ = kNoSlot;
     std::uint64_t next_seq_ = 0;
     std::size_t live_ = 0;

@@ -13,13 +13,11 @@ namespace capbench::sim {
 /// Owns the clock and the event queue; components schedule callbacks on it.
 class Simulator {
 public:
-    explicit Simulator(EventQueueBackend backend = event_queue_backend_from_env())
-        : queue_(backend) {}
+    Simulator() = default;
+    /// Accepts the one-value EventQueueBackend so existing callers compile.
+    explicit Simulator(EventQueueBackend /*backend*/) {}
 
     [[nodiscard]] SimTime now() const { return now_; }
-
-    /// Which priority backend the event queue runs on (heap or wheel).
-    [[nodiscard]] EventQueueBackend backend() const { return queue_.backend(); }
 
     /// Schedules `action` to run `delay` after the current time.
     EventHandle schedule_in(Duration delay, EventQueue::Action action) {

@@ -1,4 +1,4 @@
-// Tier-2 (native x86-64) BPF execution: three-tier equivalence property
+// Native x86-64 BPF execution: interpreter-vs-jit equivalence property
 // sweep, exact abort semantics, W^X mapping lifecycle, the non-x86-64
 // fallback policy, and the program cache's jit/stats extensions.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "capbench/bpf/jit/exec_memory.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/validator.hpp"
 #include "capbench/bpf/vm.hpp"
 
@@ -28,7 +27,7 @@ DecodedProgram decode_standalone(const Program& prog) {
     return decode(prog, analysis::FactTable::build(prog));
 }
 
-// ---- three-tier equivalence property sweep --------------------------------
+// ---- interpreter-vs-jit equivalence property sweep -------------------------
 
 TEST(JitTierEquivalence, ThousandRandomProgramsMatchByteForByte) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
@@ -48,14 +47,11 @@ TEST(JitTierEquivalence, ThousandRandomProgramsMatchByteForByte) {
             // wire_len >= data.size(): truncated captures included.
             const auto wire = static_cast<std::uint32_t>(data.size() + rng() % 64);
             const VmResult interp = Vm::run(prog, data, wire);
-            const VmResult threaded = ThreadedVm::run(decoded, data, wire);
             const VmResult jit = jitted->run(data, wire);
             ASSERT_EQ(interp.accept_len, jit.accept_len)
                 << disassemble(prog) << "data size " << data.size() << " wire " << wire;
             ASSERT_EQ(interp.aborted, jit.aborted) << disassemble(prog);
             ASSERT_EQ(interp.insns_executed, jit.insns_executed) << disassemble(prog);
-            ASSERT_EQ(threaded.accept_len, jit.accept_len) << disassemble(prog);
-            ASSERT_EQ(threaded.insns_executed, jit.insns_executed) << disassemble(prog);
             if (interp.aborted) ++aborts_seen;
         }
     }
@@ -132,15 +128,15 @@ TEST(JitAbort, FallthroughOffTheEndHitsTheDefensiveFaultPath) {
     EXPECT_EQ(r.insns_executed, interp.insns_executed);
 }
 
-TEST(JitAbort, EmptyProgramAbortsLikeTheThreadedTier) {
+TEST(JitAbort, EmptyProgramAbortsLikeTheInterpreter) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
-    const DecodedProgram empty;
-    const auto jitted = JitProgram::compile(empty);
+    const auto jitted = JitProgram::compile(DecodedProgram{});
     const VmResult jit = jitted->run({}, 0);
-    const VmResult threaded = ThreadedVm::run(empty, {}, 0);
-    EXPECT_EQ(jit.aborted, threaded.aborted);
-    EXPECT_EQ(jit.insns_executed, threaded.insns_executed);
-    EXPECT_EQ(jit.accept_len, threaded.accept_len);
+    const VmResult interp = Vm::run(Program{}, {}, 0);
+    EXPECT_TRUE(jit.aborted);
+    EXPECT_EQ(jit.aborted, interp.aborted);
+    EXPECT_EQ(jit.insns_executed, interp.insns_executed);
+    EXPECT_EQ(jit.accept_len, interp.accept_len);
 }
 
 // ---- fact-driven elisions --------------------------------------------------
@@ -240,10 +236,9 @@ TEST(JitTierSelect, ParseAcceptsJit) {
     EXPECT_THROW(parse_exec_tier("native"), std::runtime_error);
 }
 
-TEST(JitTierSelect, EffectiveTierFallsBackToThreadedWithoutNativeSupport) {
+TEST(JitTierSelect, EffectiveTierFallsBackToInterpreterWithoutNativeSupport) {
     EXPECT_EQ(effective_tier(ExecTier::kJit, true), ExecTier::kJit);
-    EXPECT_EQ(effective_tier(ExecTier::kJit, false), ExecTier::kThreaded);
-    EXPECT_EQ(effective_tier(ExecTier::kThreaded, false), ExecTier::kThreaded);
+    EXPECT_EQ(effective_tier(ExecTier::kJit, false), ExecTier::kInterpreter);
     EXPECT_EQ(effective_tier(ExecTier::kInterpreter, false), ExecTier::kInterpreter);
     EXPECT_EQ(effective_tier(ExecTier::kInterpreter, true), ExecTier::kInterpreter);
 }

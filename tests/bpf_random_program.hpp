@@ -1,5 +1,5 @@
 // Shared random-BPF-program generator for the tier-equivalence property
-// suites (interpreter vs. threaded vs. jit).  Programs are validator-clean
+// suites (interpreter vs. jit).  Programs are validator-clean
 // by construction — jump offsets stay in range, DIV|K immediates stay
 // nonzero, the last slot is always RET — but freely hit the runtime abort
 // paths (out-of-bounds loads, division by X == 0).

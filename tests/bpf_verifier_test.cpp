@@ -1,8 +1,8 @@
 // Tests for the verifier pipeline (dominators, liveness, fact table,
-// structured findings), the tier-1 decoded/threaded execution path, the
+// structured findings), the decoded form and its native execution, the
 // program cache, and the attach-time gate in the capture stacks.  Ends
-// with the interpreter-vs-threaded property sweep over randomly generated
-// valid programs.
+// with an interpreter-vs-jit property sweep over randomly generated valid
+// programs.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -14,8 +14,8 @@
 #include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
-#include "capbench/bpf/threaded_vm.hpp"
 #include "capbench/bpf/validator.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
@@ -268,7 +268,13 @@ TEST(VmAbort, OrdinaryRejectIsNotAborted) {
     EXPECT_FALSE(r.aborted);
 }
 
-// ---- decode + threaded vm -----------------------------------------------------
+// ---- decode + native execution ------------------------------------------------
+
+/// A decoded program's result on the native tier, its only executor.
+/// Callers check JitProgram::supported() first.
+VmResult run_jit(const DecodedProgram& d, std::span<const std::byte> data) {
+    return JitProgram::compile(d)->run(data);
+}
 
 TEST(Decode, ProvenLoadsBecomeUncheckedTokens) {
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
@@ -288,7 +294,9 @@ TEST(Decode, ConstantScratchLoadFoldsToImmediate) {
     EXPECT_EQ(d.insns[3].tok, Tok::kLdImm);
     EXPECT_EQ(d.insns[3].k, 77u);
     EXPECT_EQ(d.stats.folded_loads, 1u);
-    EXPECT_EQ(ThreadedVm::run(d, {}).accept_len, 77u);
+    if (JitProgram::supported()) {
+        EXPECT_EQ(run_jit(d, {}).accept_len, 77u);
+    }
 }
 
 TEST(Decode, OverShiftFoldsToZeroImmediate) {
@@ -297,7 +305,9 @@ TEST(Decode, OverShiftFoldsToZeroImmediate) {
     const DecodedProgram d = decode(prog, FactTable::build(prog));
     EXPECT_EQ(d.insns[1].tok, Tok::kLdImm);
     EXPECT_EQ(d.insns[1].k, 0u);
-    EXPECT_EQ(ThreadedVm::run(d, {}).accept_len, 0u);
+    if (JitProgram::supported()) {
+        EXPECT_EQ(run_jit(d, {}).accept_len, 0u);
+    }
 }
 
 TEST(Decode, JumpTargetsBecomeAbsolute) {
@@ -306,26 +316,40 @@ TEST(Decode, JumpTargetsBecomeAbsolute) {
     const DecodedProgram d = decode(prog, FactTable::build(prog));
     EXPECT_EQ(d.insns[0].tok, Tok::kJa);
     EXPECT_EQ(d.insns[0].jt, 2u);
-    EXPECT_EQ(ThreadedVm::run(d, {}).accept_len, 42u);
+    if (JitProgram::supported()) {
+        EXPECT_EQ(run_jit(d, {}).accept_len, 42u);
+    }
 }
 
-TEST(ThreadedVm, MatchesInterpreterOnAbortingLoads) {
+TEST(Decode, AbortingLoadMatchesInterpreterOnJit) {
+    if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_RET | BPF_K, 1)};
     const DecodedProgram d = decode(prog, FactTable::build(prog));
     const auto data = bytes({1, 2});
     const VmResult interp = Vm::run(prog, data);
-    const VmResult threaded = ThreadedVm::run(d, data);
-    EXPECT_TRUE(threaded.aborted);
-    EXPECT_EQ(threaded.accept_len, interp.accept_len);
-    EXPECT_EQ(threaded.insns_executed, interp.insns_executed);
+    const VmResult jit = run_jit(d, data);
+    EXPECT_TRUE(jit.aborted);
+    EXPECT_EQ(jit.accept_len, interp.accept_len);
+    EXPECT_EQ(jit.insns_executed, interp.insns_executed);
 }
 
 TEST(ExecTierKnob, ParsesStrictly) {
-    EXPECT_EQ(parse_exec_tier("threaded"), ExecTier::kThreaded);
     EXPECT_EQ(parse_exec_tier("interpreter"), ExecTier::kInterpreter);
     EXPECT_EQ(parse_exec_tier("jit"), ExecTier::kJit);
     EXPECT_THROW(parse_exec_tier("native"), std::runtime_error);
     EXPECT_THROW(parse_exec_tier(""), std::runtime_error);
+}
+
+TEST(ExecTierKnob, RejectsThreadedNamingTheAcceptedValues) {
+    try {
+        (void)parse_exec_tier("threaded");
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'interpreter'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'jit'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'threaded'"), std::string::npos) << what;  // echoes the input
+    }
 }
 
 // ---- program cache ------------------------------------------------------------
@@ -430,22 +454,25 @@ TEST(AttachGate, AbortCounterReachesTheObsRegistry) {
 }  // namespace
 }  // namespace capbench::capture
 
-// ---- interpreter vs. threaded property sweep ----------------------------------
+// ---- interpreter vs. jit property sweep ---------------------------------------
 
 namespace capbench::bpf {
 namespace {
 
 using testgen::random_program;
 
+// JitTierEquivalence (bpf_jit_test.cpp) sweeps seed 20260809; this seed
+// adds a second thousand programs rather than repeating those inputs.
 TEST(TierEquivalence, ThousandRandomProgramsMatchByteForByte) {
-    std::mt19937 rng{20260809};
+    if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
+    std::mt19937 rng{20261016};
     int programs = 0;
     int aborts_seen = 0;
     while (programs < 1000) {
         const Program prog = random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const DecodedProgram decoded = decode(prog, analysis::FactTable::build(prog));
+        const auto jitted = JitProgram::compile(decode(prog, analysis::FactTable::build(prog)));
 
         for (int trial = 0; trial < 4; ++trial) {
             std::vector<std::byte> data(rng() % 100);
@@ -454,11 +481,11 @@ TEST(TierEquivalence, ThousandRandomProgramsMatchByteForByte) {
             const auto wire =
                 static_cast<std::uint32_t>(data.size() + rng() % 64);
             const VmResult interp = Vm::run(prog, data, wire);
-            const VmResult threaded = ThreadedVm::run(decoded, data, wire);
-            ASSERT_EQ(interp.accept_len, threaded.accept_len)
+            const VmResult jit = jitted->run(data, wire);
+            ASSERT_EQ(interp.accept_len, jit.accept_len)
                 << disassemble(prog) << "data size " << data.size() << " wire " << wire;
-            ASSERT_EQ(interp.aborted, threaded.aborted) << disassemble(prog);
-            ASSERT_EQ(interp.insns_executed, threaded.insns_executed) << disassemble(prog);
+            ASSERT_EQ(interp.aborted, jit.aborted) << disassemble(prog);
+            ASSERT_EQ(interp.insns_executed, jit.insns_executed) << disassemble(prog);
             if (interp.aborted) ++aborts_seen;
         }
     }

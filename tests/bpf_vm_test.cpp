@@ -78,8 +78,11 @@ TEST(Vm, StxAndLdxMem) {
     EXPECT_EQ(Vm::run(prog, data).accept_len, 55u);
 }
 
+// Every field is 32 bits wide so the struct has no padding: gtest names
+// each case after the raw bytes of its parameter, and padding bytes are
+// indeterminate, which made the test names differ from build to build.
 struct AluCase {
-    std::uint16_t op;
+    std::uint32_t op;
     std::uint32_t a;
     std::uint32_t k;
     std::uint32_t expect;

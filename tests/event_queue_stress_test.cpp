@@ -1,12 +1,10 @@
 // Stress tests for the slab-backed event queue: slot reuse under heavy
 // cancellation (the ABA hazard generation stamps exist to prevent),
-// clear() semantics, and the live-only size accounting.  Every test runs
-// against both priority backends (4-ary heap and hierarchical timing
-// wheel); they must pop the identical (time, seq) total order.
+// clear() semantics, the live-only size accounting, and the (time, seq)
+// total order checked against a reference model.
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,19 +18,7 @@ namespace {
 
 sim::SimTime at(std::int64_t ns) { return sim::SimTime{} + sim::Duration{ns}; }
 
-class EventQueueStress : public ::testing::TestWithParam<sim::EventQueueBackend> {
-protected:
-    [[nodiscard]] bool heap_backend() const {
-        return GetParam() == sim::EventQueueBackend::kHeap;
-    }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueStress,
-                         ::testing::Values(sim::EventQueueBackend::kHeap,
-                                           sim::EventQueueBackend::kWheel),
-                         [](const auto& info) { return std::string(sim::to_string(info.param)); });
-
-TEST_P(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
+TEST(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
     // Drive the slab queue and a reference model (multimap of live events
     // ordered by the same (time, push-seq) key) with one random
     // push/cancel/pop mix; every pop must execute exactly the reference
@@ -40,7 +26,7 @@ TEST_P(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
     // slot reuse while stale handles are still alive — the ABA scenario
     // the generation stamps exist for.
     sim::Rng rng(20260806);
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     std::uint64_t last_fired = 0;
     bool fired_flag = false;
 
@@ -102,10 +88,10 @@ TEST_P(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
     EXPECT_EQ(q.stats().pushed, q.stats().executed + q.stats().cancelled);
 }
 
-TEST_P(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
+TEST(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
     // The ABA scenario: a handle to a consumed event must not affect a new
     // event that happens to land in the same slot.
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     int first_fired = 0;
     int second_fired = 0;
     auto stale = q.push(at(1), [&first_fired] { ++first_fired; });
@@ -123,30 +109,30 @@ TEST_P(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
     EXPECT_EQ(second_fired, 1);
 }
 
-TEST_P(EventQueueStress, SizeCountsLiveEventsOnly) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, SizeCountsLiveEventsOnly) {
+    sim::EventQueue q;
     auto a = q.push(at(1), [] {});
     auto b = q.push(at(2), [] {});
     auto c = q.push(at(3), [] {});
     EXPECT_EQ(q.size(), 3u);
     EXPECT_EQ(q.cancelled_backlog(), 0u);
 
-    // The heap cancels lazily (tombstones surface later); the wheel
-    // unlinks eagerly and never builds a backlog.
+    // Cancellation is lazy: the heap entry stays as a tombstone until it
+    // surfaces.
     b.cancel();
     EXPECT_EQ(q.size(), 2u) << "cancelled events must not count as live";
-    EXPECT_EQ(q.cancelled_backlog(), heap_backend() ? 1u : 0u);
+    EXPECT_EQ(q.cancelled_backlog(), 1u);
     EXPECT_FALSE(q.empty());
 
     a.cancel();
     c.cancel();
     EXPECT_EQ(q.size(), 0u);
     EXPECT_TRUE(q.empty()) << "a queue holding only tombstones is empty";
-    EXPECT_EQ(q.cancelled_backlog(), heap_backend() ? 3u : 0u);
+    EXPECT_EQ(q.cancelled_backlog(), 3u);
 }
 
-TEST_P(EventQueueStress, CancelAfterClearIsInert) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, CancelAfterClearIsInert) {
+    sim::EventQueue q;
     int fired = 0;
     auto before = q.push(at(5), [&fired] { ++fired; });
     auto also_before = q.push(at(6), [&fired] { ++fired; });
@@ -168,8 +154,8 @@ TEST_P(EventQueueStress, CancelAfterClearIsInert) {
     EXPECT_EQ(fired, 0);
 }
 
-TEST_P(EventQueueStress, ClearResetsFreelistDeterministically) {
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, ClearResetsFreelistDeterministically) {
+    sim::EventQueue q;
     std::vector<sim::EventHandle> handles;
     for (int i = 0; i < 32; ++i) handles.push_back(q.push(at(i), [] {}));
     for (int i = 0; i < 32; i += 2) handles[static_cast<std::size_t>(i)].cancel();
@@ -187,10 +173,10 @@ TEST_P(EventQueueStress, ClearResetsFreelistDeterministically) {
     EXPECT_EQ(fired, 32);
 }
 
-TEST_P(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
+TEST(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
     // The steady-state DES shape: the running action pushes its successor.
     // With a single chain the queue must never grow past one slot.
-    sim::EventQueue q{GetParam()};
+    sim::EventQueue q;
     struct Chain {
         sim::EventQueue* q;
         int* remaining;
@@ -207,13 +193,12 @@ TEST_P(EventQueueStress, RescheduleFromRunningActionReusesOwnSlot) {
     EXPECT_EQ(q.slot_count(), 1u) << "self-rescheduling must recycle the slot just freed";
 }
 
-TEST_P(EventQueueStress, CrossWindowAndFarFutureOrdering) {
-    // Times spanning every timing-wheel level — same level-0 bucket,
-    // adjacent buckets, window-crossing carries (the 0x1FFFF -> 0x25000
-    // shape), multi-level jumps, and entries past the 2^48 ns top-level
-    // span that land on the far-future overflow list.  The pops must come
-    // out in exact (time, push-order) sequence on both backends.
-    sim::EventQueue q{GetParam()};
+TEST(EventQueueStress, CrossWindowAndFarFutureOrdering) {
+    // Times spread over many orders of magnitude — duplicates, neighbours
+    // one tick apart, power-of-two boundaries, and entries past 2^48 ns —
+    // pushed out of order.  The pops must come out in exact
+    // (time, push-order) sequence.
+    sim::EventQueue q;
     const std::int64_t times[] = {
         0x1FFFF,        0x25000,         5,   5, 0x100, 0xFF, 0x10000,  0x123456,
         0x1'0000'0000,  0x30000,         1,   (std::int64_t{1} << 49),  0x123457,
@@ -233,12 +218,12 @@ TEST_P(EventQueueStress, CrossWindowAndFarFutureOrdering) {
     EXPECT_EQ(fired, expected);
 }
 
-TEST_P(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
+TEST(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
     // Simulator::run peeks next_time() before the loop body; code outside
     // the loop can then push an EARLIER event (chunked run() + re-armed
-    // timeouts do exactly this).  The peek advances the wheel cursor, so
-    // the earlier event must merge ahead of the staged one.
-    sim::EventQueue q{GetParam()};
+    // timeouts do exactly this).  The earlier event must pop ahead of the
+    // one the peek reported.
+    sim::EventQueue q;
     std::vector<int> fired;
     q.push(at(1'000), [&fired] { fired.push_back(1); });
     EXPECT_EQ(q.next_time(), at(1'000));
@@ -249,52 +234,6 @@ TEST_P(EventQueueStress, PeekThenEarlierPushStillPopsInTimeOrder) {
     q.pop_and_run();
     q.pop_and_run();
     EXPECT_EQ(fired, (std::vector<int>{0, 2, 1}));
-}
-
-TEST(EventQueueBackendEquivalence, HeapAndWheelPopIdenticalSequences) {
-    // One random push/cancel/pop workload applied to both backends in
-    // lock-step: every pop must fire the same event id at the same time.
-    sim::Rng rng(0xC0FFEE);
-    sim::EventQueue heap{sim::EventQueueBackend::kHeap};
-    sim::EventQueue wheel{sim::EventQueueBackend::kWheel};
-    std::vector<std::uint64_t> heap_fired;
-    std::vector<std::uint64_t> wheel_fired;
-    std::vector<std::pair<sim::EventHandle, sim::EventHandle>> handles;
-    std::uint64_t next_id = 0;
-
-    for (int round = 0; round < 300; ++round) {
-        const int pushes = 1 + static_cast<int>(rng.next_below(6));
-        for (int i = 0; i < pushes; ++i) {
-            // Mix dense near-term ticks with occasional far jumps so the
-            // wheel exercises cascades and the overflow list.
-            std::int64_t t = static_cast<std::int64_t>(rng.next_below(2'000));
-            if (rng.next_below(20) == 0) t += std::int64_t{1} << (20 + rng.next_below(30));
-            const std::uint64_t id = next_id++;
-            handles.emplace_back(
-                heap.push(at(t), [&heap_fired, id] { heap_fired.push_back(id); }),
-                wheel.push(at(t), [&wheel_fired, id] { wheel_fired.push_back(id); }));
-        }
-        if (!handles.empty() && rng.next_below(3) == 0) {
-            const std::size_t pick =
-                static_cast<std::size_t>(rng.next_below(handles.size()));
-            handles[pick].first.cancel();
-            handles[pick].second.cancel();
-        }
-        const int pops = static_cast<int>(rng.next_below(4));
-        for (int i = 0; i < pops && !heap.empty(); ++i) {
-            const sim::SimTime th = heap.pop_and_run();
-            const sim::SimTime tw = wheel.pop_and_run();
-            ASSERT_EQ(th, tw);
-        }
-        ASSERT_EQ(heap.size(), wheel.size());
-        ASSERT_EQ(heap_fired, wheel_fired);
-    }
-    while (!heap.empty()) {
-        ASSERT_FALSE(wheel.empty());
-        ASSERT_EQ(heap.pop_and_run(), wheel.pop_and_run());
-    }
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_EQ(heap_fired, wheel_fired);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "capbench/harness/experiment.hpp"
-#include "capbench/sim/event_queue.hpp"
 
 namespace capbench::harness {
 namespace {
@@ -213,44 +212,6 @@ TEST(EnvKnobs, AffinityRejectsEmptyItemsNegativesAndRange) {
     {
         const ScopedEnv env{"CAPBENCH_AFFINITY", "256"};
         EXPECT_THROW((void)affinity_from_env(), std::runtime_error);
-    }
-}
-
-TEST(EnvKnobs, EventQueueBackendDefaultsToHeap) {
-    const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", nullptr};
-    EXPECT_EQ(sim::event_queue_backend_from_env(), sim::EventQueueBackend::kHeap);
-}
-
-TEST(EnvKnobs, EventQueueBackendParsesBothNames) {
-    {
-        const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", "heap"};
-        EXPECT_EQ(sim::event_queue_backend_from_env(), sim::EventQueueBackend::kHeap);
-    }
-    {
-        const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", "wheel"};
-        EXPECT_EQ(sim::event_queue_backend_from_env(), sim::EventQueueBackend::kWheel);
-    }
-}
-
-TEST(EnvKnobs, EventQueueBackendRejectsGarbageWithTheValue) {
-    const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", "calendar"};
-    try {
-        (void)sim::event_queue_backend_from_env();
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("CAPBENCH_EVENT_QUEUE"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("calendar"), std::string::npos);
-    }
-}
-
-TEST(EnvKnobs, EventQueueBackendRejectsEmptyAndWrongCase) {
-    {
-        const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", ""};
-        EXPECT_THROW((void)sim::event_queue_backend_from_env(), std::runtime_error);
-    }
-    {
-        const ScopedEnv env{"CAPBENCH_EVENT_QUEUE", "Wheel"};
-        EXPECT_THROW((void)sim::event_queue_backend_from_env(), std::runtime_error);
     }
 }
 

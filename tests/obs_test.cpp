@@ -207,20 +207,6 @@ TEST(ObsMetrics, ObservationDoesNotPerturbResults) {
     }
 }
 
-TEST(ObsMetrics, IdenticalAcrossEventQueueBackends) {
-    harness::RunConfig cfg = metrics_run(800.0);
-    cfg.event_queue = sim::EventQueueBackend::kHeap;
-    harness::RunConfig wheel = cfg;
-    wheel.event_queue = sim::EventQueueBackend::kWheel;
-    const auto a = harness::run_once(harness::standard_suts(), cfg);
-    const auto b = harness::run_once(harness::standard_suts(), wheel);
-    // Byte-compare the serialized metrics points: every counter, drop
-    // bucket and quantile must match across backends.
-    const auto da = report::MetricsWriter::point(800.0, a.metrics);
-    const auto db = report::MetricsWriter::point(800.0, b.metrics);
-    EXPECT_EQ(report::MetricsWriter::serialize(da), report::MetricsWriter::serialize(db));
-}
-
 TEST(ObsMetrics, RepeatedRunsSumRawCounts) {
     const auto once = harness::run_once({harness::standard_sut("moorhen")},
                                         metrics_run(200.0));

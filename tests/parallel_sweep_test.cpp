@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "capbench/harness/experiment.hpp"
@@ -67,11 +69,17 @@ TEST(ParallelExecutor, ZeroCountIsANoOp) {
 TEST(ParallelExecutor, PropagatesTheFirstException) {
     const ParallelExecutor exec{3};
     std::atomic<int> started{0};
+    // The other points take a millisecond each, like a (very short) sweep
+    // point, so the throw is caught while plenty of indices remain.  With
+    // empty bodies the two other workers can drain all 50 indices while
+    // the exception is still unwinding, and the check below would measure
+    // thread scheduling instead of the executor.
     EXPECT_THROW(
         exec.parallel_for(50,
                           [&](std::size_t i) {
                               ++started;
                               if (i == 5) throw std::runtime_error("point 5 failed");
+                              std::this_thread::sleep_for(std::chrono::milliseconds(1));
                           }),
         std::runtime_error);
     // After the throw no new indices are claimed; well under 50 run.

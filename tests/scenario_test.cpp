@@ -57,8 +57,8 @@ const std::vector<std::pair<std::string, std::string>> kGoldenList = {
      "multi-queue RSS receive: capture rate vs. queue/core count at overload (future "
      "work, Section 7.2)"},
     {"ext_filter_tiers",
-     "BPF execution tiers: interpreter vs. token-threaded vs. native jit, fig-6.5-style "
-     "filter cost sweep (host time)"},
+     "BPF execution tiers: interpreter vs. native jit, fig-6.5-style filter cost sweep "
+     "(host time)"},
     {"ext_disk_writer",
      "capture-to-disk writer pipeline: bring-ring hand-off vs. inline write, 76-byte "
      "header trace (ring depth x spill policy)"},

@@ -190,20 +190,6 @@ TEST(TimeseriesDoc, WriterRequiresFinalizedSeries) {
     EXPECT_THROW((void)report::TimeseriesWriter::document(ts, "x"), std::logic_error);
 }
 
-std::string render_once(sim::EventQueueBackend backend) {
-    obs::TimeSeries ts;
-    harness::RunConfig cfg = pulse_run(&ts);
-    cfg.event_queue = backend;
-    harness::run_once({harness::standard_sut("swan")}, cfg);
-    return report::TimeseriesWriter::serialize(
-        report::TimeseriesWriter::document(ts, "pulse"));
-}
-
-TEST(TimeseriesDoc, ByteIdenticalAcrossEventQueueBackends) {
-    EXPECT_EQ(render_once(sim::EventQueueBackend::kHeap),
-              render_once(sim::EventQueueBackend::kWheel));
-}
-
 TEST(TimeseriesDoc, ByteIdenticalAcrossBpfTiers) {
     const auto render_tier = [](const char* tier) {
         const ScopedEnv env{"CAPBENCH_BPF_TIER", tier};
@@ -217,7 +203,6 @@ TEST(TimeseriesDoc, ByteIdenticalAcrossBpfTiers) {
             report::TimeseriesWriter::document(ts, "pulse"));
     };
     const std::string interp = render_tier("interpreter");
-    EXPECT_EQ(interp, render_tier("threaded"));
     EXPECT_EQ(interp, render_tier("jit"));
 }
 
