@@ -3,15 +3,6 @@
 #include <stdexcept>
 
 namespace capbench::obs {
-namespace {
-
-void merge_samples(sim::SampleSet& into, const sim::SampleSet& from) {
-    into.reserve(into.size() + from.size());
-    for (const double v : from.samples()) into.add(v);
-}
-
-}  // namespace
-
 void RunMetrics::merge(const RunMetrics& other) {
     if (!other.enabled) return;
     if (!enabled) {
@@ -29,7 +20,7 @@ void RunMetrics::merge(const RunMetrics& other) {
         a.offered += b.offered;
         a.ring_drops += b.ring_drops;
         a.backlog_drops += b.backlog_drops;
-        merge_samples(a.nic_to_kernel_ns, b.nic_to_kernel_ns);
+        a.nic_to_kernel_ns.append(b.nic_to_kernel_ns);
         a.cpu_samples.insert(a.cpu_samples.end(), b.cpu_samples.begin(),
                              b.cpu_samples.end());
         for (std::size_t i = 0; i < a.apps.size(); ++i) {
@@ -37,9 +28,9 @@ void RunMetrics::merge(const RunMetrics& other) {
             const AppMetrics& y = b.apps[i];
             x.delivered += y.delivered;
             for (const DropSite& site : kDropSites) x.*site.member += y.*site.member;
-            merge_samples(x.latency_ns, y.latency_ns);
-            merge_samples(x.enqueue_ns, y.enqueue_ns);
-            merge_samples(x.deliver_ns, y.deliver_ns);
+            x.latency_ns.append(y.latency_ns);
+            x.enqueue_ns.append(y.enqueue_ns);
+            x.deliver_ns.append(y.deliver_ns);
         }
     }
     if (counters.size() != other.counters.size())

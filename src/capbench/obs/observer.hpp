@@ -209,7 +209,7 @@ inline void SutObserver::kernel_handoff(std::uint64_t id, sim::SimTime t) {
     if (owner_->frozen()) return;
     detail::stamp(handoff_at_, id, t);
     if (const std::int64_t arr = detail::stamp_at(arrival_at_, id); arr >= 0)
-        nic_to_kernel_ns_.add(static_cast<double>(t.ns() - arr));
+        nic_to_kernel_ns_.add(t.ns() - arr);
 }
 
 inline void SutObserver::irq_raised(sim::SimTime t) {
@@ -229,7 +229,7 @@ inline void AppObserver::enqueued(std::uint64_t id, sim::SimTime t,
         detail::stamp(enqueue_at_, id, t);
         if (const std::int64_t ho = detail::stamp_at(sut_->handoff_at_, id);
             ho >= 0)
-            enqueue_ns_.add(static_cast<double>(t.ns() - ho));
+            enqueue_ns_.add(t.ns() - ho);
     }
     if (TraceSink* tr = sut_->owner_->trace_)
         tr->counter(sut_->pid_, kThreadTidBase + index_, occupancy_name_, t,
@@ -239,10 +239,10 @@ inline void AppObserver::enqueued(std::uint64_t id, sim::SimTime t,
 inline void AppObserver::delivered(std::uint64_t id, sim::SimTime t) {
     if (sut_->owner_->frozen()) return;
     if (const std::int64_t enq = detail::stamp_at(enqueue_at_, id); enq >= 0)
-        deliver_ns_.add(static_cast<double>(t.ns() - enq));
+        deliver_ns_.add(t.ns() - enq);
     if (const std::int64_t arr = detail::stamp_at(sut_->arrival_at_, id);
         arr >= 0)
-        latency_ns_.add(static_cast<double>(t.ns() - arr));
+        latency_ns_.add(t.ns() - arr);
 }
 
 inline void AppObserver::disk_ring_occupancy(sim::SimTime t,

@@ -30,9 +30,11 @@ private:
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Stores samples and answers quantile queries; used for per-app capture
-/// rate spreads (worst/avg/best lines of Figures 6.7-6.9) and the
-/// observability layer's latency histograms.
+/// Stores integer samples (nanoseconds) and answers quantile queries; the
+/// observability layer's packet-lifecycle latency sets.  Summaries select
+/// the order statistics they need instead of sorting, and sum in integers:
+/// while the sum of |samples| stays below 2^53 every result is bit for bit
+/// what a sort, an in-order double sum and linear interpolation would give.
 class SampleSet {
 public:
     /// One-pass digest of a sample set.  All fields are 0 when empty.
@@ -46,12 +48,15 @@ public:
         double p99 = 0.0;
     };
 
-    void add(double x) { samples_.push_back(x); }
+    void add(std::int64_t x) { samples_.push_back(x); }
     void reserve(std::size_t n) { samples_.reserve(n); }
+    /// Appends every sample of `other` (merging repetitions of a run).
+    void append(const SampleSet& other) {
+        samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    }
 
     [[nodiscard]] std::size_t size() const { return samples_.size(); }
     [[nodiscard]] bool empty() const { return samples_.empty(); }
-    [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
@@ -64,11 +69,12 @@ public:
     [[nodiscard]] double p95() const { return quantile(0.95); }
     [[nodiscard]] double p99() const { return quantile(0.99); }
 
-    /// Computes count/min/max/mean/p50/p95/p99 with a single sort.
+    /// Computes count/min/max/mean/p50/p95/p99 from one scratch copy:
+    /// an integer pass, then three selections over shrinking prefixes.
     [[nodiscard]] Summary summary() const;
 
 private:
-    std::vector<double> samples_;
+    std::vector<std::int64_t> samples_;
 };
 
 }  // namespace capbench::sim

@@ -1,6 +1,12 @@
 // Tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "capbench/sim/event_queue.hpp"
@@ -248,7 +254,7 @@ TEST(SampleSet, EmptyQuantileIsZeroButMinStillThrows) {
 
 TEST(SampleSet, SingleSampleIsEveryQuantile) {
     SampleSet s;
-    s.add(42.0);
+    s.add(42);
     EXPECT_DOUBLE_EQ(s.quantile(0.0), 42.0);
     EXPECT_DOUBLE_EQ(s.quantile(0.5), 42.0);
     EXPECT_DOUBLE_EQ(s.quantile(1.0), 42.0);
@@ -259,7 +265,7 @@ TEST(SampleSet, SingleSampleIsEveryQuantile) {
 
 TEST(SampleSet, QuantileRangeChecked) {
     SampleSet s;
-    s.add(1.0);
+    s.add(1);
     EXPECT_THROW((void)s.quantile(-0.1), std::invalid_argument);
     EXPECT_THROW((void)s.quantile(1.1), std::invalid_argument);
 }
@@ -268,7 +274,7 @@ TEST(SampleSet, PercentileHelpersAndSummaryAgree) {
     SampleSet s;
     s.reserve(100);
     for (int i = 1; i <= 100; ++i) s.add(i);
-    EXPECT_EQ(s.samples().size(), 100u);
+    EXPECT_EQ(s.size(), 100u);
     EXPECT_DOUBLE_EQ(s.p50(), s.quantile(0.50));
     EXPECT_DOUBLE_EQ(s.p95(), s.quantile(0.95));
     EXPECT_DOUBLE_EQ(s.p99(), s.quantile(0.99));
@@ -280,6 +286,100 @@ TEST(SampleSet, PercentileHelpersAndSummaryAgree) {
     EXPECT_DOUBLE_EQ(sum.p50, s.quantile(0.50));
     EXPECT_DOUBLE_EQ(sum.p95, s.quantile(0.95));
     EXPECT_DOUBLE_EQ(sum.p99, s.quantile(0.99));
+}
+
+// The summary as a full sort computes it: sort, sum in sorted order, and
+// interpolate linearly.  SampleSet selects instead of sorting and sums in
+// integers; it must still match this bit for bit.
+struct SortedOracle {
+    std::vector<double> sorted;
+
+    explicit SortedOracle(const std::vector<std::int64_t>& samples)
+        : sorted(samples.begin(), samples.end()) {
+        std::sort(sorted.begin(), sorted.end());
+    }
+
+    [[nodiscard]] double quantile(double q) const {
+        if (sorted.empty()) return 0.0;
+        if (sorted.size() == 1 || q <= 0.0) return sorted.front();
+        if (q >= 1.0) return sorted.back();
+        const double pos = q * static_cast<double>(sorted.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const auto hi = std::min(lo + 1, sorted.size() - 1);
+        const double frac = pos - static_cast<double>(lo);
+        return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    }
+
+    [[nodiscard]] SampleSet::Summary summary() const {
+        SampleSet::Summary s;
+        if (sorted.empty()) return s;
+        s.count = sorted.size();
+        s.min = sorted.front();
+        s.max = sorted.back();
+        s.mean = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                 static_cast<double>(sorted.size());
+        s.p50 = quantile(0.50);
+        s.p95 = quantile(0.95);
+        s.p99 = quantile(0.99);
+        return s;
+    }
+};
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
+    // 0..3 cover the small-set edges (at 3, p95 and p99 share a rank); at
+    // 30 p95's upper neighbour is p99's rank; at 101 every q*(n-1) the
+    // summary asks for is integral, so frac is 0.
+    constexpr std::size_t kSizes[] = {0, 1, 2, 3, 30, 100, 101, 3000};
+    constexpr std::size_t kNumSizes = std::size(kSizes);
+    enum Shape { kRandom, kAllEqual, kHeavyTie, kAscending, kDescending, kShapes };
+    // The mean is exact only while the sum stays below 2^53, where every
+    // partial double sum of the oracle is an integer it can represent:
+    // here at most 3000 < 2^12 samples of at most 2^40 ns, so below 2^52.
+    constexpr std::int64_t kMagnitudes[] = {1 << 10, 1 << 20, std::int64_t{1} << 40};
+    constexpr double kQs[] = {0.0, 0.25, 0.5, 0.95, 0.99, 1.0};
+    constexpr int kSets = 1200;  // every size x shape x magnitude, 10 times
+
+    Rng rng{2026};
+    for (int i = 0; i < kSets; ++i) {
+        const std::size_t n = kSizes[i % kNumSizes];
+        const auto shape = static_cast<Shape>(i / kNumSizes % kShapes);
+        const std::int64_t mag = kMagnitudes[i / (kNumSizes * kShapes) % 3];
+        std::vector<std::int64_t> xs(n);
+        const std::int64_t constant = rng.next_in(0, mag);
+        for (std::int64_t& x : xs) {
+            x = shape == kAllEqual   ? constant
+                : shape == kHeavyTie ? rng.next_in(0, 3) * (mag / 4)
+                                     : rng.next_in(0, mag);
+        }
+        if (shape == kAscending) std::sort(xs.begin(), xs.end());
+        if (shape == kDescending) std::sort(xs.rbegin(), xs.rend());
+
+        SampleSet set;
+        for (const std::int64_t x : xs) set.add(x);
+        const SortedOracle oracle{xs};
+        const std::string where = "set " + std::to_string(i) + " n=" +
+                                  std::to_string(n) + " shape=" +
+                                  std::to_string(shape) + " mag=" + std::to_string(mag);
+
+        const SampleSet::Summary got = set.summary();
+        const SampleSet::Summary want = oracle.summary();
+        EXPECT_EQ(got.count, want.count) << where;
+        EXPECT_EQ(bits(got.min), bits(want.min)) << where;
+        EXPECT_EQ(bits(got.max), bits(want.max)) << where;
+        EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+        EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+        EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
+        EXPECT_EQ(bits(got.p99), bits(want.p99)) << where;
+        for (const double q : kQs)
+            EXPECT_EQ(bits(set.quantile(q)), bits(oracle.quantile(q))) << where << " q=" << q;
+        if (n > 0) {
+            EXPECT_EQ(bits(set.min()), bits(want.min)) << where;
+            EXPECT_EQ(bits(set.max()), bits(want.max)) << where;
+            EXPECT_EQ(bits(set.mean()), bits(want.mean)) << where;
+        }
+    }
 }
 
 }  // namespace
