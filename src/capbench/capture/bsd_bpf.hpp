@@ -10,7 +10,6 @@
 // (Figures 6.3(a)/6.4(a)).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,22 +20,12 @@
 
 namespace capbench::capture {
 
-class BsdBpfDev final : public PacketTap, public StackEndpoint {
+class BsdBpfDev final : public StackEndpoint {
 public:
     /// `buffer_bytes` is the size of EACH half of the double buffer.
     BsdBpfDev(hostsim::Machine& machine, const OsSpec& os, std::uint64_t buffer_bytes,
               std::uint32_t snaplen);
 
-    // -- PacketTap --
-    hostsim::Work plan(const net::PacketPtr& packet, int queue) override;
-    void commit(const net::PacketPtr& packet, int queue) override;
-    void fanout_skip(int queue) override;
-
-    // -- StackEndpoint --
-    std::optional<Batch> fetch(std::size_t max_packets) override;
-    void set_reader(hostsim::Thread* reader) override { reader_ = reader; }
-    void install_filter(bpf::Program program) override;
-    [[nodiscard]] const CaptureStats& stats() const override { return stats_; }
     [[nodiscard]] std::uint64_t buffer_occupancy() const override {
         return store_.stored_bytes + hold_.stored_bytes;
     }
@@ -53,46 +42,30 @@ private:
         std::vector<net::PacketPtr> packets;
         std::uint64_t stored_bytes = 0;  // captured bytes incl. bpf headers
         std::uint64_t caplen_bytes = 0;  // captured bytes excl. headers
-        /// Per-RSS-queue packet counts / caplen bytes of the buffered
-        /// packets (index = queue); rotates with the buffer and is folded
-        /// into the per-queue delivery stats when HOLD is read out.
-        std::vector<std::uint32_t> queue_counts;
-        std::vector<std::uint64_t> queue_bytes;
-        void add(int queue, std::uint32_t caplen) {
-            const auto index = static_cast<std::size_t>(queue);
-            if (index >= queue_counts.size()) {
-                queue_counts.resize(index + 1, 0);
-                queue_bytes.resize(index + 1, 0);
-            }
-            ++queue_counts[index];
-            queue_bytes[index] += caplen;
-        }
         void clear() {
-            packets.clear();
+            packets.clear();  // keeps capacity: rotation reallocates nothing
             stored_bytes = 0;
             caplen_bytes = 0;
-            // Keep capacity: steady-state rotation reallocates nothing.
-            std::fill(queue_counts.begin(), queue_counts.end(), 0u);
-            std::fill(queue_bytes.begin(), queue_bytes.end(), std::uint64_t{0});
         }
         [[nodiscard]] bool empty() const { return packets.empty(); }
     };
+
+    void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
+    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool read(std::size_t max_packets, Batch& batch) override;
+    /// The traced fill is STORE's, the half the kernel copies into.
+    [[nodiscard]] std::uint64_t traced_occupancy() const override {
+        return store_.stored_bytes;
+    }
 
     [[nodiscard]] std::uint64_t slot_bytes(std::uint32_t caplen) const;
     void rotate();
     void schedule_timeout();
 
-    hostsim::Machine* machine_;
-    const OsSpec* os_;
     std::uint64_t buffer_bytes_;
-    std::uint32_t snaplen_;
-    FilterRunner filter_;
     Buffer store_;
     Buffer hold_;
     bool hold_ready_ = false;
-    hostsim::Thread* reader_ = nullptr;
-    CaptureStats stats_;
-    PendingVerdicts pending_;  // FIFO plan->commit handoff
     sim::Duration timeout_{};
     bool timeout_armed_ = false;
 };

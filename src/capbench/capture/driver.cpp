@@ -16,9 +16,9 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
     const std::size_t tap_count = taps_.size();
     for (std::size_t i = 0; i < tap_count; ++i) {
         if (fanout_.targets(i, tap_count, queue, hash)) {
-            work += taps_[i]->plan(packet, queue);
+            work += taps_[i]->plan(packet);
         } else {
-            taps_[i]->fanout_skip(queue);
+            taps_[i]->fanout_skip();
         }
     }
 
@@ -29,7 +29,7 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
     machine_->post_kernel_work_on(cpu, work, state, [this, queue, hash, packet] {
         const std::size_t tap_count = taps_.size();
         for (std::size_t i = 0; i < tap_count; ++i)
-            if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(packet, queue);
+            if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(packet);
     });
 }
 

@@ -28,23 +28,13 @@ struct SkbPool {
     std::uint64_t limit = 192ull * 1024 * 1024;  // ~lowmem available for skbs
 };
 
-class LinuxPacketSocket final : public PacketTap, public StackEndpoint {
+class LinuxPacketSocket final : public StackEndpoint {
 public:
     /// `rmem_bytes` is the socket receive buffer size (rmem_default or the
     /// raised rmem_max of Section 6.3.1).
     LinuxPacketSocket(hostsim::Machine& machine, const OsSpec& os, std::uint64_t rmem_bytes,
                       std::uint32_t snaplen, SkbPool* pool = nullptr);
 
-    // -- PacketTap --
-    hostsim::Work plan(const net::PacketPtr& packet, int queue) override;
-    void commit(const net::PacketPtr& packet, int queue) override;
-    void fanout_skip(int queue) override;
-
-    // -- StackEndpoint --
-    std::optional<Batch> fetch(std::size_t max_packets) override;
-    void set_reader(hostsim::Thread* reader) override { reader_ = reader; }
-    void install_filter(bpf::Program program) override;
-    [[nodiscard]] const CaptureStats& stats() const override { return stats_; }
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return queued_truesize_; }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return rmem_bytes_; }
 
@@ -56,22 +46,17 @@ private:
         net::PacketPtr packet;
         std::uint32_t caplen = 0;
         std::uint64_t truesize = 0;
-        int queue = 0;  // RSS queue of arrival, for per-queue delivery stats
     };
+
+    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool read(std::size_t max_packets, Batch& batch) override;
 
     [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;
 
-    hostsim::Machine* machine_;
-    const OsSpec* os_;
     std::uint64_t rmem_bytes_;
-    std::uint32_t snaplen_;
-    FilterRunner filter_;
     sim::RingBuffer<Queued> queue_;
     std::uint64_t queued_truesize_ = 0;
-    hostsim::Thread* reader_ = nullptr;
     SkbPool* pool_ = nullptr;
-    CaptureStats stats_;
-    PendingVerdicts pending_;
 };
 
 }  // namespace capbench::capture

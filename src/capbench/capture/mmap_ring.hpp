@@ -17,22 +17,12 @@
 
 namespace capbench::capture {
 
-class MmapRing final : public PacketTap, public StackEndpoint {
+class MmapRing final : public StackEndpoint {
 public:
     /// `ring_bytes` total mapped size; frames are `frame_bytes` each.
     MmapRing(hostsim::Machine& machine, const OsSpec& os, std::uint64_t ring_bytes,
              std::uint32_t snaplen, std::uint32_t frame_bytes = 2048);
 
-    // -- PacketTap --
-    hostsim::Work plan(const net::PacketPtr& packet, int queue) override;
-    void commit(const net::PacketPtr& packet, int queue) override;
-    void fanout_skip(int queue) override;
-
-    // -- StackEndpoint --
-    std::optional<Batch> fetch(std::size_t max_packets) override;
-    void set_reader(hostsim::Thread* reader) override { reader_ = reader; }
-    void install_filter(bpf::Program program) override;
-    [[nodiscard]] const CaptureStats& stats() const override { return stats_; }
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return ring_.size(); }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return slots_; }
 
@@ -42,18 +32,14 @@ private:
     struct Queued {
         net::PacketPtr packet;
         std::uint32_t caplen = 0;
-        int queue = 0;  // RSS queue of arrival, for per-queue delivery stats
     };
 
-    hostsim::Machine* machine_;
-    const OsSpec* os_;
+    void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
+    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool read(std::size_t max_packets, Batch& batch) override;
+
     std::size_t slots_;
-    std::uint32_t snaplen_;
-    FilterRunner filter_;
     sim::RingBuffer<Queued> ring_;
-    hostsim::Thread* reader_ = nullptr;
-    CaptureStats stats_;
-    PendingVerdicts pending_;
 };
 
 }  // namespace capbench::capture

@@ -5,8 +5,10 @@
 
 #include "capbench/bpf/program_cache.hpp"
 #include "capbench/bpf/verifier.hpp"
+#include "capbench/capture/os.hpp"
 #include "capbench/net/headers.hpp"
 #include "capbench/net/wire.hpp"
+#include "capbench/obs/observer.hpp"
 
 namespace capbench::capture {
 
@@ -44,6 +46,58 @@ void FilterRunner::install(bpf::Program program) {
         }
     }
     program_ = std::move(program);
+}
+
+void StackEndpoint::install_filter(bpf::Program program) {
+    filter_.install(std::move(program));
+    if (app_obs_ != nullptr) app_obs_->filter_installed(filter_.decoded());
+}
+
+hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {
+    ++stats_.kernel_seen;
+    const FilterRunner::Verdict verdict = filter_.run(*packet, snaplen_);
+    hostsim::Work work = os_->tap_per_packet;
+    work.cycles += verdict.insns * os_->filter_cycles_per_insn;
+    if (verdict.accept) plan_copy(work, verdict.caplen);
+    pending_.push(verdict);
+    return work.scaled(os_->kernel_cost_multiplier);
+}
+
+void StackEndpoint::commit(const net::PacketPtr& packet) {
+    const FilterRunner::Verdict verdict = pending_.pop();
+    if (!verdict.accept) {
+        ++stats_.dropped_filter;
+        if (verdict.aborted) {
+            ++stats_.filter_aborts;
+            if (app_obs_ != nullptr) app_obs_->filter_aborted();
+        }
+        return;
+    }
+    ++stats_.accepted;
+    if (!store(packet, verdict.caplen)) {
+        ++stats_.dropped_buffer;
+        return;
+    }
+    if (app_obs_ != nullptr)
+        app_obs_->enqueued(packet->id(), machine_->sim().now(),
+                           static_cast<std::int64_t>(traced_occupancy()));
+}
+
+std::optional<StackEndpoint::Batch> StackEndpoint::fetch(std::size_t max_packets) {
+    Batch batch;
+    batch.packets = std::move(spare_packets_);
+    if (!read(max_packets, batch)) {
+        spare_packets_ = std::move(batch.packets);
+        return std::nullopt;
+    }
+    stats_.delivered += batch.packets.size();
+    if (app_obs_ != nullptr) {
+        const sim::SimTime now = machine_->sim().now();
+        for (const net::PacketPtr& p : batch.packets) app_obs_->delivered(p->id(), now);
+        app_obs_->fetched(batch.packets.size(),
+                          static_cast<std::int64_t>(traced_occupancy()), now);
+    }
+    return batch;
 }
 
 std::span<const std::byte> FilterRunner::synthetic_template() {

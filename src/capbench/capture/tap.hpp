@@ -1,5 +1,6 @@
 // Interfaces between the driver (kernel side) and capture stacks, and
-// between capture stacks and application threads (reader side).
+// between capture stacks and application threads (reader side), plus the
+// one capture-stack base that implements both sides' bookkeeping.
 #pragma once
 
 #include <cstddef>
@@ -23,14 +24,16 @@ class AppObserver;
 
 namespace capbench::capture {
 
-/// Per-consumer capture statistics (the pcap_stats analog).
+struct OsSpec;
+
+/// Per-consumer capture statistics (the pcap_stats analog).  StackEndpoint
+/// is the only writer: each capture event is counted here once.
 struct CaptureStats {
     std::uint64_t kernel_seen = 0;     // packets offered to this tap
     std::uint64_t accepted = 0;        // passed the filter
     std::uint64_t dropped_filter = 0;  // rejected by the filter (aborts included)
     std::uint64_t dropped_buffer = 0;  // accepted but no buffer space (ps_drop)
     std::uint64_t delivered = 0;       // handed to the application (ps_recv)
-    std::uint64_t delivered_bytes = 0;
     /// Filter runs that ended in a VM fault (out-of-bounds load, division
     /// by zero) rather than a verdict.  A subset of dropped_filter — the
     /// drop identity delivered + Σdrops == generated is unaffected.
@@ -44,23 +47,22 @@ struct CaptureStats {
 /// Kernel-side interface: the driver asks each tap to plan (cost) and then,
 /// when the kernel work for the packet completes, to commit (buffer state
 /// mutation + reader wakeup).  plan/commit are called strictly in FIFO
-/// pairs per tap; `queue` is the RSS receive queue the packet arrived on
-/// (0 on single-queue NICs) and feeds the per-queue stats slices.
+/// pairs per tap.
 class PacketTap {
 public:
     virtual ~PacketTap() = default;
 
     /// Runs the filter and returns the kernel work this tap adds for the
     /// packet (filter interpretation, clone/enqueue, buffer copy).
-    virtual hostsim::Work plan(const net::PacketPtr& packet, int queue) = 0;
+    virtual hostsim::Work plan(const net::PacketPtr& packet) = 0;
 
     /// Applies the planned action: enqueue/copy into the consumer's buffer
     /// or count a drop; wakes the reader when data becomes available.
-    virtual void commit(const net::PacketPtr& packet, int queue) = 0;
+    virtual void commit(const net::PacketPtr& packet) = 0;
 
     /// The fanout group delivered this packet to another tap: account it
     /// (CaptureStats::fanout_skipped) without planning any kernel work.
-    virtual void fanout_skip(int queue) = 0;
+    virtual void fanout_skip() = 0;
 };
 
 /// Delivery policy of a fanout group (the taps attached to one driver).
@@ -94,75 +96,6 @@ public:
 private:
     FanoutMode mode_ = FanoutMode::kMirror;
     int queues_ = 1;
-};
-
-/// Reader-side interface used by capture application threads.
-class StackEndpoint {
-public:
-    struct Batch {
-        std::vector<net::PacketPtr> packets;
-        std::uint64_t bytes = 0;        // captured bytes (after snaplen)
-        hostsim::Work fetch_work;       // syscall + copy cost to charge
-    };
-
-    virtual ~StackEndpoint() = default;
-
-    /// Non-blocking read of up to `max_packets`.  std::nullopt means "no
-    /// data yet" — the reader should block; it is woken via its thread.
-    virtual std::optional<Batch> fetch(std::size_t max_packets) = 0;
-
-    /// Registers the application thread to wake when data arrives.
-    virtual void set_reader(hostsim::Thread* reader) = 0;
-
-    /// Installs a BPF filter (validated by the caller).
-    virtual void install_filter(bpf::Program program) = 0;
-
-    [[nodiscard]] virtual const CaptureStats& stats() const = 0;
-
-    /// Kernel-side capture-buffer fill level, in stack-native units
-    /// (BPF: stored bytes across both halves, mmap: occupied frames,
-    /// PF_PACKET: queued skb truesize bytes).  A gauge for the interval
-    /// time-series sampler; compare against buffer_capacity().
-    [[nodiscard]] virtual std::uint64_t buffer_occupancy() const = 0;
-    /// The capacity `buffer_occupancy()` saturates at, in the same units.
-    [[nodiscard]] virtual std::uint64_t buffer_capacity() const = 0;
-
-    /// Per-RSS-queue slices of stats(): entry j accounts packets that
-    /// arrived on receive queue j.  Componentwise, the sum over queues
-    /// equals stats() (delivered is folded in at fetch time).  Sized
-    /// lazily — single-queue runs hold exactly one entry.
-    [[nodiscard]] const std::vector<CaptureStats>& queue_stats() const { return queue_stats_; }
-
-    /// Hands a consumed batch's packet vector back for reuse: the next
-    /// fetch() builds its batch in it, capacity intact, so steady-state
-    /// fetch loops allocate nothing.
-    void recycle(std::vector<net::PacketPtr> packets) {
-        packets.clear();
-        spare_packets_ = std::move(packets);
-    }
-
-    /// Installs packet-lifecycle hooks (may be null; every use inside the
-    /// stacks is branch-guarded so untraced runs stay zero-cost).
-    void set_observer(obs::AppObserver* obs) { app_obs_ = obs; }
-
-protected:
-    [[nodiscard]] obs::AppObserver* app_obs() const { return app_obs_; }
-
-    /// The mutable per-queue stats slice, grown on first touch.
-    [[nodiscard]] CaptureStats& qstats(int queue) {
-        const auto index = static_cast<std::size_t>(queue);
-        if (index >= queue_stats_.size()) queue_stats_.resize(index + 1);
-        return queue_stats_[index];
-    }
-
-    /// The pooled vector from the last recycle() (empty, capacity kept);
-    /// an empty fresh vector if none was returned yet.
-    [[nodiscard]] std::vector<net::PacketPtr> take_spare() { return std::move(spare_packets_); }
-
-private:
-    std::vector<net::PacketPtr> spare_packets_;
-    std::vector<CaptureStats> queue_stats_;
-    obs::AppObserver* app_obs_ = nullptr;
 };
 
 /// Shared filter-execution helper.  Runs the real BPF VM when packet bytes
@@ -253,6 +186,101 @@ public:
 private:
     std::vector<FilterRunner::Verdict> pending_;
     std::size_t head_ = 0;
+};
+
+/// The one capture-stack base: kernel side (PacketTap) and reader side of
+/// one capture consumer.  It owns the consumer's filter, the plan->commit
+/// verdict handoff and the pcap_stats ledger, so every capture event —
+/// seen, filtered, aborted, accepted, buffer drop, fanout skip, delivered
+/// — is counted here exactly once.  The three stacks derive from it and
+/// add only their buffer state machine (store/read) and their stack-
+/// specific kernel copy and fetch costs.
+class StackEndpoint : public PacketTap {
+public:
+    struct Batch {
+        std::vector<net::PacketPtr> packets;
+        std::uint64_t bytes = 0;        // captured bytes (after snaplen)
+        hostsim::Work fetch_work;       // syscall + copy cost to charge
+    };
+
+    ~StackEndpoint() override = default;
+    // Attached taps and scheduled read timeouts are held by address.
+    StackEndpoint(const StackEndpoint&) = delete;
+    StackEndpoint& operator=(const StackEndpoint&) = delete;
+
+    // -- PacketTap --
+    hostsim::Work plan(const net::PacketPtr& packet) final;
+    void commit(const net::PacketPtr& packet) final;
+    void fanout_skip() final { ++stats_.fanout_skipped; }
+
+    /// Non-blocking read of up to `max_packets`.  std::nullopt means "no
+    /// data yet" — the reader should block; it is woken via its thread.
+    std::optional<Batch> fetch(std::size_t max_packets);
+
+    /// Registers the application thread to wake when data arrives.
+    void set_reader(hostsim::Thread* reader) { reader_ = reader; }
+
+    /// Installs a BPF filter (the attach-time gate of FilterRunner).
+    void install_filter(bpf::Program program);
+
+    [[nodiscard]] const CaptureStats& stats() const { return stats_; }
+
+    /// Kernel-side capture-buffer fill level, in stack-native units
+    /// (BPF: stored bytes across both halves, mmap: occupied frames,
+    /// PF_PACKET: queued skb truesize bytes).  A gauge for the interval
+    /// time-series sampler; compare against buffer_capacity().
+    [[nodiscard]] virtual std::uint64_t buffer_occupancy() const = 0;
+    /// The capacity `buffer_occupancy()` saturates at, in the same units.
+    [[nodiscard]] virtual std::uint64_t buffer_capacity() const = 0;
+
+    /// Hands a consumed batch's packet vector back for reuse: the next
+    /// fetch() builds its batch in it, capacity intact, so steady-state
+    /// fetch loops allocate nothing.
+    void recycle(std::vector<net::PacketPtr> packets) {
+        packets.clear();
+        spare_packets_ = std::move(packets);
+    }
+
+    /// Installs packet-lifecycle hooks (may be null; every use is
+    /// branch-guarded so untraced runs stay zero-cost).
+    void set_observer(obs::AppObserver* obs) { app_obs_ = obs; }
+
+protected:
+    StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen)
+        : machine_(&machine), os_(&os), snaplen_(snaplen) {}
+
+    /// Adds the kernel's copy of an accepted packet to its planned work.
+    /// PF_PACKET only clones the skb, so the default adds nothing.
+    virtual void plan_copy(hostsim::Work& /*work*/, std::uint32_t /*caplen*/) const {}
+
+    /// Buffers an accepted packet (waking the reader when the stack does);
+    /// false means no buffer space — the caller counts the drop.
+    virtual bool store(const net::PacketPtr& packet, std::uint32_t caplen) = 0;
+
+    /// Moves up to `max_packets` buffered packets into `batch.packets`
+    /// (handed in empty, pooled capacity) and sets bytes and fetch_work;
+    /// false means no data yet.
+    virtual bool read(std::size_t max_packets, Batch& batch) = 0;
+
+    /// The buffer fill the lifecycle hooks trace at enqueue and fetch.
+    [[nodiscard]] virtual std::uint64_t traced_occupancy() const { return buffer_occupancy(); }
+
+    [[nodiscard]] hostsim::Thread* reader() const { return reader_; }
+    void wake_reader() {
+        if (reader_ != nullptr) machine_->wake(*reader_);
+    }
+
+    hostsim::Machine* machine_;
+    const OsSpec* os_;
+
+private:
+    std::uint32_t snaplen_;
+    FilterRunner filter_;
+    PendingVerdicts pending_;  // FIFO plan->commit handoff
+    CaptureStats stats_;
+    hostsim::Thread* reader_ = nullptr;
+    std::vector<net::PacketPtr> spare_packets_;
+    obs::AppObserver* app_obs_ = nullptr;
 };
 
 }  // namespace capbench::capture

@@ -97,11 +97,9 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     bool stopped = false;
     sim::SimTime gen_end{};
     std::vector<sim::Duration> busy_after(bed.suts().size());
-    // Per sut, per app: delivered / dropped counters frozen at stop time
-    // (step 5 of Figure 3.2 kills the applications `drain` after the last
-    // packet; later deliveries do not count).
-    std::vector<std::vector<std::uint64_t>> delivered_at_stop(bed.suts().size());
-    std::vector<std::uint64_t> drops_at_stop(bed.suts().size(), 0);
+    // Per sut: every capture counter frozen at stop time (step 5 of
+    // Figure 3.2 kills the applications `drain` after the last packet;
+    // later deliveries do not count).
     std::vector<obs::SutSnapshot> snapshots;
 
     bed.sim().schedule_at(sim::SimTime{} + config.warmup, [&] {
@@ -118,37 +116,27 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
         bed.sim().schedule_in(config.drain, [&] {
             for (std::size_t i = 0; i < bed.suts().size(); ++i) {
                 auto& sut = *bed.suts()[i];
+                obs::SutSnapshot snap;
+                snap.frames_seen = sut.nic().frames_seen();
+                snap.ring_drops = sut.nic().ring_drops();
+                snap.backlog_drops = sut.nic().backlog_drops();
                 for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-                    // A record spilled by the disk-writer ring was handed
-                    // to the app but never persisted; it does not count as
-                    // captured.  Zero without the pipeline.
-                    delivered_at_stop[i].push_back(sut.delivered(a) -
-                                                   sut.disk_spilled(a));
-                    drops_at_stop[i] += sut.sessions()[a]->stats().ps_drop;
+                    snap.apps.push_back(sut.capture_stats(a));
+                    snap.disk_spills.push_back(sut.disk_spilled(a));
                 }
+                snapshots.push_back(std::move(snap));
             }
             // The sampler's final sample happens in this same event, so
-            // its delta columns telescope exactly to the counters the
-            // snapshots below freeze (the conservation invariant).
+            // its delta columns telescope exactly to the snapshots above
+            // (the conservation invariant).
             if (sampler) sampler->stop();
             if (observer) {
-                // Freeze the observer and snapshot every counter at the
-                // same instant the headline statistics are frozen, so the
-                // drop-attribution identity is exact.
+                // Later stamps no longer feed the sample sets, so the
+                // histograms match the frozen counters exactly.
                 observer->freeze();
-                for (std::size_t i = 0; i < bed.suts().size(); ++i) {
-                    auto& sut = *bed.suts()[i];
-                    obs::SutSnapshot snap;
-                    snap.frames_seen = sut.nic().frames_seen();
-                    snap.ring_drops = sut.nic().ring_drops();
-                    snap.backlog_drops = sut.nic().backlog_drops();
-                    for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-                        snap.apps.push_back(sut.capture_stats(a));
-                        snap.disk_spills.push_back(sut.disk_spilled(a));
-                    }
+                for (std::size_t i = 0; i < profilers.size(); ++i) {
                     profilers[i]->stop();
-                    snap.cpu_samples = profilers[i]->samples();
-                    snapshots.push_back(std::move(snap));
+                    snapshots[i].cpu_samples = profilers[i]->samples();
                 }
             }
             stopped = true;
@@ -176,12 +164,17 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
         auto& sut = *bed.suts()[i];
         SutRunResult r;
         r.name = sut.config().name;
-        for (std::size_t a = 0; a < sut.sessions().size(); ++a) {
-            const double pct = 100.0 * static_cast<double>(delivered_at_stop[i][a]) /
-                               static_cast<double>(generated);
+        const obs::SutSnapshot& snap = snapshots[i];
+        for (std::size_t a = 0; a < snap.apps.size(); ++a) {
+            // Captured = delivered net of disk-writer spills.
+            const obs::AppCounts c =
+                obs::attribute_drops(snap.apps[a], snap.ring_drops, snap.backlog_drops,
+                                     snap.disk_spills[a], generated);
+            const double pct =
+                100.0 * static_cast<double>(c.delivered) / static_cast<double>(generated);
             r.per_app_capture_pct.push_back(std::min(pct, 100.0));
+            r.buffer_drops += c.drops[obs::drop_index("bpf_store")];  // pcap ps_drop
         }
-        r.buffer_drops = drops_at_stop[i];
         r.capture_worst_pct =
             *std::min_element(r.per_app_capture_pct.begin(), r.per_app_capture_pct.end());
         r.capture_best_pct =

@@ -69,7 +69,6 @@ Sut::Sut(sim::Simulator& sim, SutConfig config, obs::Observer* observer)
 
     for (int i = 0; i < config_.app_count; ++i) {
         std::unique_ptr<capture::StackEndpoint> endpoint;
-        capture::PacketTap* tap = nullptr;
         bool is_mmap = false;
         if (config_.stack == StackKind::kMmap || config_.stack == StackKind::kZeroCopyBpf) {
             if (config_.stack == StackKind::kMmap && os.family != capture::OsFamily::kLinux)
@@ -79,22 +78,17 @@ Sut::Sut(sim::Simulator& sim, SutConfig config, obs::Observer* observer)
             if (config_.stack == StackKind::kZeroCopyBpf &&
                 os.family != capture::OsFamily::kFreeBsd)
                 throw std::invalid_argument("Sut: kZeroCopyBpf is the FreeBSD extension");
-            auto ring = std::make_unique<capture::MmapRing>(*machine_, os, buffer,
-                                                            config_.snaplen);
-            tap = ring.get();
-            endpoint = std::move(ring);
+            endpoint = std::make_unique<capture::MmapRing>(*machine_, os, buffer,
+                                                           config_.snaplen);
             is_mmap = true;
         } else if (os.family == capture::OsFamily::kLinux) {
             if (!skb_pool_) skb_pool_ = std::make_unique<capture::SkbPool>();
-            auto sock = std::make_unique<capture::LinuxPacketSocket>(
+            endpoint = std::make_unique<capture::LinuxPacketSocket>(
                 *machine_, os, buffer, config_.snaplen, skb_pool_.get());
-            tap = sock.get();
-            endpoint = std::move(sock);
         } else {
             auto dev = std::make_unique<capture::BsdBpfDev>(*machine_, os, buffer,
                                                             config_.snaplen);
             dev->enable_read_timeout(sim::milliseconds(20));
-            tap = dev.get();
             endpoint = std::move(dev);
         }
         if (so != nullptr) endpoint->set_observer(&so->app(static_cast<std::size_t>(i)));
@@ -109,7 +103,7 @@ Sut::Sut(sim::Simulator& sim, SutConfig config, obs::Observer* observer)
             }
             disk_writers_.push_back(std::move(writer));
         }
-        driver_->attach(*tap);
+        driver_->attach(*endpoint);
         sessions_.push_back(std::make_unique<pcap::Session>(
             *endpoint, config_.name + ":if0", config_.snaplen, is_mmap));
         if (!config_.filter_expression.empty())
@@ -133,10 +127,6 @@ void Sut::start() {
         machine_->spawn(app);
     }
     if (gzip_) machine_->spawn(gzip_);
-}
-
-std::uint64_t Sut::delivered(std::size_t app_index) const {
-    return endpoints_[app_index]->stats().delivered;
 }
 
 // ---- CaptureApp ---------------------------------------------------------------

@@ -93,9 +93,6 @@ public:
         return sessions_;
     }
 
-    /// Packets delivered to application i so far.
-    [[nodiscard]] std::uint64_t delivered(std::size_t app_index) const;
-
     /// Kernel-side capture counters of application i's endpoint.
     [[nodiscard]] const capture::CaptureStats& capture_stats(std::size_t app_index) const {
         return endpoints_[app_index]->stats();
@@ -105,12 +102,6 @@ public:
     /// interval time-series sampler).
     [[nodiscard]] const capture::StackEndpoint& endpoint(std::size_t app_index) const {
         return *endpoints_[app_index];
-    }
-
-    /// Per-RSS-queue slices of application i's capture counters.
-    [[nodiscard]] const std::vector<capture::CaptureStats>& queue_capture_stats(
-        std::size_t app_index) const {
-        return endpoints_[app_index]->queue_stats();
     }
 
     [[nodiscard]] load::DiskModel* disk() { return disk_.get(); }

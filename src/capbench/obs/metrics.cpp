@@ -2,7 +2,38 @@
 
 #include <stdexcept>
 
+#include "capbench/capture/tap.hpp"
+
 namespace capbench::obs {
+
+AppCounts attribute_drops(const capture::CaptureStats& stats, std::uint64_t ring_drops,
+                          std::uint64_t backlog_drops, std::uint64_t disk_spills,
+                          std::uint64_t generated) {
+    // A record spilled by the disk-writer ring was handed to the app
+    // (counted in stats.delivered) but never persisted: it moves from
+    // `delivered` into the `disk_spill` bucket.
+    if (disk_spills > stats.delivered)
+        throw std::logic_error("attribute_drops: disk spills exceed delivered count");
+    AppCounts c;
+    c.delivered = stats.delivered - disk_spills;
+    c.drops[drop_index("nic_ring")] = ring_drops;
+    c.drops[drop_index("backlog")] = backlog_drops;
+    c.drops[drop_index("verdict")] = stats.dropped_filter;
+    c.drops[drop_index("bpf_store")] = stats.dropped_buffer;
+    c.drops[drop_index("fanout")] = stats.fanout_skipped;
+    c.drops[drop_index("disk_spill")] = disk_spills;
+    // Everything generated that neither reached the app nor hit a terminal
+    // bucket is still in flight (NIC ring, uncommitted verdict, capture
+    // buffer): the `drain` bucket, the residual of monotone counters.  It
+    // goes negative only if the accounting itself is broken.
+    std::uint64_t terminal = c.delivered;
+    for (const std::uint64_t d : c.drops) terminal += d;
+    if (terminal > generated)
+        throw std::logic_error("attribute_drops: drop buckets exceed generated count");
+    c.drops[drop_index("drain")] = generated - terminal;
+    return c;
+}
+
 void RunMetrics::merge(const RunMetrics& other) {
     if (!other.enabled) return;
     if (!enabled) {

@@ -21,9 +21,15 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+namespace capbench::capture {
+struct CaptureStats;
+}
 
 namespace capbench::obs {
 
@@ -74,6 +80,34 @@ inline std::uint64_t AppMetrics::drops_total() const {
     for (const DropSite& site : kDropSites) total += this->*site.member;
     return total;
 }
+
+/// Position of the bucket named `name` in kDropSites; an unknown name
+/// fails to compile.
+consteval std::size_t drop_index(std::string_view name) {
+    for (std::size_t d = 0; d < kDropSites.size(); ++d)
+        if (name == kDropSites[d].name) return d;
+    throw std::invalid_argument("drop_index: unknown drop site");
+}
+
+/// One app's closed ledger at one instant: `delivered` (disk-spill
+/// adjusted) and the drop buckets, indexed like kDropSites.
+struct AppCounts {
+    std::uint64_t delivered = 0;
+    std::array<std::uint64_t, kDropSites.size()> drops{};
+};
+
+/// The one drop attribution: maps an app's capture counters, its SUT's
+/// NIC ring and kernel backlog drops (mirrored into every app), its
+/// disk-writer spills and the packets generated so far onto the closed
+/// taxonomy, with `drain` as the residual.  Every consumer — run-end
+/// metrics, per-interval time-series deltas, headline capture rates —
+/// reads this.  Throws std::logic_error when spills exceed deliveries or
+/// the buckets exceed `generated` (broken accounting, never clamped).
+[[nodiscard]] AppCounts attribute_drops(const capture::CaptureStats& stats,
+                                        std::uint64_t ring_drops,
+                                        std::uint64_t backlog_drops,
+                                        std::uint64_t disk_spills,
+                                        std::uint64_t generated);
 
 struct SutMetrics {
     std::string name;

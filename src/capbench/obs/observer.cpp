@@ -82,7 +82,8 @@ RunMetrics Observer::finalize(const std::vector<SutSnapshot>& snapshots,
     for (std::size_t s = 0; s < suts_.size(); ++s) {
         SutObserver& sut = suts_[s];
         const SutSnapshot& snap = snapshots[s];
-        if (snap.apps.size() != sut.apps_.size())
+        if (snap.apps.size() != sut.apps_.size() ||
+            snap.disk_spills.size() != sut.apps_.size())
             throw std::logic_error("Observer::finalize: app count mismatch");
         SutMetrics m;
         m.name = sut.name_;
@@ -94,41 +95,13 @@ RunMetrics Observer::finalize(const std::vector<SutSnapshot>& snapshots,
         m.apps.reserve(sut.apps_.size());
         for (std::size_t a = 0; a < sut.apps_.size(); ++a) {
             AppObserver& app = sut.apps_[a];
-            const capture::CaptureStats& st = snap.apps[a];
+            const AppCounts c = attribute_drops(snap.apps[a], snap.ring_drops,
+                                                snap.backlog_drops, snap.disk_spills[a],
+                                                generated);
             AppMetrics am;
-            // A record spilled by the disk-writer ring was handed to the
-            // app (counted in st.delivered) but never persisted: it moves
-            // from `delivered` into the `disk_spill` bucket, keeping the
-            // closed identity exact.
-            const std::uint64_t spill =
-                a < snap.disk_spills.size() ? snap.disk_spills[a] : 0;
-            if (spill > st.delivered)
-                throw std::logic_error(
-                    "Observer::finalize: disk spills exceed delivered count");
-            am.delivered = st.delivered - spill;
-            am.drop_nic_ring = snap.ring_drops;
-            am.drop_backlog = snap.backlog_drops;
-            am.drop_verdict = st.dropped_filter;
-            am.drop_bpf_store = st.dropped_buffer;
-            am.drop_fanout = st.fanout_skipped;
-            am.drop_disk_spill = spill;
-            // Everything the generator emitted that neither reached the
-            // app nor hit a terminal drop bucket is still in flight (NIC
-            // ring, uncommitted verdict, capture buffer) — the "drain"
-            // bucket.  Computed as the residual of monotone counters, so
-            // the closed identity generated == delivered + Σdrops holds
-            // exactly; it can only go negative if the accounting itself is
-            // broken, which we surface rather than clamp away.
-            const std::int64_t drain =
-                static_cast<std::int64_t>(generated) -
-                static_cast<std::int64_t>(st.delivered + snap.ring_drops +
-                                          snap.backlog_drops +
-                                          st.dropped_filter + st.dropped_buffer +
-                                          st.fanout_skipped);
-            if (drain < 0)
-                throw std::logic_error(
-                    "Observer::finalize: drop buckets exceed generated count");
-            am.drop_drain = static_cast<std::uint64_t>(drain);
+            am.delivered = c.delivered;
+            for (std::size_t d = 0; d < kDropSites.size(); ++d)
+                am.*kDropSites[d].member = c.drops[d];
             am.latency_ns = std::move(app.latency_ns_);
             am.enqueue_ns = std::move(app.enqueue_ns_);
             am.deliver_ns = std::move(app.deliver_ns_);

@@ -132,14 +132,14 @@ private:
 };
 
 /// Counter snapshot taken by the harness when the measurement window
-/// closes (same instant the headline capture counters are frozen).
+/// closes; the headline capture rates and the metrics both read it.
 struct SutSnapshot {
     std::uint64_t frames_seen = 0;
     std::uint64_t ring_drops = 0;
     std::uint64_t backlog_drops = 0;
     std::vector<capture::CaptureStats> apps;
-    /// Per-app disk-writer ring spills at window close; empty when the SUT
-    /// runs without the capture-to-disk pipeline.
+    /// Per-app disk-writer ring spills at window close (0 without the
+    /// capture-to-disk pipeline).
     std::vector<std::uint64_t> disk_spills;
     std::vector<profiling::UsageSample> cpu_samples;
 };

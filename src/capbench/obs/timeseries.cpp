@@ -8,7 +8,6 @@
 #include "capbench/capture/tap.hpp"
 #include "capbench/hostsim/machine.hpp"
 #include "capbench/load/disk_writer.hpp"
-#include "capbench/obs/metrics.hpp"
 #include "capbench/obs/trace.hpp"
 #include "capbench/sim/simulator.hpp"
 
@@ -366,28 +365,21 @@ void IntervalSampler::sample_now() {
         for (std::size_t a = 0; a < ss.apps.size(); ++a) {
             const SamplerSources::App& app = src.apps[a];
             AppSeries& as = ss.apps[a];
-            PrevApp& pa = ps.apps[a];
-            const capture::CaptureStats& st = app.endpoint->stats();
-            const std::uint64_t spilled = app.writer != nullptr ? app.writer->spilled() : 0;
-            const std::uint64_t delivered_net = st.delivered - spilled;
-            const auto push_delta = [](Series& series, std::uint64_t total,
-                                       std::uint64_t& prev_total) {
-                series.push(static_cast<std::int64_t>(total - prev_total));
-                prev_total = total;
+            const AppCounts counts = attribute_drops(
+                app.endpoint->stats(), ring_total, backlog_total,
+                app.writer != nullptr ? app.writer->spilled() : 0, gen);
+            AppCounts& prev = ps.apps[a];
+            // Unsigned differences cast to int64: drain may shrink.
+            const auto push_delta = [&](Series& series, std::size_t d) {
+                series.push(static_cast<std::int64_t>(counts.drops[d] - prev.drops[d]));
             };
-            push_delta(as.delivered, delivered_net, pa.delivered_net);
-            push_delta(as.drop_verdict, st.dropped_filter, pa.verdict);
-            push_delta(as.drop_bpf_store, st.dropped_buffer, pa.bpf_store);
-            push_delta(as.drop_fanout, st.fanout_skipped, pa.fanout);
-            push_delta(as.drop_disk_spill, spilled, pa.disk_spill);
-            // Signed in-flight change; telescopes to the drain residual.
-            const auto in_flight = static_cast<std::int64_t>(gen) -
-                                   static_cast<std::int64_t>(st.delivered + ring_total +
-                                                             backlog_total + st.dropped_filter +
-                                                             st.dropped_buffer +
-                                                             st.fanout_skipped);
-            as.drain.push(in_flight - pa.in_flight);
-            pa.in_flight = in_flight;
+            as.delivered.push(static_cast<std::int64_t>(counts.delivered - prev.delivered));
+            push_delta(as.drop_verdict, drop_index("verdict"));
+            push_delta(as.drop_bpf_store, drop_index("bpf_store"));
+            push_delta(as.drop_fanout, drop_index("fanout"));
+            push_delta(as.drop_disk_spill, drop_index("disk_spill"));
+            push_delta(as.drain, drop_index("drain"));
+            prev = counts;
             const auto buffer = static_cast<std::int64_t>(app.endpoint->buffer_occupancy());
             const auto disk_ring = static_cast<std::int64_t>(
                 app.writer != nullptr ? app.writer->ring_occupancy() : 0);

@@ -10,10 +10,12 @@
 // invariant `Σ deltas == finalize aggregate` holds as an integer identity
 // and is re-checked in TimeSeries::finalize_against().
 //
-// The per-app `drain` column is the signed change of the in-flight count
-// (generated − delivered − terminal drops so far): packets entering the
-// pipeline push it positive, deliveries and drops pull it back, and its
-// column sum is exactly the finalize `drop_drain` residual.
+// Every sample attributes the live counters with obs::attribute_drops, the
+// same function the run-end metrics use, and pushes the change since the
+// previous sample.  The per-app `drain` column is thus the signed change
+// of the in-flight count: packets entering the pipeline push it positive,
+// deliveries and drops pull it back, and its column sum is exactly the
+// finalize `drop_drain` residual.
 //
 // Storage is slab-chunked like TraceSink: each column is a `Series` of
 // 4096-value chunks, so steady-state sampling allocates only on chunk
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "capbench/obs/metrics.hpp"
 #include "capbench/sim/time.hpp"
 
 namespace capbench::sim {
@@ -55,7 +58,6 @@ class DiskWriterThread;
 namespace capbench::obs {
 
 class TraceSink;
-struct RunMetrics;
 
 /// Interval classification thresholds (see OverloadDetector above).
 inline constexpr std::int64_t kSaturatedOccupancyPct = 75;
@@ -161,10 +163,7 @@ public:
     /// Aggregates frozen at finalize, for consumers that re-check
     /// conservation without access to the RunMetrics (indexed like
     /// kDropSites).
-    struct AppTotals {
-        std::uint64_t delivered = 0;
-        std::array<std::uint64_t, 7> drops{};
-    };
+    using AppTotals = AppCounts;
     struct SutTotals {
         std::vector<AppTotals> apps;
     };
@@ -221,14 +220,6 @@ private:
     void tick();
     void sample_now();
 
-    struct PrevApp {
-        std::uint64_t delivered_net = 0;
-        std::uint64_t verdict = 0;
-        std::uint64_t bpf_store = 0;
-        std::uint64_t fanout = 0;
-        std::uint64_t disk_spill = 0;
-        std::int64_t in_flight = 0;
-    };
     struct PrevCpu {
         std::int64_t user_ns = 0;
         std::int64_t system_ns = 0;
@@ -237,7 +228,7 @@ private:
     struct PrevSut {
         std::uint64_t ring_drops = 0;
         std::uint64_t backlog_drops = 0;
-        std::vector<PrevApp> apps;
+        std::vector<AppCounts> apps;
         std::vector<PrevCpu> cpus;
     };
     /// Interned Perfetto counter-track names; empty when untraced.

@@ -201,8 +201,8 @@ TEST(AllocGuard, BsdBpfFetchLoopDoesNotAllocate) {
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             auto p = arena->make_full(i, 1000, sim::SimTime{});
-            dev.plan(p, 0);
-            dev.commit(p, 0);
+            dev.plan(p);
+            dev.commit(p);
             if (auto batch = dev.fetch(64)) dev.recycle(std::move(batch->packets));
         }
     };
@@ -224,8 +224,8 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             auto p = arena->make_full(i, 1000, sim::SimTime{});
-            ring.plan(p, 0);
-            ring.commit(p, 0);
+            ring.plan(p);
+            ring.commit(p);
             if ((i & 7) == 7) {
                 if (auto batch = ring.fetch(8)) ring.recycle(std::move(batch->packets));
             }

@@ -434,8 +434,8 @@ TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
         endpoint->install_filter(always_aborting_program());
         for (std::uint64_t id = 1; id <= 3; ++id) {
             const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
-            tap->plan(p, 0);
-            tap->commit(p, 0);
+            tap->plan(p);
+            tap->commit(p);
         }
         EXPECT_EQ(endpoint->stats().accepted, 0u);
         EXPECT_EQ(endpoint->stats().dropped_filter, 3u);

@@ -31,8 +31,8 @@ struct Fixture {
 /// Runs the plan/commit pair directly (bypassing the driver) for unit
 /// testing of the buffer state machines.
 void deliver(PacketTap& tap, const net::PacketPtr& p) {
-    tap.plan(p, 0);
-    tap.commit(p, 0);
+    tap.plan(p);
+    tap.commit(p);
 }
 
 TEST(BsdBpf, StoresUntilFullThenRotatesOnOverflow) {
@@ -128,11 +128,11 @@ TEST(BsdBpf, FilterRejectsAndCountsSeparately) {
 TEST(BsdBpf, PlanChargesCopyOnlyWhenAccepted) {
     Fixture f;
     BsdBpfDev dev{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
-    const auto accepted = dev.plan(synthetic(1, 1000), 0);
-    dev.commit(synthetic(1, 1000), 0);
+    const auto accepted = dev.plan(synthetic(1, 1000));
+    dev.commit(synthetic(1, 1000));
     dev.install_filter(bpf::reject_all());
-    const auto rejected = dev.plan(synthetic(2, 1000), 0);
-    dev.commit(synthetic(2, 1000), 0);
+    const auto rejected = dev.plan(synthetic(2, 1000));
+    dev.commit(synthetic(2, 1000));
     EXPECT_GT(accepted.copy_bytes, 900.0);
     EXPECT_EQ(rejected.copy_bytes, 0.0);
 }
@@ -223,22 +223,22 @@ TEST(Taps, CommitWithoutPlanFailsFast) {
     const auto p = synthetic(1, 500);
 
     BsdBpfDev bpf{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
-    EXPECT_THROW(bpf.commit(p, 0), std::logic_error);
+    EXPECT_THROW(bpf.commit(p), std::logic_error);
 
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(sock.commit(p, 0), std::logic_error);
+    EXPECT_THROW(sock.commit(p), std::logic_error);
 
     MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(ring.commit(p, 0), std::logic_error);
+    EXPECT_THROW(ring.commit(p), std::logic_error);
 }
 
 TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
     Fixture f;
     const auto p = synthetic(1, 500);
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    deliver(sock, p);                                  // matched pair: fine
-    EXPECT_THROW(sock.commit(p, 0), std::logic_error);    // one commit too many
-    deliver(sock, p);                                  // queue still usable
+    deliver(sock, p);                               // matched pair: fine
+    EXPECT_THROW(sock.commit(p), std::logic_error);  // one commit too many
+    deliver(sock, p);                               // queue still usable
     EXPECT_EQ(sock.stats().accepted, 2u);
 }
 
@@ -342,12 +342,12 @@ struct CountingTap : PacketTap {
     int planned = 0;
     int committed = 0;
     int skipped = 0;
-    Work plan(const net::PacketPtr&, int) override {
+    Work plan(const net::PacketPtr&) override {
         ++planned;
         return Work{.cycles = 500};
     }
-    void commit(const net::PacketPtr&, int) override { ++committed; }
-    void fanout_skip(int) override { ++skipped; }
+    void commit(const net::PacketPtr&) override { ++committed; }
+    void fanout_skip() override { ++skipped; }
 };
 
 TEST(Driver, CommitsOnlyAfterKernelWorkCompletes) {

@@ -1,8 +1,11 @@
 // Observability layer tests (ISSUE 5): counter registry, trace sink /
-// Chrome JSON export, packet-lifecycle metrics and their invariants.
+// Chrome JSON export, the drop attribution, packet-lifecycle metrics and
+// their invariants.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/harness/experiment.hpp"
@@ -127,6 +130,45 @@ harness::RunConfig metrics_run(double rate) {
     cfg.rate_mbps = rate;
     cfg.collect_metrics = true;
     return cfg;
+}
+
+// ---- the one drop attribution ------------------------------------------------
+
+TEST(ObsAttribution, MapsEachCounterOntoItsDropSite) {
+    capture::CaptureStats st;
+    st.delivered = 800;
+    st.dropped_filter = 40;
+    st.filter_aborts = 5;  // a subset of dropped_filter, not a bucket
+    st.dropped_buffer = 30;
+    st.fanout_skipped = 20;
+    const obs::AppCounts c = obs::attribute_drops(st, /*ring_drops=*/60, /*backlog_drops=*/25,
+                                                  /*disk_spills=*/15, /*generated=*/1000);
+    EXPECT_EQ(c.delivered, 785u);  // spilled records are not captured
+    const std::map<std::string, std::uint64_t> want{
+        {"nic_ring", 60}, {"backlog", 25},    {"verdict", 40}, {"bpf_store", 30},
+        {"fanout", 20},   {"disk_spill", 15}, {"drain", 25}};
+    std::uint64_t total = c.delivered;
+    for (std::size_t d = 0; d < obs::kDropSites.size(); ++d) {
+        EXPECT_EQ(c.drops[d], want.at(obs::kDropSites[d].name)) << obs::kDropSites[d].name;
+        total += c.drops[d];
+    }
+    EXPECT_EQ(total, 1000u);
+}
+
+TEST(ObsAttribution, SpillsBeyondDeliveredThrow) {
+    capture::CaptureStats st;
+    st.delivered = 10;
+    EXPECT_NO_THROW((void)obs::attribute_drops(st, 0, 0, 10, 100));
+    EXPECT_THROW((void)obs::attribute_drops(st, 0, 0, 11, 100), std::logic_error);
+}
+
+TEST(ObsAttribution, BucketsBeyondGeneratedThrow) {
+    capture::CaptureStats st;
+    st.delivered = 50;
+    st.dropped_buffer = 30;
+    const obs::AppCounts exact = obs::attribute_drops(st, 15, 5, 0, 100);
+    EXPECT_EQ(exact.drops[obs::drop_index("drain")], 0u);
+    EXPECT_THROW((void)obs::attribute_drops(st, 15, 6, 0, 100), std::logic_error);
 }
 
 TEST(ObsMetrics, DisabledRunCollectsNothing) {

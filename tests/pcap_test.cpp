@@ -39,8 +39,8 @@ TEST(Session, InstallsCompiledFilter) {
     tcp_frame[14] = std::byte{0x45};
     tcp_frame[23] = std::byte{6};  // TCP
     auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
-    f.sock.plan(pkt, 0);
-    f.sock.commit(pkt, 0);
+    f.sock.plan(pkt);
+    f.sock.commit(pkt);
     EXPECT_EQ(session.stats().ps_recv, 0u);
     EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
@@ -65,8 +65,8 @@ TEST(Session, StatsMapToPcapSemantics) {
     Fixture f;
     Session session{f.sock, "swan:if0", 1515, false};
     auto pkt = std::make_shared<net::Packet>(1, 500, sim::SimTime{});
-    f.sock.plan(pkt, 0);
-    f.sock.commit(pkt, 0);
+    f.sock.plan(pkt);
+    f.sock.commit(pkt);
     f.sock.fetch(99);
     EXPECT_EQ(session.stats().ps_recv, 1u);
     EXPECT_EQ(session.stats().ps_drop, 0u);
@@ -83,8 +83,8 @@ TEST(Session, StatsMapBufferDropsToPsDrop) {
     // Overfill the 4 kB socket buffer with 1500-byte frames.
     for (int i = 0; i < 10; ++i) {
         auto pkt = std::make_shared<net::Packet>(id++, 1500, sim::SimTime{});
-        small.plan(pkt, 0);
-        small.commit(pkt, 0);
+        small.plan(pkt);
+        small.commit(pkt);
     }
     EXPECT_GT(small.stats().dropped_buffer, 0u);
     EXPECT_EQ(session.stats().ps_drop, small.stats().dropped_buffer);

@@ -135,8 +135,8 @@ TEST(Sut, MultipleAppsGetIndependentSessions) {
     cfg.app_count = 3;
     Sut sut{sim, cfg};
     EXPECT_EQ(sut.sessions().size(), 3u);
-    EXPECT_EQ(sut.delivered(0), 0u);
-    EXPECT_EQ(sut.delivered(2), 0u);
+    EXPECT_EQ(sut.capture_stats(0).delivered, 0u);
+    EXPECT_EQ(sut.capture_stats(2).delivered, 0u);
 }
 
 }  // namespace
