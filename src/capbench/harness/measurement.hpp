@@ -92,9 +92,9 @@ struct SutRunResult {
 struct RunResult {
     std::uint64_t generated = 0;     // from the switch counters
     double offered_mbps = 0.0;       // achieved generator rate
-    /// Simulator events executed for this run — a perf metric consumed by
-    /// the capbench_perf harness, deliberately NOT part of the scenario
-    /// JSON schema (it would break byte-stable figures output).
+    /// Simulator events executed for this run — a perf metric that
+    /// perfbench reads (`sim.events`), deliberately NOT part of the
+    /// scenario JSON schema (it would break byte-stable figures output).
     std::uint64_t events_executed = 0;
     std::vector<SutRunResult> suts;
     /// Lifecycle metrics; `metrics.enabled` only when the run observed.

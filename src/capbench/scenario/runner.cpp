@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <stdexcept>
 
 #include "capbench/harness/report.hpp"
@@ -181,24 +180,6 @@ std::string list_text() {
         out += '\n';
     }
     return out;
-}
-
-int run_shim(const std::string& id) {
-    try {
-        const Scenario* s = find_scenario(id);
-        if (s == nullptr) {
-            std::cerr << "capbench: unknown scenario '" << id << "'\n";
-            return 2;
-        }
-        RunOptions opts;
-        opts.out = &std::cout;
-        opts.jobs = harness::default_jobs();
-        run_scenario(*s, opts);
-        return 0;
-    } catch (const std::exception& e) {
-        std::cerr << "capbench: " << e.what() << '\n';
-        return 1;
-    }
 }
 
 }  // namespace capbench::scenario

@@ -16,6 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/filter/codegen.hpp"
+#include "capbench/bpf/jit/jit_program.hpp"
+#include "capbench/bpf/verifier.hpp"
+#include "capbench/bpf/vm.hpp"
 #include "capbench/capture/bsd_bpf.hpp"
 #include "capbench/capture/mmap_ring.hpp"
 #include "capbench/capture/os.hpp"
@@ -237,37 +242,26 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
     EXPECT_GT(ring.stats().delivered, 0u);
 }
 
-/// Builds the Figure 6.2 testbed (all four sniffers, thesis packet size
-/// distribution) and runs one complete 4,000-packet generation pass as
-/// warmup, so every slab, freelist, ring and vector reaches its
-/// steady-state capacity.  `measured_pass()` then repeats the same
-/// generation window on the warmed testbed.
-struct Fig62Run {
+/// A testbed warmed by complete 4,000-packet generation passes, so every
+/// slab, freelist, ring and vector reaches its steady-state capacity.
+/// `measured_pass()` then repeats the same generation window.  The
+/// workload RNG runs on across passes, so high-water marks (verdict
+/// backlogs, in-flight packets) keep creeping for a few passes before
+/// every capacity plateaus (the whole run is deterministic, so so is the
+/// plateau).
+struct SteadyRun {
+    static constexpr std::uint64_t kPassPackets = 4'000;
+
     capbench::harness::Testbed bed;
     bool done = false;
 
-    explicit Fig62Run(capbench::obs::Observer* observer)
-        : bed{[&] {
-              capbench::harness::TestbedConfig tb;
-              tb.observer = observer;
-              tb.suts = capbench::harness::standard_suts();
-              tb.gen.count = 4'000;
-              // Moderate rate: the capture stacks stay busy (drops included)
-              // without pathological migration storms.
-              tb.gen.rate_mbps = 400.0;
-              tb.gen.size_dist.emplace(capbench::dist::mwn_trace_histogram());
-              tb.gen.use_dist = true;
-              return tb;
-          }()} {
+    SteadyRun(const capbench::harness::TestbedConfig& tb, int warmup_passes) : bed{tb} {
         // Reserve for all passes: the lifecycle observer keys per-packet
         // state by packet id, which keeps counting across restarts.
-        if (observer != nullptr) observer->reserve(5 * 4'000);
+        if (tb.observer != nullptr)
+            tb.observer->reserve((warmup_passes + 1) * kPassPackets);
         bed.start_suts();
-        // Four warmup passes: the workload RNG runs on across passes, so
-        // high-water marks (verdict backlogs, in-flight packets) keep
-        // creeping for a few passes before every capacity plateaus (the
-        // whole run is deterministic, so so is the plateau).
-        for (int pass = 0; pass < 4; ++pass) {
+        for (int pass = 0; pass < warmup_passes; ++pass) {
             run_pass();
             // Let the capture stacks drain the backlog of the pass.
             bed.sim().run(bed.sim().now() + sim::milliseconds(50));
@@ -283,12 +277,32 @@ struct Fig62Run {
     void measured_pass() { run_pass(); }
 };
 
+capbench::harness::TestbedConfig pass_config() {
+    capbench::harness::TestbedConfig tb;
+    tb.gen.count = SteadyRun::kPassPackets;
+    tb.gen.size_dist.emplace(capbench::dist::mwn_trace_histogram());
+    tb.gen.use_dist = true;
+    return tb;
+}
+
+/// The Figure 6.2 testbed: all four sniffers, thesis packet size
+/// distribution; four warmup passes reach its plateau.
+capbench::harness::TestbedConfig fig62_config(capbench::obs::Observer* observer) {
+    auto tb = pass_config();
+    tb.observer = observer;
+    tb.suts = capbench::harness::standard_suts();
+    // Moderate rate: the capture stacks stay busy (drops included) without
+    // pathological migration storms.
+    tb.gen.rate_mbps = 400.0;
+    return tb;
+}
+
 TEST(AllocGuard, Fig62SteadyStateDoesNotAllocateWhenTracingDisabled) {
     SKIP_UNDER_SANITIZERS();
     // ISSUE 5 satellite: the observability hooks must be strictly zero-cost
     // when disabled — a full figure-6.2 run's steady state stays
     // allocation-free exactly as it was before the hooks existed.
-    Fig62Run run{nullptr};
+    SteadyRun run{fig62_config(nullptr), 4};
     const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
     EXPECT_EQ(run.bed.generator().stats().packets_sent, 4'000u);
     EXPECT_EQ(allocs, 0u) << "fig 6.2 steady state allocated with tracing disabled";
@@ -301,7 +315,7 @@ TEST(AllocGuard, Fig62SteadyStateAllocationsBoundedWhenTracingEnabled) {
     // for sample-set growth past the reserved capacity.
     capbench::obs::TraceSink sink;
     capbench::obs::Observer observer{&sink};
-    Fig62Run run{&observer};
+    SteadyRun run{fig62_config(&observer), 4};
     const std::uint64_t chunks_before = sink.chunk_count();
     const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
     const std::uint64_t chunk_growth = sink.chunk_count() - chunks_before;
@@ -311,6 +325,83 @@ TEST(AllocGuard, Fig62SteadyStateAllocationsBoundedWhenTracingEnabled) {
     EXPECT_LE(allocs, 2 * chunk_growth + 16)
         << "tracing-enabled steady state allocated beyond trace-buffer growth "
         << "(chunks grew by " << chunk_growth << ")";
+}
+
+TEST(AllocGuard, MultiqueueSteadyStateDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    // One swan with four RSS queues on four cores at full rate, 4096 flows
+    // through the indirection table: per-queue rings, IRQ spreading and the
+    // per-CPU kernel lanes.  Five warmup passes grow the arena's free list
+    // past the in-flight high-water mark the measured pass reaches.
+    auto tb = pass_config();
+    tb.suts = {capbench::harness::standard_sut("swan")};
+    capbench::harness::apply_increased_buffers(tb.suts);
+    tb.suts[0].cores = 4;
+    tb.suts[0].nic.queues = 4;
+    tb.gen.flow_count = 4096;
+    SteadyRun run{tb, 5};
+    const std::uint64_t allocs = allocations_during([&] { run.measured_pass(); });
+    EXPECT_EQ(run.bed.generator().stats().packets_sent, SteadyRun::kPassPackets);
+    EXPECT_EQ(allocs, 0u) << "4-queue swan steady state allocated";
+}
+
+/// The Figure 6.6 frame mix: one full-bytes frame per size, synthesized by
+/// the generator.
+std::vector<std::vector<std::byte>> fig66_frames() {
+    std::vector<std::vector<std::byte>> frames;
+    for (const std::uint32_t size : {64u, 128u, 256u, 645u, 1024u, 1514u}) {
+        sim::Simulator sim;
+        net::Link link{sim};
+        RetainOneSink sink;
+        link.attach(sink);
+        pktgen::GenConfig config;
+        config.count = 1;
+        config.packet_size = size;
+        config.full_bytes = true;
+        pktgen::Generator gen{sim, link, pktgen::GenNicModel::syskonnect(), config};
+        gen.start(sim.now());
+        sim.run();
+        const auto bytes = sink.held->bytes();
+        frames.emplace_back(bytes.begin(), bytes.end());
+    }
+    return frames;
+}
+
+/// Runs `filter` over the Figure 6.6 frame mix and returns the
+/// allocations of 1,000 rounds after one warmup round.
+template <typename Filter>
+std::uint64_t filter_allocations(Filter&& filter) {
+    const auto frames = fig66_frames();
+    std::uint64_t executed = 0;
+    const auto rounds = [&](int n) {
+        for (int i = 0; i < n; ++i)
+            for (const auto& frame : frames) executed += filter(frame).insns_executed;
+    };
+    rounds(1);
+    const std::uint64_t allocs = allocations_during([&] { rounds(1'000); });
+    EXPECT_GT(executed, 0u);
+    return allocs;
+}
+
+TEST(AllocGuard, InterpreterFilterRunDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    namespace bpf = capbench::bpf;
+    const auto prog = bpf::filter::compile_filter(
+        capbench::harness::fig_6_5_filter_expression(), 1515);
+    EXPECT_EQ(filter_allocations([&](const auto& frame) { return bpf::Vm::run(prog, frame); }),
+              0u)
+        << "bpf::Vm::run allocated per packet";
+}
+
+TEST(AllocGuard, JitFilterRunDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    namespace bpf = capbench::bpf;
+    if (!bpf::JitProgram::supported()) GTEST_SKIP() << "no native jit on this build";
+    const auto prog = bpf::filter::compile_filter(
+        capbench::harness::fig_6_5_filter_expression(), 1515);
+    const auto jitted = bpf::JitProgram::compile(bpf::decode(prog, bpf::verify(prog).facts));
+    EXPECT_EQ(filter_allocations([&](const auto& frame) { return jitted->run(frame); }), 0u)
+        << "JitProgram::run allocated per packet";
 }
 
 TEST(AllocGuard, TimeseriesPushesAreChunkGrowthBounded) {

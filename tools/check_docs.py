@@ -1,7 +1,14 @@
 #!/usr/bin/env python3
-"""Validate capbench's observability documents.
+"""Validate capbench's documents.
 
-Checks the documents `capbench_figures` writes with --metrics and --trace:
+Checks the documents `capbench_figures` writes with --json, --metrics,
+--trace and --timeseries:
+
+    tools/check_docs.py figures FIGURES LIST
+        The --all --json document: capbench.figures.v1 schema; every
+        result is a capbench.scenario.v1 document with variants or
+        tables; the result ids are exactly the ids of LIST (the --list
+        output), each once.
 
     tools/check_docs.py metrics FILE [FILE...]
         capbench.metrics-suite.v1 schema; every app record keeps the drop
@@ -29,6 +36,16 @@ Checks the documents `capbench_figures` writes with --metrics and --trace:
         points; METRICS passes the metrics checks and every app record
         carries a disk_spill bucket; the inline variant never spills and
         some drop-policy variant does.
+    tools/check_docs.py multiqueue FIGURES
+        The ext_multiqueue --json document: on the -10g and -40g variants
+        swan's capture rate rises by more than 10 points from 1 to 2 and
+        from 2 to 4 queues; the skewed indirection table loses more than
+        20 points at 4 queues; the -qfan and -cfan variants report four
+        per-app rates and every drop field per SUT.
+    tools/check_docs.py filtertiers FIGURES
+        The ext_filter_tiers --json document: on the optimized Fig 6.5
+        filter the jit is at least 3.0x faster than the interpreter.  A
+        build without the jit ("-" in the table) is reported and passes.
     tools/check_docs.py --self-test
         Runs the checks on small built-in documents, valid and broken.
 
@@ -44,6 +61,11 @@ import json
 import sys
 
 SUITE_SCHEMA = "capbench.metrics-suite.v1"
+FIGURES_SCHEMA = "capbench.figures.v1"
+SCENARIO_SCHEMA = "capbench.scenario.v1"
+MULTIQUEUE_VARIANTS = frozenset({"-10g", "-40g", "-skew", "-qfan", "-cfan"})
+MULTIQUEUE_DROP_FIELDS = ("nic_ring_drops", "backlog_drops", "buffer_drops")
+JIT_SPEEDUP_FLOOR = 3.0
 TIMESERIES_SCHEMA = "capbench.timeseries.v1"
 SUT_DROP_SITES = frozenset({"nic_ring", "backlog"})
 DISK_WRITER_VARIANTS = frozenset({"-inline", "-ring256", "-ring32-dropnew", "-ring32-dropold"})
@@ -216,6 +238,87 @@ def check_disk_writer(figures: dict, suite: dict) -> tuple[int, int]:
     return checked, sum(spills.values())
 
 
+def list_ids(text: str) -> list[str]:
+    """The scenario ids of `capbench_figures --list` output, one per line."""
+    return [line.split()[0] for line in text.splitlines() if line.strip()]
+
+
+def check_figures(doc: dict, ids: list[str]) -> int:
+    """Returns the number of results checked."""
+    require(doc.get("schema") == FIGURES_SCHEMA, f"figures schema {doc.get('schema')!r}")
+    require(bool(ids), "empty --list output")
+    got = []
+    for r in doc["results"]:
+        require(r["schema"] == SCENARIO_SCHEMA, f"{r.get('id')}: schema {r['schema']!r}")
+        require("variants" in r or "tables" in r, f"{r['id']}: neither variants nor tables")
+        got.append(r["id"])
+    twice = sorted({i for i in got if got.count(i) > 1})
+    require(not twice, f"results repeat {twice}")
+    missing, extra = sorted(set(ids) - set(got)), sorted(set(got) - set(ids))
+    require(not missing and not extra, f"results lack {missing}, have unlisted {extra}")
+    return len(got)
+
+
+def check_multiqueue(doc: dict) -> list[str]:
+    """Returns one summary line per checked property."""
+    result = doc["results"][0]
+    require(result["id"] == "ext_multiqueue", f"figures result {result['id']!r}")
+    require(result["x_label"] == "queues", f"x_label {result['x_label']!r}")
+    variants = {v["suffix"]: v for v in result["variants"]}
+    require(MULTIQUEUE_VARIANTS <= set(variants),
+            f"variants {sorted(variants)} lack {sorted(MULTIQUEUE_VARIANTS - set(variants))}")
+
+    def swan(suffix: str, x: float) -> float:
+        for point in variants[suffix]["points"]:
+            if point["x"] == x:
+                return next(s for s in point["suts"] if s["name"] == "swan")["capture_avg_pct"]
+        raise CheckError(f"{suffix}: no point x={x}")
+
+    # The sim is deterministic, so these are exact expectations with wide
+    # margins: capture rate scales with the queue count at overload, and
+    # the skewed indirection table costs a measurable share of it.
+    lines = []
+    for suffix in ("-10g", "-40g"):
+        xs = [p["x"] for p in variants[suffix]["points"]]
+        require(xs == [1.0, 2.0, 4.0, 8.0], f"{suffix}: queue counts {xs}")
+        r1, r2, r4 = swan(suffix, 1.0), swan(suffix, 2.0), swan(suffix, 4.0)
+        require(r2 > r1 + 10, f"{suffix}: swan capture {r1} -> {r2}% from 1 to 2 queues")
+        require(r4 > r2 + 10, f"{suffix}: swan capture {r2} -> {r4}% from 2 to 4 queues")
+        lines.append(f"{suffix}: swan capture {r1:.1f} -> {r2:.1f} -> {r4:.1f}%")
+    balanced4, skewed4 = swan("-10g", 4.0), swan("-skew", 4.0)
+    require(skewed4 < balanced4 - 20, f"skew at 4 queues: {skewed4}% vs balanced {balanced4}%")
+    lines.append(f"skew at 4 queues: {skewed4:.1f}% vs balanced {balanced4:.1f}%")
+    # The fanout variants split the stream over 4 apps.
+    for suffix in ("-qfan", "-cfan"):
+        for point in variants[suffix]["points"]:
+            for sut in point["suts"]:
+                require(len(sut["per_app_capture_pct"]) == 4,
+                        f"{suffix}/{sut['name']}: {len(sut['per_app_capture_pct'])} app rates")
+                for key in MULTIQUEUE_DROP_FIELDS:
+                    require(key in sut, f"{suffix}/{sut['name']}: no {key}")
+    lines.append("fanout variants: 4 app rates and every drop field per SUT")
+    return lines
+
+
+def check_filter_tiers(doc: dict) -> float | None:
+    """Returns the jit speedup on the optimized Fig 6.5 filter, or None
+    when the build has no jit."""
+    result = doc["results"][0]
+    require(result["id"] == "ext_filter_tiers", f"figures result {result['id']!r}")
+    table = result["tables"][0]
+    column = table["headers"].index("jit speedup")
+    rows = [row for row in table["rows"] if row[0] == "fig 6.5 optimized"]
+    require(len(rows) == 1, f"{len(rows)} 'fig 6.5 optimized' rows")
+    cell = rows[0][column].strip()
+    if cell == "-":
+        return None
+    require(cell.endswith("x"), f"jit speedup cell {cell!r}")
+    speedup = float(cell[:-1])
+    require(speedup >= JIT_SPEEDUP_FLOOR,
+            f"jit speedup {speedup:.2f}x < {JIT_SPEEDUP_FLOOR:.1f}x")
+    return speedup
+
+
 def load(path: str) -> dict:
     with open(path) as f:
         return json.load(f)
@@ -280,6 +383,38 @@ def sample_disk_writer() -> tuple[dict, dict]:
     return figures, suite
 
 
+def sample_figures() -> tuple[dict, list[str]]:
+    listing = "fig_4_1   Figure 4.1\nfig_6_2   Figure 6.2\next_10gbe Extension\n"
+    results = [{"schema": SCENARIO_SCHEMA, "id": "fig_4_1", "tables": []},
+               {"schema": SCENARIO_SCHEMA, "id": "fig_6_2", "variants": []},
+               {"schema": SCENARIO_SCHEMA, "id": "ext_10gbe", "variants": []}]
+    return {"schema": FIGURES_SCHEMA, "results": results}, list_ids(listing)
+
+
+def sample_multiqueue() -> dict:
+    def point(x, swan_pct, apps=1):
+        sut = {"name": "swan", "capture_avg_pct": swan_pct,
+               "per_app_capture_pct": [swan_pct] * apps}
+        sut.update(dict.fromkeys(MULTIQUEUE_DROP_FIELDS, 0))
+        return {"x": x, "suts": [sut]}
+
+    def scaling():
+        return [point(1.0, 20.0), point(2.0, 45.0), point(4.0, 90.0), point(8.0, 99.0)]
+
+    variants = [{"suffix": suffix, "points": scaling()} for suffix in ("-10g", "-40g")]
+    variants.append({"suffix": "-skew", "points": [point(4.0, 50.0)]})
+    variants += [{"suffix": suffix, "points": [point(4.0, 80.0, apps=4)]}
+                 for suffix in ("-qfan", "-cfan")]
+    return {"results": [{"id": "ext_multiqueue", "x_label": "queues", "variants": variants}]}
+
+
+def sample_filter_tiers(speedup: str) -> dict:
+    table = {"headers": ["filter", "interp ns", "jit ns", "jit speedup"],
+             "rows": [["fig 6.5 stock", "300.0", "20.0", "15.00x"],
+                      ["fig 6.5 optimized", "100.0", "7.0", speedup]]}
+    return {"results": [{"id": "ext_filter_tiers", "tables": [table]}]}
+
+
 def self_test() -> int:
     def app(suite):
         return suite["results"][0]["variants"][0]["points"][0]["suts"][0]["apps"][0]
@@ -340,6 +475,25 @@ def self_test() -> int:
         dw_app(suite, 1)["delivered"] += 10
         dw_app(suite, 1)["drops"]["disk_spill"] = 0
 
+    def figures_with(mutate):
+        doc, ids = sample_figures()
+        mutate(doc, ids)
+        return lambda: check_figures(doc, ids)
+
+    def multiqueue_with(mutate):
+        doc = sample_multiqueue()
+        mutate(doc["results"][0])
+        return lambda: check_multiqueue(doc)
+
+    def mq_swan(result, suffix, x):
+        variant = next(v for v in result["variants"] if v["suffix"] == suffix)
+        return next(p for p in variant["points"] if p["x"] == x)["suts"][0]
+
+    def filter_tiers_with(speedup, mutate=lambda result, table: None):
+        doc = sample_filter_tiers(speedup)
+        mutate(doc["results"][0], doc["results"][0]["tables"][0])
+        return lambda: check_filter_tiers(doc)
+
     good = sample_suite(1)
     check_metrics(good)
     check_jobs(good, 1)
@@ -347,6 +501,11 @@ def self_test() -> int:
     check_trace(sample_trace())
     timeseries_with(lambda ts, suite: None, episodes_required=True)()
     disk_writer_with(lambda figures, suite: None)()
+    figures_with(lambda doc, ids: None)()
+    multiqueue_with(lambda variants: None)()
+    filter_tiers_with("14.66x")()
+    require(filter_tiers_with("3.00x")() == 3.0, "3.00x not read as 3.0")
+    require(filter_tiers_with("-")() is None, "'-' read as a speedup")
 
     other = sample_suite(4)
     moved_drop(other)
@@ -393,6 +552,32 @@ def self_test() -> int:
             lambda _, suite: dw_app(suite, 1)["latency_ns"].update(p50=450.0)),
         "inline variant spills": disk_writer_with(inline_spills),
         "no drop-policy variant spills": disk_writer_with(nothing_spills),
+        "figures schema": figures_with(lambda doc, _: doc.update(schema="v0")),
+        "figures result schema": figures_with(
+            lambda doc, _: doc["results"][0].update(schema="v0")),
+        "result without variants or tables": figures_with(
+            lambda doc, _: doc["results"][0].pop("tables")),
+        "listed id without a result": figures_with(lambda _, ids: ids.append("fig_6_3")),
+        "result for an unlisted id": figures_with(lambda _, ids: ids.pop()),
+        "result repeated": figures_with(
+            lambda doc, _: doc["results"].append(copy.deepcopy(doc["results"][0]))),
+        "multiqueue result id": multiqueue_with(lambda r: r.update(id="fig_6_2")),
+        "multiqueue variant missing": multiqueue_with(lambda r: r["variants"].pop(2)),
+        "multiqueue queue counts": multiqueue_with(lambda r: r["variants"][1]["points"].pop()),
+        "no scaling from 1 to 2 queues": multiqueue_with(
+            lambda r: mq_swan(r, "-10g", 2.0).update(capture_avg_pct=30.0)),
+        "no scaling from 2 to 4 queues": multiqueue_with(
+            lambda r: mq_swan(r, "-40g", 4.0).update(capture_avg_pct=55.0)),
+        "skew costs too little": multiqueue_with(
+            lambda r: mq_swan(r, "-skew", 4.0).update(capture_avg_pct=75.0)),
+        "fanout with three app rates": multiqueue_with(
+            lambda r: mq_swan(r, "-cfan", 4.0)["per_app_capture_pct"].pop()),
+        "fanout without a drop field": multiqueue_with(
+            lambda r: mq_swan(r, "-qfan", 4.0).pop("backlog_drops")),
+        "jit speedup 2.90x": filter_tiers_with("2.90x"),
+        "filter-tiers result id": filter_tiers_with("14.66x", lambda r, _: r.update(id="fig_6_2")),
+        "no fig 6.5 optimized row": filter_tiers_with("14.66x", lambda _, t: t["rows"].pop()),
+        "no jit speedup column": filter_tiers_with("14.66x", lambda _, t: t["headers"].pop()),
     }
     accepted = []
     for name, check in broken.items():
@@ -413,7 +598,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--self-test", action="store_true", help="check the checks")
     parser.add_argument("kind", nargs="?",
-                        choices=("metrics", "trace", "timeseries", "diskwriter"))
+                        choices=("metrics", "trace", "timeseries", "diskwriter", "figures",
+                                 "multiqueue", "filtertiers"))
     parser.add_argument("files", nargs="*")
     parser.add_argument("--jobs", type=int, nargs="+",
                         help="metrics: the --jobs value each file was written with")
@@ -432,6 +618,10 @@ def main() -> int:
         parser.error("--episodes takes a time-series file and its metrics file")
     if args.kind == "diskwriter" and len(args.files) != 2:
         parser.error("diskwriter takes the figures file and the metrics file")
+    if args.kind == "figures" and len(args.files) != 2:
+        parser.error("figures takes the figures file and the --list output")
+    if args.kind in ("multiqueue", "filtertiers") and len(args.files) != 1:
+        parser.error(f"{args.kind} takes one figures file")
     try:
         if args.kind == "timeseries":
             suite = load(args.files[1]) if len(args.files) == 2 else None
@@ -443,6 +633,21 @@ def main() -> int:
             checked, spills = check_disk_writer(load(args.files[0]), load(args.files[1]))
             print(f"disk writer OK: drop identity holds for {checked} app records, "
                   f"{spills} spills across variants")
+        elif args.kind == "figures":
+            with open(args.files[1]) as f:
+                results = check_figures(load(args.files[0]), list_ids(f.read()))
+            print(f"{args.files[0]}: figures OK, {results} results, each listed id once")
+        elif args.kind == "multiqueue":
+            for line in check_multiqueue(load(args.files[0])):
+                print(line)
+            print(f"{args.files[0]}: multiqueue OK")
+        elif args.kind == "filtertiers":
+            speedup = check_filter_tiers(load(args.files[0]))
+            if speedup is None:
+                print(f"{args.files[0]}: no jit in this build, speedup bound not checked")
+            else:
+                print(f"{args.files[0]}: jit {speedup:.2f}x faster than the interpreter on "
+                      f"the optimized Fig 6.5 filter (bound {JIT_SPEEDUP_FLOOR:.1f}x)")
         elif args.kind == "trace":
             for path in args.files:
                 events, phases = check_trace(load(path))
