@@ -95,6 +95,8 @@ struct RunResult {
     /// Simulator events executed for this run — a perf metric that
     /// perfbench reads (`sim.events`), deliberately NOT part of the
     /// scenario JSON schema (it would break byte-stable figures output).
+    /// It counts every popped event, including a preempted thread chunk's
+    /// event that only re-pushes itself at the chunk's new end.
     std::uint64_t events_executed = 0;
     std::vector<SutRunResult> suts;
     /// Lifecycle metrics; `metrics.enabled` only when the run observed.

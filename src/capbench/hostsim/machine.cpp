@@ -136,36 +136,42 @@ void Machine::post_kernel_work_on(int cpu_index, const Work& work, CpuState kind
     ++kernel_queue_len_;
     ++kernel_queue_len_cpu_[static_cast<std::size_t>(cpu_index)];
     // Each CPU serializes its kernel work, so completion times are
-    // non-decreasing per CPU and events at equal times run in push order:
-    // completions are strictly FIFO per CPU.  Parking (dur, kind, done) in
-    // the ring keeps the scheduled callback capture-tiny.
-    kernel_done_[static_cast<std::size_t>(cpu_index)].push_back(
-        KernelDone{dur, kind, std::move(done)});
-    sim_->schedule_at(end, [this, cpu_index] { kernel_work_complete(cpu_index); });
+    // non-decreasing per CPU and completions are strictly FIFO per CPU.
+    // Every item takes its sequence number now, but only the FIFO head
+    // holds a heap entry; kernel_work_complete() pushes the next head
+    // under its own (end, seq).
+    auto& fifo = kernel_done_[static_cast<std::size_t>(cpu_index)];
+    const std::uint64_t seq = sim_->queue().reserve();
+    if (fifo.empty()) push_kernel_event(cpu_index, end, seq);
+    fifo.push_back(KernelDone{end, seq, dur, kind, std::move(done)});
     if (ctr_kernel_items_) ctr_kernel_items_->inc();
 
-    // Kernel work preempts the thread chunk in flight on this CPU: push
-    // its completion out by the stolen time.  A chunk starved for too long
-    // is migrated to the ready queue instead (the load balancer pulling a
-    // task off a saturated CPU).
+    // Kernel work preempts the thread chunk in flight on this CPU: its
+    // completion target moves out by the stolen time, under a fresh
+    // sequence number (chunk_event() catches up with it).  A chunk starved
+    // for too long is migrated to the ready queue instead (the load
+    // balancer pulling a task off a saturated CPU).
     auto& chunk = chunks_[static_cast<std::size_t>(cpu_index)];
     if (chunk.active) {
         chunk.stolen += dur;
         if (logical_cpus() > 1 && chunk.stolen > sim::milliseconds(2)) {
             migrate_chunk(cpu_index);
         } else {
-            chunk.event.cancel();
             chunk.end = chunk.end + dur;
-            chunk.event =
-                sim_->schedule_at(chunk.end, [this, cpu_index] { chunk_complete(cpu_index); });
+            chunk.seq = sim_->queue().reserve();
         }
     }
+}
+
+void Machine::push_kernel_event(int cpu_index, sim::SimTime end, std::uint64_t seq) {
+    sim_->queue().push_reserved(end, seq, [this, cpu_index] { kernel_work_complete(cpu_index); });
 }
 
 void Machine::kernel_work_complete(int cpu_index) {
     auto& fifo = kernel_done_[static_cast<std::size_t>(cpu_index)];
     KernelDone item = std::move(fifo.front());
     fifo.pop_front();
+    if (!fifo.empty()) push_kernel_event(cpu_index, fifo.front().end, fifo.front().seq);
     cpus_[static_cast<std::size_t>(cpu_index)].account(item.kind, item.dur);
     --kernel_queue_len_;
     --kernel_queue_len_cpu_[static_cast<std::size_t>(cpu_index)];
@@ -301,17 +307,35 @@ void Machine::thread_exec(Thread& thread, const Work& work, CpuState st, Continu
     chunk.work = work;
     chunk.then = std::move(then);
     chunk.end = sim_->now() + head_of_line + dur;
-    chunk.event = sim_->schedule_at(chunk.end, [this, cpu_index] { chunk_complete(cpu_index); });
+    chunk.seq = sim_->queue().reserve();
+    push_chunk_event(cpu_index);
 }
 
-void Machine::chunk_complete(int cpu_index) {
+void Machine::push_chunk_event(int cpu_index) {
     auto& chunk = chunks_[static_cast<std::size_t>(cpu_index)];
+    chunk.event_seq = chunk.seq;
+    sim_->queue().push_reserved(chunk.end, chunk.seq, [this, cpu_index, seq = chunk.seq] {
+        chunk_event(cpu_index, seq);
+    });
+}
+
+void Machine::chunk_event(int cpu_index, std::uint64_t seq) {
+    auto& chunk = chunks_[static_cast<std::size_t>(cpu_index)];
+    // The chunk this event was pushed for was migrated: it is gone, or the
+    // CPU runs a newer chunk with its own event.
+    if (!chunk.active || seq != chunk.event_seq) return;
+    // Preempted since the push: follow the target.  Compare sequence
+    // numbers, not times; a zero-cost preemption moves only the seq.
+    if (seq != chunk.seq) {
+        push_chunk_event(cpu_index);
+        return;
+    }
     auto& cpu = cpus_[static_cast<std::size_t>(cpu_index)];
     Thread* thread = cpu.current;
-    if (!chunk.active || thread == nullptr)
-        throw std::logic_error("Machine::chunk_complete: no chunk in flight");
+    if (thread == nullptr)
+        throw std::logic_error("Machine::chunk_event: no thread on the chunk's CPU");
     if (sim_->now() != chunk.end)
-        throw std::logic_error("Machine::chunk_complete: completion time mismatch");
+        throw std::logic_error("Machine::chunk_event: completion time mismatch");
     chunk.active = false;
     cpu.account(chunk.state, chunk.busy);
     if (trace_) trace_chunk_slice(*thread, chunk);
@@ -324,7 +348,6 @@ void Machine::migrate_chunk(int cpu_index) {
     Thread* thread = cpu.current;
     if (!chunk.active || thread == nullptr)
         throw std::logic_error("Machine::migrate_chunk: no chunk in flight");
-    chunk.event.cancel();
     chunk.active = false;
     if (ctr_migrations_) ctr_migrations_->inc();
     // Re-execute the chunk's work when re-dispatched (progress made in the

@@ -207,28 +207,38 @@ private:
     void try_dispatch();
     void run_continuation(Thread& thread, Continuation body);
     void release_cpu(Thread& thread);
-    void chunk_complete(int cpu_index);
+    void push_chunk_event(int cpu_index);
+    void chunk_event(int cpu_index, std::uint64_t seq);
+    void push_kernel_event(int cpu_index, sim::SimTime end, std::uint64_t seq);
     void kernel_work_complete(int cpu_index);
 
     void thread_exec(Thread& thread, const Work& work, CpuState st, Continuation then);
     void thread_block(Thread& thread, Continuation on_wake);
     void thread_yield(Thread& thread, Continuation then);
 
+    /// The thread chunk in flight on one CPU.  Its completion is due at
+    /// the target (end, seq); preemption moves the target without touching
+    /// the heap.  The chunk's one heap entry carries `event_seq`: when it
+    /// fires short of the target it re-pushes itself at the target, and
+    /// after a migration it no longer matches and does nothing.
     struct RunningChunk {
         bool active = false;
         sim::SimTime end{};
+        std::uint64_t seq = 0;
+        std::uint64_t event_seq = 0;
         sim::Duration busy{};
         sim::Duration stolen{};  // time taken by preempting kernel work
         CpuState state = CpuState::kUser;
         Work work;               // for re-execution after migration
         Continuation then;
-        sim::EventHandle event;
     };
 
-    /// Pending kernel-work completion (each CPU serializes its kernel
-    /// work, so completions run strictly FIFO per CPU; the ring replaces a
-    /// per-item heap-allocated closure in the event queue).
+    /// Pending kernel-work completion, due at (end, seq).  Each CPU
+    /// serializes its kernel work, so completions run strictly FIFO per
+    /// CPU and only the FIFO head holds a heap entry.
     struct KernelDone {
+        sim::SimTime end{};
+        std::uint64_t seq = 0;
         sim::Duration dur{};
         CpuState kind = CpuState::kInterrupt;
         Continuation done;

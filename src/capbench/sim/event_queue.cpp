@@ -6,79 +6,50 @@
 
 namespace capbench::sim {
 
-EventHandle EventQueue::push(SimTime t, Action action) {
+void EventQueue::push_reserved(SimTime t, std::uint64_t seq, Action action) {
+    if (seq >= next_seq_)
+        throw std::logic_error("EventQueue::push_reserved: sequence number not reserved");
+    if (!earlier(running_, HeapEntry{t, seq, kNoSlot}))
+        throw std::logic_error(
+            "EventQueue::push_reserved: (time, seq) not after the running event");
+    insert(t, seq, std::move(action));
+}
+
+void EventQueue::insert(SimTime t, std::uint64_t seq, Action action) {
     const std::uint32_t slot = acquire_slot();
-    Slot& s = slots_[slot];
-    s.action = std::move(action);
-    s.state = SlotState::kScheduled;
-    heap_push(HeapEntry{t, next_seq_++, slot});
-    ++live_;
+    slots_[slot].action = std::move(action);
+    heap_push(HeapEntry{t, seq, slot});
     ++stats_.pushed;
-    return EventHandle{this, slot, s.generation};
 }
 
-void EventQueue::cancel(std::uint32_t slot, std::uint64_t generation) {
-    if (slot >= slots_.size()) return;
-    Slot& s = slots_[slot];
-    if (s.generation != generation || s.state != SlotState::kScheduled) return;
-    // Bump the generation so every handle to this event goes inert, and
-    // destroy the callback now so captured resources are released eagerly.
-    ++s.generation;
-    s.action.reset();
-    --live_;
-    ++stats_.cancelled;
-    // The heap entry stays behind as a tombstone until it surfaces.
-    s.state = SlotState::kCancelled;
-    ++cancelled_backlog_;
-}
-
-bool EventQueue::is_pending(std::uint32_t slot, std::uint64_t generation) const {
-    if (slot >= slots_.size()) return false;
-    const Slot& s = slots_[slot];
-    return s.generation == generation && s.state == SlotState::kScheduled;
-}
-
-SimTime EventQueue::next_time() {
-    purge_cancelled_head();
+SimTime EventQueue::next_time() const {
     if (heap_.empty()) throw std::logic_error("EventQueue::next_time on empty queue");
     return heap_.front().time;
 }
 
 SimTime EventQueue::pop_and_run() {
-    purge_cancelled_head();
     if (heap_.empty()) throw std::logic_error("EventQueue::pop_and_run on empty queue");
-    const SimTime time = heap_.front().time;
-    const std::uint32_t slot = heap_.front().slot;
+    running_ = heap_.front();
+    const SimTime time = running_.time;
     heap_pop_front();
-    Slot& s = slots_[slot];
     // Move the action out and release the slot before running: the action
-    // may push new events (which can reuse this slot) and EventHandles to
-    // this event must already read "not pending" while it runs.
-    Action action = std::move(s.action);
-    s.action.reset();
-    ++s.generation;
-    release_slot(slot);
-    --live_;
+    // may push new events, which can reuse this slot.
+    Action action = std::move(slots_[running_.slot].action);
+    release_slot(running_.slot);
     ++stats_.executed;
     action();
     return time;
 }
 
 void EventQueue::clear() {
-    // Bump generations of every occupied slot so outstanding handles are
-    // inert, then rebuild a pristine freelist over the whole slab.
     heap_.clear();
     free_head_ = kNoSlot;
     for (std::size_t i = slots_.size(); i > 0; --i) {
         Slot& s = slots_[i - 1];
-        if (s.state != SlotState::kFree) ++s.generation;
-        s.state = SlotState::kFree;
         s.action.reset();
         s.next_free = free_head_;
         free_head_ = static_cast<std::uint32_t>(i - 1);
     }
-    live_ = 0;
-    cancelled_backlog_ = 0;
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -95,19 +66,8 @@ std::uint32_t EventQueue::acquire_slot() {
 }
 
 void EventQueue::release_slot(std::uint32_t index) {
-    Slot& s = slots_[index];
-    s.state = SlotState::kFree;
-    s.next_free = free_head_;
+    slots_[index].next_free = free_head_;
     free_head_ = index;
-}
-
-void EventQueue::purge_cancelled_head() {
-    while (!heap_.empty() && slots_[heap_.front().slot].state == SlotState::kCancelled) {
-        const std::uint32_t slot = heap_.front().slot;
-        heap_pop_front();
-        release_slot(slot);
-        --cancelled_backlog_;
-    }
 }
 
 // ---- 4-ary min-heap ----------------------------------------------------------

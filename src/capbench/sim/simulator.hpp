@@ -20,14 +20,14 @@ public:
     [[nodiscard]] SimTime now() const { return now_; }
 
     /// Schedules `action` to run `delay` after the current time.
-    EventHandle schedule_in(Duration delay, EventQueue::Action action) {
-        return queue_.push(now_ + delay, std::move(action));
+    void schedule_in(Duration delay, EventQueue::Action action) {
+        queue_.push(now_ + delay, std::move(action));
     }
 
     /// Schedules `action` at absolute time `t` (must not be in the past).
-    EventHandle schedule_at(SimTime t, EventQueue::Action action) {
+    void schedule_at(SimTime t, EventQueue::Action action) {
         if (t < now_) throw std::logic_error("Simulator::schedule_at in the past");
-        return queue_.push(t, std::move(action));
+        queue_.push(t, std::move(action));
     }
 
     /// Runs until the queue drains or the clock passes `until`.

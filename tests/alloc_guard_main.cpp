@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <ostream>
 #include <streambuf>
@@ -139,21 +140,57 @@ TEST(AllocGuard, SteadyStateEventLoopDoesNotAllocate) {
     EXPECT_EQ(allocs, 0u) << "event loop allocated in steady state";
 }
 
-TEST(AllocGuard, EventCancellationDoesNotAllocate) {
+/// Thread that issues back-to-back user chunks forever.
+class Spinner final : public capbench::hostsim::Thread {
+public:
+    Spinner() : Thread("spinner") {}
+    void main() override { spin(); }
+    std::uint64_t chunks = 0;
+
+private:
+    void spin() {
+        exec(capbench::hostsim::Work{.cycles = 18'000}, capbench::hostsim::CpuState::kUser,
+             [this] {
+                 ++chunks;
+                 spin();
+             });
+    }
+};
+
+/// Posts two kernel items on CPU 0 every 3 us, the second queued behind
+/// the first; each one preempts the chunk running there.
+struct KernelPoster {
+    capbench::hostsim::Machine* machine;
+    std::uint64_t* completed;
+    void operator()() const {
+        for (int i = 0; i < 2; ++i)
+            machine->post_kernel_work(capbench::hostsim::Work{.cycles = 900},
+                                      capbench::hostsim::CpuState::kInterrupt,
+                                      [c = completed] { ++*c; });
+        machine->sim().schedule_in(sim::microseconds(3), KernelPoster{*this});
+    }
+};
+
+TEST(AllocGuard, PreemptedChunkChurnDoesNotAllocate) {
     SKIP_UNDER_SANITIZERS();
+    namespace hostsim = capbench::hostsim;
     sim::Simulator sim;
-    const auto churn = [&](std::uint64_t iters) {
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            auto doomed = sim.schedule_in(sim::Duration{1000}, [] {});
-            sim.schedule_in(sim::Duration{10}, [] {});
-            doomed.cancel();
-            sim.step();
-        }
-        sim.run();
-    };
-    churn(64);  // warmup
-    const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
-    EXPECT_EQ(allocs, 0u) << "cancel/reschedule churn allocated in steady state";
+    hostsim::Machine machine{sim, hostsim::MachineSpec{hostsim::ArchSpec::amd_opteron(), 1, false},
+                             {}};
+    auto spinner = std::make_shared<Spinner>();
+    machine.spawn(spinner);
+    std::uint64_t completed = 0;
+    sim.schedule_in(sim::microseconds(1), KernelPoster{&machine, &completed});
+    sim.run(sim.now() + sim::milliseconds(1));  // warmup: slab, heap and FIFO at final size
+
+    const std::uint64_t chunks_before = spinner->chunks;
+    const std::uint64_t completed_before = completed;
+    const std::uint64_t allocs =
+        allocations_during([&] { sim.run(sim.now() + sim::milliseconds(10)); });
+    // 10 ms of 10 us chunks, each preempted about three times.
+    EXPECT_GT(spinner->chunks - chunks_before, 400u);
+    EXPECT_GT(completed - completed_before, 6'000u);
+    EXPECT_EQ(allocs, 0u) << "kernel posts preempting a running chunk allocated";
 }
 
 /// Sink that retains each packet briefly (one in flight), like a capture

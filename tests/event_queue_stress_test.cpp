@@ -1,10 +1,10 @@
-// Stress tests for the slab-backed event queue: slot reuse under heavy
-// cancellation (the ABA hazard generation stamps exist to prevent),
-// clear() semantics, the live-only size accounting, and the (time, seq)
-// total order checked against a reference model.
+// Stress tests for the slab-backed event queue: late inserts under reserved
+// sequence numbers, slot reuse, clear() semantics, the size accounting, and
+// the (time, seq) total order checked against a reference model.
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,153 +18,152 @@ namespace {
 
 sim::SimTime at(std::int64_t ns) { return sim::SimTime{} + sim::Duration{ns}; }
 
-TEST(EventQueueStress, RandomCancelReplayMatchesReferenceModel) {
-    // Drive the slab queue and a reference model (multimap of live events
-    // ordered by the same (time, push-seq) key) with one random
-    // push/cancel/pop mix; every pop must execute exactly the reference
-    // model's minimum.  The interleaved cancels and drains force heavy
-    // slot reuse while stale handles are still alive — the ABA scenario
-    // the generation stamps exist for.
+TEST(EventQueueStress, RandomReservedReplayMatchesReferenceModel) {
+    // Drive the slab queue and a reference model (map of scheduled events
+    // ordered by the same (time, seq) key) with one random mix of pushes,
+    // reservations, later reserved pushes and pops; every pop must execute
+    // exactly the reference model's minimum.  A reserved push is keyed by
+    // the sequence number taken at reservation, so it must pop exactly
+    // where a push made at reservation time would have.
     sim::Rng rng(20260806);
     sim::EventQueue q;
     std::uint64_t last_fired = 0;
     bool fired_flag = false;
 
     using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
-    std::multimap<Key, std::uint64_t> reference;         // -> id
-    std::vector<std::pair<sim::EventHandle, Key>> pending;
+    std::map<Key, std::uint64_t> reference;              // -> id
+    std::vector<std::uint64_t> reserved;                 // reserved, not yet pushed
+    Key running{0, 0};                                   // last popped (time, seq)
     std::uint64_t next_id = 0;
-    std::uint64_t ref_seq = 0;
+    std::uint64_t pushes = 0;
+    std::uint64_t rejected = 0;
+    // Pushes and reservations draw from one counter; learn where it is.
+    std::uint64_t ref_seq = q.reserve() + 1;
 
-    const auto push_one = [&](std::int64_t t) {
-        const std::uint64_t id = next_id++;
-        auto handle = q.push(at(t), [&last_fired, &fired_flag, id] {
+    const auto action_for = [&](std::uint64_t id) {
+        return [&last_fired, &fired_flag, id] {
             last_fired = id;
             fired_flag = true;
-        });
-        const Key key{t, ref_seq++};
-        reference.emplace(key, id);
-        pending.emplace_back(handle, key);
+        };
     };
 
-    const auto cancel_random = [&] {
-        if (pending.empty()) return;
-        const std::size_t pick = static_cast<std::size_t>(rng.next_below(pending.size()));
-        auto [handle, key] = pending[pick];
-        if (handle.pending()) {
-            handle.cancel();
-            reference.erase(key);
+    const auto push_one = [&] {
+        const std::int64_t t = running.first + static_cast<std::int64_t>(rng.next_below(50));
+        const std::uint64_t id = next_id++;
+        q.push(at(t), action_for(id));
+        reference.emplace(Key{t, ref_seq++}, id);
+        ++pushes;
+    };
+
+    const auto reserve_one = [&] {
+        const std::uint64_t seq = q.reserve();
+        EXPECT_EQ(seq, ref_seq++);
+        reserved.push_back(seq);
+    };
+
+    const auto push_reserved_one = [&] {
+        if (reserved.empty()) return;
+        const std::size_t pick = static_cast<std::size_t>(rng.next_below(reserved.size()));
+        const std::uint64_t seq = reserved[pick];
+        reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(pick));
+        std::int64_t t = running.first + static_cast<std::int64_t>(rng.next_below(20));
+        if (Key{t, seq} <= running) {
+            // Not after the running event: rejected, and nothing scheduled.
+            EXPECT_THROW(q.push_reserved(at(t), seq, [] {}), std::logic_error);
+            ++rejected;
+            t = running.first + 1 + static_cast<std::int64_t>(rng.next_below(20));
         }
-        EXPECT_FALSE(handle.pending());
-        handle.cancel();  // double-cancel via a now-stale handle: no-op
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+        const std::uint64_t id = next_id++;
+        q.push_reserved(at(t), seq, action_for(id));
+        reference.emplace(Key{t, seq}, id);
+        ++pushes;
     };
 
     const auto pop_and_check = [&] {
         ASSERT_FALSE(reference.empty());
         fired_flag = false;
-        q.pop_and_run();
+        EXPECT_EQ(q.pop_and_run(), at(reference.begin()->first.first));
         ASSERT_TRUE(fired_flag) << "pop executed nothing";
         EXPECT_EQ(last_fired, reference.begin()->second)
             << "queue violated the (time, seq) total order";
+        running = reference.begin()->first;
         reference.erase(reference.begin());
     };
 
     for (int round = 0; round < 400; ++round) {
-        const int pushes = 1 + static_cast<int>(rng.next_below(8));
-        for (int i = 0; i < pushes; ++i)
-            push_one(static_cast<std::int64_t>(rng.next_below(50)));
-        const int cancels = static_cast<int>(rng.next_below(6));
-        for (int i = 0; i < cancels; ++i) cancel_random();
+        const int ops = 1 + static_cast<int>(rng.next_below(10));
+        for (int i = 0; i < ops; ++i) {
+            switch (rng.next_below(3)) {
+                case 0: push_one(); break;
+                case 1: reserve_one(); break;
+                default: push_reserved_one(); break;
+            }
+        }
         const int pops = static_cast<int>(rng.next_below(5));
         for (int i = 0; i < pops && !q.empty(); ++i) pop_and_check();
         EXPECT_EQ(q.size(), reference.size());
     }
+    while (!reserved.empty()) push_reserved_one();
     while (!q.empty()) pop_and_check();
 
     EXPECT_TRUE(reference.empty());
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.stats().pushed, next_id);
-    EXPECT_EQ(q.stats().pushed, q.stats().executed + q.stats().cancelled);
+    EXPECT_GT(rejected, 0u) << "the mix never exercised a rejected pair";
+    EXPECT_EQ(q.stats().pushed, pushes);
+    EXPECT_EQ(q.stats().executed, pushes);
 }
 
-TEST(EventQueueStress, StaleHandleCannotCancelSlotReuse) {
-    // The ABA scenario: a handle to a consumed event must not affect a new
-    // event that happens to land in the same slot.
+TEST(EventQueueStress, PushReservedRejectsAPairNotAfterTheRunningEvent) {
     sim::EventQueue q;
-    int first_fired = 0;
-    int second_fired = 0;
-    auto stale = q.push(at(1), [&first_fired] { ++first_fired; });
-    q.pop_and_run();
-    EXPECT_EQ(first_fired, 1);
-    EXPECT_EQ(q.slot_count(), 1u);
+    const std::uint64_t early = q.reserve();
+    q.push(at(100), [] {});
+    q.pop_and_run();  // running: (100, a seq above `early`)
 
-    // Same slot, new generation.
-    auto fresh = q.push(at(2), [&second_fired] { ++second_fired; });
-    EXPECT_EQ(q.slot_count(), 1u) << "slot was not reused";
-    EXPECT_FALSE(stale.pending());
-    stale.cancel();  // must not touch the new occupant
-    EXPECT_TRUE(fresh.pending());
-    q.pop_and_run();
-    EXPECT_EQ(second_fired, 1);
+    // Equal time, lower sequence number.
+    EXPECT_THROW(q.push_reserved(at(100), early, [] {}), std::logic_error);
+    // Earlier time.
+    EXPECT_THROW(q.push_reserved(at(99), early, [] {}), std::logic_error);
+    // A sequence number never handed out.
+    const std::uint64_t late = q.reserve();
+    EXPECT_THROW(q.push_reserved(at(200), late + 1, [] {}), std::logic_error);
+    EXPECT_TRUE(q.empty()) << "a rejected push scheduled an event";
+
+    // Equal time with a higher sequence number, or a later time with a
+    // lower one, is after the running event.
+    std::vector<int> fired;
+    q.push_reserved(at(101), early, [&fired] { fired.push_back(1); });
+    q.push_reserved(at(100), late, [&fired] { fired.push_back(0); });
+    while (!q.empty()) q.pop_and_run();
+    EXPECT_EQ(fired, (std::vector<int>{0, 1}));
 }
 
 TEST(EventQueueStress, SizeCountsLiveEventsOnly) {
     sim::EventQueue q;
-    auto a = q.push(at(1), [] {});
-    auto b = q.push(at(2), [] {});
-    auto c = q.push(at(3), [] {});
+    q.push(at(1), [] {});
+    q.push(at(2), [] {});
+    q.push(at(3), [] {});
     EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.cancelled_backlog(), 0u);
-
-    // Cancellation is lazy: the heap entry stays as a tombstone until it
-    // surfaces.
-    b.cancel();
-    EXPECT_EQ(q.size(), 2u) << "cancelled events must not count as live";
-    EXPECT_EQ(q.cancelled_backlog(), 1u);
     EXPECT_FALSE(q.empty());
 
-    a.cancel();
-    c.cancel();
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_TRUE(q.empty()) << "a queue holding only tombstones is empty";
-    EXPECT_EQ(q.cancelled_backlog(), 3u);
-}
+    (void)q.reserve();  // a reservation schedules nothing
+    EXPECT_EQ(q.size(), 3u);
 
-TEST(EventQueueStress, CancelAfterClearIsInert) {
-    sim::EventQueue q;
-    int fired = 0;
-    auto before = q.push(at(5), [&fired] { ++fired; });
-    auto also_before = q.push(at(6), [&fired] { ++fired; });
-    also_before.cancel();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.cancelled_backlog(), 0u);
-
-    // New events may land in the very slots the old handles reference.
-    int after_fired = 0;
-    auto after = q.push(at(1), [&after_fired] { ++after_fired; });
-    EXPECT_FALSE(before.pending());
-    before.cancel();       // stale: must not cancel the new event
-    also_before.cancel();  // stale + previously cancelled: still a no-op
-    EXPECT_TRUE(after.pending());
     q.pop_and_run();
-    EXPECT_EQ(after_fired, 1);
-    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(q.size(), 2u);
+    q.pop_and_run();
+    q.pop_and_run();
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueStress, ClearResetsFreelistDeterministically) {
     sim::EventQueue q;
-    std::vector<sim::EventHandle> handles;
-    for (int i = 0; i < 32; ++i) handles.push_back(q.push(at(i), [] {}));
-    for (int i = 0; i < 32; i += 2) handles[static_cast<std::size_t>(i)].cancel();
+    for (int i = 0; i < 32; ++i) q.push(at(i), [] {});
     q.clear();
 
     // The slab is retained (no shrink) but everything is free again.
     EXPECT_EQ(q.slot_count(), 32u);
     EXPECT_EQ(q.size(), 0u);
-    for (auto& h : handles) EXPECT_FALSE(h.pending());
+    EXPECT_TRUE(q.empty());
 
     int fired = 0;
     for (int i = 0; i < 32; ++i) q.push(at(i), [&fired] { ++fired; });

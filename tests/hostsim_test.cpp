@@ -4,6 +4,7 @@
 
 #include "capbench/hostsim/arch.hpp"
 #include "capbench/hostsim/machine.hpp"
+#include "capbench/obs/registry.hpp"
 
 namespace capbench::hostsim {
 namespace {
@@ -221,6 +222,140 @@ TEST(Machine, KernelWorkPreemptsRunningChunk) {
     EXPECT_EQ(sim.now().ns(), 15'000);
     EXPECT_EQ(m.cpu(0).in_state(CpuState::kUser).ns(), 10'000);
     EXPECT_EQ(m.cpu(0).in_state(CpuState::kInterrupt).ns(), 5'000);
+}
+
+/// Thread that runs one chunk, then logs and counts its completion.
+class LoggedChunk : public Thread {
+public:
+    LoggedChunk(Work w, std::vector<std::string>* log) : Thread("logged"), work_(w), log_(log) {}
+    void main() override {
+        exec(work_, CpuState::kUser, [this] {
+            ++completions;
+            done_at = machine().sim().now();
+            if (log_ != nullptr) log_->push_back("chunk");
+        });
+    }
+    int completions = 0;
+    sim::SimTime done_at{sim::SimTime::max()};
+
+private:
+    Work work_;
+    std::vector<std::string>* log_;
+};
+
+TEST(Machine, PreemptedChunkKeepsTieOrderInBothDirections) {
+    // A 10 us chunk on the only CPU; at 2 us a kernel item moves its end
+    // by the stolen time (5 us, or nothing: a zero-cost item moves only
+    // the completion's sequence number).  An event scheduled at the new
+    // end before that preemption runs ahead of the chunk; one scheduled
+    // after it runs behind.
+    for (const std::int64_t stolen_us : {5, 0}) {
+        for (const bool event_first : {true, false}) {
+            sim::Simulator sim;
+            Machine m{sim, opteron_spec(1), {}};
+            std::vector<std::string> log;
+            auto t = std::make_shared<LoggedChunk>(Work{.cycles = 18'000}, &log);
+            m.spawn(t);
+            sim.run(sim::SimTime{} + sim::microseconds(2));
+            const auto end = sim::SimTime{} + sim::microseconds(10 + stolen_us);
+            const auto schedule_event = [&] {
+                sim.schedule_at(end, [&log] { log.push_back("event"); });
+            };
+            if (event_first) schedule_event();
+            m.post_kernel_work(Work{.cycles = 1'800.0 * static_cast<double>(stolen_us)},
+                               CpuState::kInterrupt, {});
+            if (!event_first) schedule_event();
+            sim.run();
+            EXPECT_EQ(t->done_at, end);
+            if (event_first)
+                EXPECT_EQ(log, (std::vector<std::string>{"event", "chunk"}));
+            else
+                EXPECT_EQ(log, (std::vector<std::string>{"chunk", "event"}));
+        }
+    }
+}
+
+TEST(Machine, QueuedKernelItemKeepsTieOrderInBothDirections) {
+    // Two 5 us kernel items on CPU 0; only the first holds a heap entry
+    // until it completes.  An event at the second's end (10 us) scheduled
+    // before the second is posted runs ahead of it; one scheduled after
+    // runs behind.
+    for (const bool event_first : {true, false}) {
+        sim::Simulator sim;
+        Machine m{sim, opteron_spec(1), {}};
+        std::vector<std::string> log;
+        const auto at_10us = sim::SimTime{} + sim::microseconds(10);
+        const auto schedule_event = [&] {
+            sim.schedule_at(at_10us, [&log] { log.push_back("event"); });
+        };
+        m.post_kernel_work(Work{.cycles = 9'000}, CpuState::kInterrupt,
+                           [&log] { log.push_back("first"); });
+        if (event_first) schedule_event();
+        m.post_kernel_work(Work{.cycles = 9'000}, CpuState::kInterrupt,
+                           [&log] { log.push_back("second"); });
+        if (!event_first) schedule_event();
+        sim.run();
+        if (event_first)
+            EXPECT_EQ(log, (std::vector<std::string>{"first", "event", "second"}));
+        else
+            EXPECT_EQ(log, (std::vector<std::string>{"first", "second", "event"}));
+    }
+}
+
+TEST(Machine, RepeatedPreemptionCompletesOnceAtTheSummedEnd) {
+    // Issue at 0 behind 2 us of queued kernel work, 10 us of own work, then
+    // five preemptions stealing 1, 0, 2, 3 and 1 us: one completion at
+    // 2 + 10 + 7 = 19 us.  The zero-cost preemption moves only the
+    // completion's sequence number.
+    sim::Simulator sim;
+    Machine m{sim, opteron_spec(1), {}};
+    m.post_kernel_work(Work{.cycles = 3'600}, CpuState::kInterrupt, {});
+    auto t = std::make_shared<LoggedChunk>(Work{.cycles = 18'000}, nullptr);
+    m.spawn(t);
+    const double stolen_us[] = {1, 0, 2, 3, 1};
+    std::int64_t at_us = 3;
+    for (const double us : stolen_us) {
+        sim.run(sim::SimTime{} + sim::microseconds(at_us));
+        m.post_kernel_work(Work{.cycles = 1'800.0 * us}, CpuState::kInterrupt, {});
+        at_us += 2;
+    }
+    sim.run();
+    EXPECT_EQ(t->completions, 1);
+    EXPECT_EQ(t->done_at, sim::SimTime{} + sim::microseconds(19));
+    EXPECT_EQ(m.cpu(0).in_state(CpuState::kUser).ns(), 10'000);
+    EXPECT_EQ(m.cpu(0).in_state(CpuState::kInterrupt).ns(), 9'000);
+}
+
+TEST(Machine, MigratedChunkRunsItsContinuationOnce) {
+    // The chunk (10 ms) starts on CPU 1; a hog holds CPU 0.  At 1 us,
+    // 2.1 ms of kernel work on CPU 1 starves the chunk past the 2 ms limit
+    // and it migrates.  When CPU 1 drains at 2.101 ms the thread is
+    // re-dispatched there and re-executes its work, so the old chunk's
+    // event fires at 10 ms while a newer chunk runs on the same CPU.  It
+    // must do nothing: one completion, at 12.101 ms, and exactly the
+    // re-executed work accounted.
+    sim::Simulator sim;
+    Machine m{sim, opteron_spec(2), {}};
+    obs::Registry registry;
+    m.register_metrics(registry, "m");
+    auto t = std::make_shared<LoggedChunk>(Work{.cycles = 18'000'000}, nullptr);
+    auto hog = std::make_shared<OneShot>(Work{.cycles = 36'000'000}, CpuState::kUser);
+    m.spawn(t);
+    m.spawn(hog);
+    sim.run(sim::SimTime{} + sim::microseconds(1));
+    m.post_kernel_work_on(1, Work{.cycles = 3'780'000}, CpuState::kInterrupt, {});
+    sim.run(sim::SimTime{} + sim::milliseconds(11));
+    // Past the orphan: only the new chunk's and the hog's completions are
+    // scheduled; the orphan pushed nothing.
+    EXPECT_EQ(sim.queue().size(), 2u);
+    sim.run();
+    EXPECT_EQ(registry.counter("m.sched.migrations").value(), 1u);
+    EXPECT_EQ(t->completions, 1);
+    EXPECT_EQ(t->done_at, sim::SimTime{} + sim::microseconds(12'101));
+    EXPECT_EQ(m.cpu(1).in_state(CpuState::kUser).ns(), 10'000'000);
+    EXPECT_EQ(m.cpu(1).in_state(CpuState::kInterrupt).ns(), 2'100'000);
+    EXPECT_EQ(m.cpu(0).in_state(CpuState::kUser).ns(), 20'000'000);
+    EXPECT_EQ(m.total_busy().ns(), 32'100'000);
 }
 
 TEST(Machine, DualCpuRunsKernelAndThreadInParallel) {

@@ -64,31 +64,6 @@ TEST(EventQueue, SimultaneousEventsRunInInsertionOrder) {
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelledEventDoesNotRun) {
-    EventQueue q;
-    bool ran = false;
-    auto handle = q.push(SimTime{10}, [&] { ran = true; });
-    handle.cancel();
-    EXPECT_TRUE(q.empty());
-    EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelIsIdempotentAndSafeAfterRun) {
-    EventQueue q;
-    auto handle = q.push(SimTime{10}, [] {});
-    q.pop_and_run();
-    handle.cancel();  // must not crash
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, PendingReflectsLifecycle) {
-    EventQueue q;
-    auto handle = q.push(SimTime{10}, [] {});
-    EXPECT_TRUE(handle.pending());
-    q.pop_and_run();
-    EXPECT_FALSE(handle.pending());
-}
-
 TEST(EventQueue, PopOnEmptyThrows) {
     EventQueue q;
     EXPECT_THROW(q.pop_and_run(), std::logic_error);
