@@ -167,10 +167,10 @@ CliOptions parse_cli(int argc, char** argv) {
     return opts;
 }
 
-/// The CI `bpf-verify` gate: every filter expression reachable from the
-/// scenario registry (every variant's SUT roster), compiled in both its
-/// stock and optimized form, must pass the verifier with no
-/// error-severity finding.
+/// The verifier gate (the `figures_verify_filters` ctest): every filter
+/// expression reachable from the scenario registry (every variant's SUT
+/// roster), compiled in both its stock and optimized form, must pass the
+/// verifier with no error-severity finding.
 int verify_registry_filters() {
     std::set<std::string> expressions;
     for (const auto& s : scenario::registry())

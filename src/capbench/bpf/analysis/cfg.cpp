@@ -1,7 +1,5 @@
 #include "capbench/bpf/analysis/cfg.hpp"
 
-#include <algorithm>
-
 namespace capbench::bpf::analysis {
 
 std::vector<std::size_t> insn_successors(const Program& prog, std::size_t pc) {
@@ -28,7 +26,6 @@ std::vector<std::size_t> insn_successors(const Program& prog, std::size_t pc) {
 Cfg Cfg::build(const Program& prog) {
     Cfg cfg;
     const std::size_t n = prog.size();
-    cfg.block_of.assign(n, -1);
     cfg.reachable.assign(n, false);
     if (n == 0) return cfg;
 
@@ -41,43 +38,6 @@ Cfg Cfg::build(const Program& prog) {
         if (pc >= n || cfg.reachable[pc]) continue;
         cfg.reachable[pc] = true;
         for (const std::size_t succ : insn_successors(prog, pc)) work.push_back(succ);
-    }
-
-    // Leaders: entry, every jump target, every instruction after a branch
-    // or return.  Only reachable instructions form blocks.
-    std::vector<bool> leader(n, false);
-    leader[0] = true;
-    for (std::size_t pc = 0; pc < n; ++pc) {
-        if (!cfg.reachable[pc]) continue;
-        const Insn& insn = prog[pc];
-        const bool ends_block =
-            bpf_class(insn.code) == BPF_JMP || bpf_class(insn.code) == BPF_RET;
-        if (ends_block && pc + 1 < n) leader[pc + 1] = true;
-        if (bpf_class(insn.code) == BPF_JMP) {
-            for (const std::size_t succ : insn_successors(prog, pc)) leader[succ] = true;
-        }
-    }
-
-    for (std::size_t pc = 0; pc < n; ++pc) {
-        if (!cfg.reachable[pc]) continue;
-        if (leader[pc] || cfg.blocks.empty() ||
-            cfg.blocks.back().last + 1 != pc) {
-            cfg.blocks.push_back(BasicBlock{pc, pc, {}});
-        } else {
-            cfg.blocks.back().last = pc;
-        }
-        cfg.block_of[pc] = static_cast<std::int32_t>(cfg.blocks.size() - 1);
-    }
-
-    for (auto& block : cfg.blocks) {
-        for (const std::size_t succ : insn_successors(prog, block.last)) {
-            if (succ < n && cfg.block_of[succ] >= 0) {
-                const auto idx = static_cast<std::size_t>(cfg.block_of[succ]);
-                if (std::find(block.succs.begin(), block.succs.end(), idx) ==
-                    block.succs.end())
-                    block.succs.push_back(idx);
-            }
-        }
     }
     return cfg;
 }

@@ -2,33 +2,22 @@
 //
 // Classic BPF only has forward jumps, so the CFG is a DAG in instruction
 // order: reachability and dataflow both converge in a single forward pass.
-// Blocks are maximal straight-line runs; edges follow the jt/jf/ja targets
-// computed the same way the VM computes them (pc + 1 + offset).
+// Edges follow the jt/jf/ja targets computed the same way the VM computes
+// them (pc + 1 + offset).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "capbench/bpf/insn.hpp"
 
 namespace capbench::bpf::analysis {
 
-struct BasicBlock {
-    std::size_t first = 0;  // index of the first instruction
-    std::size_t last = 0;   // index of the last instruction (inclusive)
-    std::vector<std::size_t> succs;  // successor block indices
-};
-
 /// Successor instruction indices of `pc` (targets clamped out of existence
 /// when they fall outside the program; validate() forbids that anyway).
 std::vector<std::size_t> insn_successors(const Program& prog, std::size_t pc);
 
 struct Cfg {
-    std::vector<BasicBlock> blocks;
-    /// Instruction index -> block index, or -1 for instructions that are
-    /// not part of any reachable block.
-    std::vector<std::int32_t> block_of;
     /// Per-instruction reachability from the entry point.
     std::vector<bool> reachable;
 

@@ -59,16 +59,8 @@ std::uint64_t worst_case_extent(const Insn& insn, const AbsState* st) {
 
 }  // namespace
 
-FactTable FactTable::build(const Program& prog) {
-    const Cfg cfg = Cfg::build(prog);
-    const DomTree dom = DomTree::build(cfg);
-    const Liveness live = Liveness::build(prog);
-    const InterpResult interp = interpret(prog);
-    return build(prog, cfg, dom, live, interp);
-}
-
-FactTable FactTable::build(const Program& prog, const Cfg& cfg, const DomTree& dom,
-                           const Liveness& live, const InterpResult& interp) {
+FactTable FactTable::build(const Program& prog, const Cfg& cfg, const Liveness& live,
+                           const InterpResult& interp) {
     FactTable table;
     const std::size_t n = prog.size();
     table.insns.resize(n);
@@ -83,9 +75,7 @@ FactTable FactTable::build(const Program& prog, const Cfg& cfg, const DomTree& d
     for (std::size_t pc = 0; pc < n; ++pc) {
         InsnFacts& f = table.insns[pc];
         f.reachable = pc < cfg.reachable.size() && cfg.reachable[pc];
-        f.live_out = live.live_out[pc];
         f.dead_store = live.dead_store[pc];
-        f.idom_insn = idom_insn(cfg, dom, pc);
         if (!f.reachable) continue;
 
         const Insn& insn = prog[pc];
@@ -93,10 +83,6 @@ FactTable FactTable::build(const Program& prog, const Cfg& cfg, const DomTree& d
         const std::uint64_t g = data_in[pc] == kTop ? 0 : data_in[pc];
         f.min_data_len = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(g, std::numeric_limits<std::uint32_t>::max()));
-        if (st != nullptr) {
-            if (const AbsVal* len = st->fact(Sym{SymKind::kLen}))
-                f.min_wire_len = len->lo;
-        }
 
         if (is_packet_load(insn)) {
             f.redundant_load = st != nullptr && load_known_safe(insn, *st);

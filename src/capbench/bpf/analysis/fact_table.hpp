@@ -1,21 +1,20 @@
 // Per-instruction fact table: everything the verifier proves about a
-// program, in one flat array the execution tiers can consume.
+// program, in one flat array the execution tiers consume.  verify() is the
+// only producer (bpf/verifier.hpp): it runs each pass once and assembles
+// the table from their results.
 //
-// The guard-analysis portion derives, per instruction, the minimum packet
-// length proven on *entry* — two distinct quantities:
+// The guard analysis derives `min_data_len`, the bytes of captured packet
+// *data* proven present on entry to each instruction.  Only a *successful*
+// packet load on every path proves this: an absolute load of (k, size)
+// bytes that did not reject establishes data.size() >= k + size on every
+// continuation.  This is the bound that legally licenses bounds-check
+// elision.  Length guards ("jge len, 34") prove nothing here: a truncated
+// capture can present fewer data bytes than its wire length claims, so a
+// LEN guard never makes a load safe.
 //
-//  * `min_data_len` — bytes of captured packet *data* proven present.
-//    Only a dominating *successful* packet load proves this: an absolute
-//    load of (k, size) bytes that did not reject establishes
-//    data.size() >= k + size on every continuation.  This is the bound
-//    that legally licenses bounds-check elision.
-//  * `min_wire_len` — proven lower bound on the BPF_LEN value (the wire
-//    length).  Length guards ("jge len, 34") prove this one, *not*
-//    min_data_len: a truncated capture can present fewer data bytes than
-//    its wire length claims, so a LEN guard never makes a load safe.
-//
-// Joins take the minimum over incoming edges; forward-only jumps make one
-// pass in instruction order exact.
+// It is a dataflow over insn_successors: joins take the minimum over
+// incoming edges, and forward-only jumps make one pass in instruction
+// order exact.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "capbench/bpf/analysis/cfg.hpp"
-#include "capbench/bpf/analysis/dominators.hpp"
 #include "capbench/bpf/analysis/interp.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/insn.hpp"
@@ -35,7 +33,6 @@ struct InsnFacts {
 
     // Guard analysis (valid on entry to the instruction).
     std::uint32_t min_data_len = 0;
-    std::uint32_t min_wire_len = 0;
 
     // Packet-load facts (BPF_ABS / BPF_IND / BPF_MSH sites only).
     bool safe_load = false;       // provably in bounds: cannot reject at runtime
@@ -43,12 +40,8 @@ struct InsnFacts {
     bool const_result = false;    // the produced value is one proven constant
     std::uint32_t const_value = 0;
 
-    // Liveness (valid after the instruction).
-    std::uint32_t live_out = 0;  // kLiveA | kLiveX | live_mem_bit(i)
+    // Liveness: nothing the instruction writes is read afterwards.
     bool dead_store = false;
-
-    // Immediate dominator instruction; -1 for the entry and unreachable code.
-    std::int64_t idom_insn = -1;
 };
 
 struct FactTable {
@@ -58,13 +51,10 @@ struct FactTable {
     [[nodiscard]] std::size_t size() const { return insns.size(); }
     const InsnFacts& operator[](std::size_t pc) const { return insns[pc]; }
 
-    /// Builds every pass itself.  `prog` must have passed validate().
-    static FactTable build(const Program& prog);
-
-    /// Assembles the table from already-computed pass results (the
-    /// verifier runs the passes once and shares them).
-    static FactTable build(const Program& prog, const Cfg& cfg, const DomTree& dom,
-                           const Liveness& live, const InterpResult& interp);
+    /// Assembles the table from the verifier's pass results.  `prog` must
+    /// have passed validate().
+    static FactTable build(const Program& prog, const Cfg& cfg, const Liveness& live,
+                           const InterpResult& interp);
 };
 
 }  // namespace capbench::bpf::analysis

@@ -1,7 +1,7 @@
-// Diagnostics emitted by the BPF static analyzer (Section 6.6 tooling).
+// Diagnostics emitted by the BPF verifier (Section 6.6 tooling).
 //
-// A Finding anchors a message to one instruction.  kError findings are the
-// hard failures validate() reports; kWarning findings are legal-but-wrong
+// A Finding anchors a message to one instruction.  kError findings are what
+// verify() refuses to attach; kWarning findings are legal-but-wrong
 // programs (unreachable code, uninitialized reads, filters that can never
 // accept); kInfo findings are derived facts (return-value ranges).
 #pragma once

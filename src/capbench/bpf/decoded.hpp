@@ -74,7 +74,7 @@ struct DecodedProgram {
 };
 
 /// `prog` must have passed the verifier; `facts` must come from the same
-/// program (verify(prog).facts or FactTable::build(prog)).
+/// program (verify(prog).facts).
 DecodedProgram decode(const Program& prog, const analysis::FactTable& facts);
 
 /// Which tier FilterRunner executes.  Read once per process from

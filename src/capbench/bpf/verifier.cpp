@@ -30,29 +30,35 @@ VerifyResult verify(const Program& prog) {
 
     // One run of each pass; the fact table shares them.
     const analysis::Cfg cfg = analysis::Cfg::build(prog);
-    const analysis::DomTree dom = analysis::DomTree::build(cfg);
     const analysis::Liveness live = analysis::Liveness::build(prog);
     const analysis::InterpResult interp = analysis::interpret(prog);
-    res.facts = analysis::FactTable::build(prog, cfg, dom, live, interp);
+    res.facts = analysis::FactTable::build(prog, cfg, live, interp);
 
     std::vector<Finding>& findings = res.findings;
     findings = interp.findings;
 
     // Structural checks, independent of the validator's syntactic ones:
-    // every reachable path must end in a RET it can actually reach.
+    // every reachable path must end in a RET.  These are the only errors
+    // past validate(); the abstract interpreter's verdicts stay warnings,
+    // since a filter that faults on every path is legal and rejects all.
+    bool reachable_ret = false;
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         if (!cfg.reachable[pc]) {
             findings.push_back(Finding{Severity::kWarning, pc, "unreachable instruction"});
             continue;
         }
-        if (bpf_class(prog[pc].code) != BPF_RET &&
-            analysis::insn_successors(prog, pc).empty())
+        if (bpf_class(prog[pc].code) == BPF_RET)
+            reachable_ret = true;
+        else if (analysis::insn_successors(prog, pc).empty())
             findings.push_back(Finding{Severity::kError, pc,
                                        "falls through the end of the program"});
     }
-    if (!interp.has_reachable_ret)
+    if (!reachable_ret)
         findings.push_back(
             Finding{Severity::kError, 0, "no reachable return instruction"});
+    else if (!interp.has_reachable_ret)
+        findings.push_back(Finding{Severity::kWarning, 0,
+                                   "every path faults; the filter rejects every packet"});
 
     // Per-path precondition facts and value proofs (info rank).
     std::optional<std::size_t> first_ret;

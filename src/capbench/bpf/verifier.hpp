@@ -1,13 +1,16 @@
-// The attach-time BPF verifier.
+// The attach-time BPF verifier, and the only entry point to the analysis
+// pipeline.
 //
-// Composes the exact-opcode validator with the analysis pipeline — CFG,
-// dominator tree, liveness, abstract interpretation, guard analysis — into
+// Composes the exact-opcode validator with the analysis passes — CFG
+// reachability, liveness, abstract interpretation, guard analysis — into
 // one verdict: severity-ranked findings plus the per-instruction FactTable
 // the execution tiers consume.  Error findings are what a kernel would
-// refuse to attach (malformed opcodes, wild jumps, fallthrough past the
-// end, no reachable return); warnings are legal-but-wrong programs;
-// info findings carry proven facts (return ranges, elidable checks, dead
-// stores).
+// refuse to attach: validate()'s syntactic rejections (malformed opcodes,
+// wild jumps) and two structural ones over the CFG (a reachable
+// instruction that falls through the end, no reachable return).  Warnings
+// are legal-but-wrong programs, including filters that fault on every
+// path; info findings carry proven facts (return ranges, elidable checks,
+// dead stores).
 //
 // `verify_or_throw` is the gate every capture stack attaches through
 // (capture::FilterRunner::install): a rejected program never reaches the

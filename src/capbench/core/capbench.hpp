@@ -7,9 +7,7 @@
 // results.
 #pragma once
 
-#include "capbench/bpf/analysis/analyze.hpp"
 #include "capbench/bpf/analysis/cfg.hpp"
-#include "capbench/bpf/analysis/dominators.hpp"
 #include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/analysis/optimize.hpp"

@@ -11,6 +11,11 @@
 
 namespace capbench::harness {
 
+/// cpusage sampling interval while metrics are on.  The thesis tool samples
+/// every 500 ms; this is shorter so the short simulated windows of
+/// CI-scale runs still produce samples.
+constexpr sim::Duration kCpusageInterval = sim::milliseconds(10);
+
 RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) {
     if (config.timeseries != nullptr && config.sample_interval.ns() <= 0)
         throw std::invalid_argument(
@@ -56,7 +61,7 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     if (observer) {
         for (auto& sut : bed.suts()) {
             profilers.push_back(std::make_unique<profiling::CpuSage>(
-                sut->machine(), config.cpusage_interval));
+                sut->machine(), kCpusageInterval));
             profilers.back()->start();
         }
     }

@@ -54,10 +54,6 @@ struct RunConfig {
     /// Timeline sink for this run (Chrome trace-event JSON); non-null
     /// implies metrics collection.  The sink must outlive the run.
     obs::TraceSink* trace = nullptr;
-    /// cpusage sampling interval while metrics are on.  The thesis tool
-    /// samples every 500 ms; the default here is shorter so the short
-    /// simulated windows of CI-scale runs still produce samples.
-    sim::Duration cpusage_interval = sim::milliseconds(10);
     /// Interval time-series telemetry (obs/timeseries.hpp): with a
     /// non-null sink AND a positive sample_interval, an IntervalSampler
     /// snapshots gauges and counter deltas every tick and at the freeze

@@ -1,20 +1,22 @@
 // Tests for the BPF static analyzer: CFG construction, the abstract value
-// domain, analyze() diagnostics, and the optimizer (including a VM
-// equivalence property check over random programs and packets).
+// domain, the diagnostics verify() reports, and the optimizer (including a
+// VM equivalence property check over random programs and packets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <vector>
 
-#include "capbench/bpf/analysis/analyze.hpp"
 #include "capbench/bpf/analysis/cfg.hpp"
 #include "capbench/bpf/analysis/domain.hpp"
 #include "capbench/bpf/analysis/optimize.hpp"
 #include "capbench/bpf/asm_text.hpp"
+#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/insn.hpp"
+#include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/validator.hpp"
+#include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
 #include "capbench/harness/experiment.hpp"
 
@@ -72,22 +74,6 @@ TEST(Cfg, FlagsUnreachableInstructions) {
     EXPECT_TRUE(cfg.reachable[2]);
 }
 
-TEST(Cfg, BasicBlocksSplitAtJumpsAndTargets) {
-    const Program prog{
-        stmt(BPF_LD | BPF_B | BPF_ABS, 0),         // block 0: 0..1
-        jump(BPF_JMP | BPF_JEQ | BPF_K, 5, 0, 1),  //
-        stmt(BPF_RET | BPF_K, 1),                  // block 1: 2
-        stmt(BPF_RET | BPF_K, 0),                  // block 2: 3
-    };
-    const Cfg cfg = Cfg::build(prog);
-    ASSERT_EQ(cfg.blocks.size(), 3u);
-    EXPECT_EQ(cfg.blocks[0].first, 0u);
-    EXPECT_EQ(cfg.blocks[0].last, 1u);
-    EXPECT_EQ(cfg.blocks[0].succs.size(), 2u);
-    EXPECT_TRUE(cfg.blocks[1].succs.empty());
-    EXPECT_EQ(cfg.block_of[2], 1);
-}
-
 // ---------------------------------------------------------------------------
 // Abstract domain
 
@@ -128,7 +114,7 @@ TEST(Domain, CompareDecidesDisjointRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// analyze() diagnostics
+// verify() diagnostics
 
 TEST(Analyze, FlagsUnreachableCode) {
     const Program prog{
@@ -136,7 +122,7 @@ TEST(Analyze, FlagsUnreachableCode) {
         stmt(BPF_LD | BPF_IMM, 7),  // skipped by the jump
         stmt(BPF_RET | BPF_K, 1),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 1, "unreachable"));
 }
 
@@ -145,7 +131,7 @@ TEST(Analyze, FlagsUninitializedScratchRead) {
         stmt(BPF_LD | BPF_W | BPF_MEM, 3),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 0, "uninitialized scratch memory M[3]"));
 }
 
@@ -157,7 +143,7 @@ TEST(Analyze, FlagsScratchMaybeUninitializedOnSomePaths) {
         stmt(BPF_LD | BPF_W | BPF_MEM, 0),         // 3: read
         stmt(BPF_RET | BPF_A, 0),                  // 4
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 3, "may be uninitialized"));
 }
 
@@ -166,7 +152,7 @@ TEST(Analyze, FlagsUninitializedX) {
         stmt(BPF_MISC | BPF_TXA, 0),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 0, "uninitialized index register X"));
 }
 
@@ -178,12 +164,12 @@ TEST(Analyze, FlagsDivisionByPossiblyZeroX) {
         stmt(BPF_ALU | BPF_DIV | BPF_X, 0),  // X may be zero
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 3, "possibly-zero X"));
 }
 
 TEST(Analyze, FlagsNeverAcceptingFilter) {
-    EXPECT_TRUE(has_warning_at(analysis::analyze(reject_all()), 0, "never accept"));
+    EXPECT_TRUE(has_warning_at(verify(reject_all()).findings, 0, "never accept"));
 
     // A conditional filter where both returns are zero.
     const Program prog{
@@ -192,7 +178,7 @@ TEST(Analyze, FlagsNeverAcceptingFilter) {
         stmt(BPF_RET | BPF_K, 0),
         stmt(BPF_RET | BPF_K, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 2, "never accept"));
 }
 
@@ -203,7 +189,7 @@ TEST(Analyze, FlagsRetAWithProvenZeroRange) {
         stmt(BPF_ALU | BPF_AND | BPF_K, 0),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 2, "never accept"));
 }
 
@@ -214,7 +200,7 @@ TEST(Analyze, FlagsDegenerateConditionalJump) {
         stmt(BPF_RET | BPF_K, 1),
     };
     EXPECT_EQ(validate(prog), std::nullopt);  // legal, just pointless
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 1, "identical targets"));
 }
 
@@ -223,22 +209,23 @@ TEST(Analyze, FlagsImpossibleAbsoluteLoad) {
         stmt(BPF_LD | BPF_W | BPF_ABS, 70000),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     EXPECT_TRUE(has_warning_at(findings, 0, "never be in bounds"));
 }
 
 TEST(Analyze, InvalidProgramYieldsSingleError) {
-    const auto findings = analysis::analyze({});
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].severity, Severity::kError);
-    EXPECT_TRUE(analysis::has_errors(findings));
+    const VerifyResult result = verify({});
+    ASSERT_EQ(result.findings.size(), 1u);
+    EXPECT_EQ(result.findings[0].severity, Severity::kError);
+    EXPECT_FALSE(result.ok());
 }
 
 TEST(Analyze, CleanFilterHasNoWarnings) {
     const auto prog = filter::compile_filter("ip", 1515, {.optimize = false});
-    const auto findings = analysis::analyze(prog);
-    EXPECT_FALSE(analysis::has_errors(findings));
-    EXPECT_FALSE(analysis::has_warnings(findings));
+    const VerifyResult result = verify(prog);
+    EXPECT_TRUE(result.ok());
+    EXPECT_TRUE(std::none_of(result.findings.begin(), result.findings.end(),
+                             [](const Finding& f) { return f.severity == Severity::kWarning; }));
 }
 
 TEST(Analyze, ReportsReturnValueRange) {
@@ -246,7 +233,7 @@ TEST(Analyze, ReportsReturnValueRange) {
         stmt(BPF_LD | BPF_B | BPF_ABS, 0),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto findings = analysis::analyze(prog);
+    const auto findings = verify(prog).findings;
     const bool has_range = std::any_of(
         findings.begin(), findings.end(), [](const Finding& f) {
             return f.severity == Severity::kInfo &&
@@ -518,6 +505,12 @@ TEST(Optimize, RemovesShadowedScratchStores) {
     EXPECT_EQ(Vm::run(optimized, pkt).accept_len, 20u);
 }
 
+// Stock and optimized programs accept the same packets, and each one takes
+// the attach path a capture stack takes: verify() passes it, and its
+// decoded jit code matches the interpreter on verdict, executed
+// instructions and abort flag.  Half the packets are truncated captures
+// (wire length past the data), where bounds-check elision is riskiest;
+// the last two expressions fault at runtime on every IPv4 frame.
 TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
     const char* expressions[] = {
         "ip",
@@ -527,23 +520,46 @@ TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
         "udp and dst host 192.168.10.12",
         "ether[6:4] = 0x00000000 and ip[8] > 3",
         "len > 100 and len <= 1400",
+        "ether[70000] = 1",
+        "ip[2:2] / (len & 0) > 1",
     };
     std::mt19937 rng{1234};
     std::uniform_int_distribution<int> byte{0, 255};
     std::uniform_int_distribution<std::size_t> len{0, 120};
+    std::uniform_int_distribution<std::uint32_t> cut{1, 64};
     for (const char* expr : expressions) {
         const auto stock = filter::compile_filter(expr, 1515, {.optimize = false});
         const auto optimized = filter::compile_filter(expr, 1515);
         EXPECT_LE(optimized.size(), stock.size());
+        std::vector<std::shared_ptr<const JitProgram>> jitted;
+        for (const Program* prog : {&stock, &optimized}) {
+            const VerifyResult verdict = verify(*prog);
+            ASSERT_TRUE(verdict.ok())
+                << expr << ": " << analysis::to_string(*verdict.first_error());
+            if (JitProgram::supported())
+                jitted.push_back(JitProgram::compile(decode(*prog, verdict.facts)));
+        }
         for (int i = 0; i < 200; ++i) {
             std::vector<std::byte> pkt(len(rng));
             for (auto& b : pkt) b = static_cast<std::byte>(byte(rng));
-            if (pkt.size() > 13 && i % 2 == 0) {  // bias toward IPv4 frames
+            if (pkt.size() > 13 && i % 4 < 2) {  // bias toward IPv4 frames
                 pkt[12] = std::byte{0x08};
                 pkt[13] = std::byte{0x00};
             }
-            ASSERT_EQ(Vm::run(optimized, pkt).accept_len, Vm::run(stock, pkt).accept_len)
-                << expr << " packet len " << pkt.size();
+            // Odd packets are truncated captures: wire length past the data.
+            const auto wire =
+                static_cast<std::uint32_t>(pkt.size()) + (i % 2 == 0 ? 0 : cut(rng));
+            const VmResult interp[] = {Vm::run(stock, pkt, wire), Vm::run(optimized, pkt, wire)};
+            ASSERT_EQ(interp[1].accept_len, interp[0].accept_len)
+                << expr << " packet len " << pkt.size() << " wire " << wire;
+            for (std::size_t t = 0; t < jitted.size(); ++t) {
+                const VmResult jit = jitted[t]->run(pkt, wire);
+                const char* which = t == 0 ? " (stock)" : " (optimized)";
+                ASSERT_EQ(jit.accept_len, interp[t].accept_len)
+                    << expr << which << " wire " << wire;
+                ASSERT_EQ(jit.insns_executed, interp[t].insns_executed) << expr << which;
+                ASSERT_EQ(jit.aborted, interp[t].aborted) << expr << which;
+            }
         }
     }
 }

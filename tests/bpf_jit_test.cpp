@@ -8,7 +8,6 @@
 #include <random>
 #include <vector>
 
-#include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/asm_text.hpp"
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/jit/assembler.hpp"
@@ -16,6 +15,7 @@
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
 #include "capbench/bpf/validator.hpp"
+#include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
 
 #include "bpf_random_program.hpp"
@@ -24,7 +24,7 @@ namespace capbench::bpf {
 namespace {
 
 DecodedProgram decode_standalone(const Program& prog) {
-    return decode(prog, analysis::FactTable::build(prog));
+    return decode(prog, verify(prog).facts);
 }
 
 // ---- interpreter-vs-jit equivalence property sweep -------------------------

@@ -1,19 +1,20 @@
-// Tests for the verifier pipeline (dominators, liveness, fact table,
-// structured findings), the decoded form and its native execution, the
-// program cache, and the attach-time gate in the capture stacks.  Ends
-// with an interpreter-vs-jit property sweep over randomly generated valid
-// programs.
+// Tests for the verifier pipeline (liveness, the fact table verify()
+// builds, structured findings), the decoded form and its native
+// execution, the program cache, and the attach-time gate in the capture
+// stacks.  Ends with an interpreter-vs-jit property sweep over randomly
+// generated valid programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "capbench/bpf/asm_text.hpp"
-#include "capbench/bpf/analysis/dominators.hpp"
 #include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
 #include "capbench/bpf/validator.hpp"
@@ -29,8 +30,6 @@
 namespace capbench::bpf {
 namespace {
 
-using analysis::Cfg;
-using analysis::DomTree;
 using analysis::FactTable;
 using analysis::kLiveA;
 using analysis::kLiveX;
@@ -41,55 +40,6 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
     std::vector<std::byte> out;
     for (const int v : values) out.push_back(static_cast<std::byte>(v));
     return out;
-}
-
-// ---- dominators ---------------------------------------------------------------
-
-TEST(Dominators, DiamondJoinIsDominatedByTheBranchNotTheArms) {
-    // 0: ldb [0]
-    // 1: jeq #5 ? ->2 : ->3
-    // 2: ja ->4
-    // 3: ja ->4
-    // 4: ret #1
-    const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 0),
-                       jump(BPF_JMP | BPF_JEQ | BPF_K, 5, 0, 1),
-                       jump(BPF_JMP | BPF_JA, 1, 0, 0),
-                       jump(BPF_JMP | BPF_JA, 0, 0, 0),
-                       stmt(BPF_RET | BPF_K, 1)};
-    ASSERT_EQ(validate(prog), std::nullopt);
-    const Cfg cfg = Cfg::build(prog);
-    const DomTree dom = DomTree::build(cfg);
-
-    // The branch head (insns 0-1) dominates everything downstream.
-    for (std::size_t pc = 0; pc < prog.size(); ++pc) {
-        EXPECT_TRUE(insn_dominates(cfg, dom, 0, pc)) << pc;
-        if (pc >= 1) EXPECT_TRUE(insn_dominates(cfg, dom, 1, pc)) << pc;
-    }
-    // Neither arm dominates the join.
-    EXPECT_FALSE(insn_dominates(cfg, dom, 2, 4));
-    EXPECT_FALSE(insn_dominates(cfg, dom, 3, 4));
-    // Arms do not dominate each other.
-    EXPECT_FALSE(insn_dominates(cfg, dom, 2, 3));
-    EXPECT_FALSE(insn_dominates(cfg, dom, 3, 2));
-
-    // Immediate dominator instructions: straight-line predecessor within a
-    // block, branch tail across blocks, the branch (not an arm) at the join.
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 0), -1);
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 1), 0);
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 2), 1);
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 3), 1);
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 4), 1);
-}
-
-TEST(Dominators, UnreachableInsnsDominateNothing) {
-    const Program prog{jump(BPF_JMP | BPF_JA, 1, 0, 0), stmt(BPF_LD | BPF_IMM, 1),
-                       stmt(BPF_RET | BPF_K, 1)};
-    ASSERT_EQ(validate(prog), std::nullopt);
-    const Cfg cfg = Cfg::build(prog);
-    const DomTree dom = DomTree::build(cfg);
-    EXPECT_FALSE(insn_dominates(cfg, dom, 1, 2));
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 1), -1);
-    EXPECT_EQ(analysis::idom_insn(cfg, dom, 2), 0);
 }
 
 // ---- liveness -----------------------------------------------------------------
@@ -136,7 +86,7 @@ TEST(FactTable, DominatingLoadProvesLaterLoadsInBounds) {
     // continuation, so the byte load at 2 can never reject.
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = FactTable::build(prog);
+    const FactTable facts = verify(prog).facts;
     EXPECT_FALSE(facts[0].safe_load);
     EXPECT_EQ(facts[1].min_data_len, 4u);
     EXPECT_TRUE(facts[1].safe_load);
@@ -145,24 +95,30 @@ TEST(FactTable, DominatingLoadProvesLaterLoadsInBounds) {
 TEST(FactTable, IdenticalRepeatLoadIsRedundant) {
     const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 6), stmt(BPF_LD | BPF_B | BPF_ABS, 6),
                        stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = FactTable::build(prog);
+    const FactTable facts = verify(prog).facts;
     EXPECT_FALSE(facts[0].redundant_load);
     EXPECT_TRUE(facts[1].redundant_load);
     EXPECT_TRUE(facts[1].safe_load);
 }
 
 TEST(FactTable, LenGuardProvesWireLengthButNeverDataBounds) {
-    // jge len, 40 proves min_wire_len on the taken path — but a truncated
-    // capture can hold fewer data bytes than its wire length, so the load
-    // stays checked.
+    // jge len, 40 proves the wire length on the taken path (the reloaded
+    // LEN returns at least 40) — but a truncated capture can hold fewer
+    // data bytes than its wire length, so the load stays checked.
     const Program prog{stmt(BPF_LD | BPF_W | BPF_LEN, 0),
-                       jump(BPF_JMP | BPF_JGE | BPF_K, 40, 0, 1),
+                       jump(BPF_JMP | BPF_JGE | BPF_K, 40, 0, 3),
                        stmt(BPF_LD | BPF_B | BPF_ABS, 20),  // guarded by LEN only
+                       stmt(BPF_LD | BPF_W | BPF_LEN, 0),
+                       stmt(BPF_RET | BPF_A, 0),
                        stmt(BPF_RET | BPF_K, 0)};
-    const FactTable facts = FactTable::build(prog);
-    EXPECT_GE(facts[2].min_wire_len, 40u);
-    EXPECT_EQ(facts[2].min_data_len, 0u);
-    EXPECT_FALSE(facts[2].safe_load);
+    const VerifyResult result = verify(prog);
+    EXPECT_TRUE(std::any_of(result.findings.begin(), result.findings.end(),
+                            [](const analysis::Finding& f) {
+                                return f.insn == 4 &&
+                                       f.message.find("returns A in [40, ") != std::string::npos;
+                            }));
+    EXPECT_EQ(result.facts[2].min_data_len, 0u);
+    EXPECT_FALSE(result.facts[2].safe_load);
 }
 
 TEST(FactTable, JoinTakesTheMinimumProof) {
@@ -173,7 +129,7 @@ TEST(FactTable, JoinTakesTheMinimumProof) {
                        stmt(BPF_LD | BPF_W | BPF_ABS, 0),       // proves 4 bytes
                        stmt(BPF_LD | BPF_B | BPF_ABS, 2),       // join target
                        stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = FactTable::build(prog);
+    const FactTable facts = verify(prog).facts;
     // Insn 3 is reached with 4 proven bytes via insn 2 but only 1 via the
     // jump's false edge: min wins, the 3-byte-deep load stays checked.
     EXPECT_EQ(facts[3].min_data_len, 1u);
@@ -184,7 +140,7 @@ TEST(FactTable, ConstantScratchRoundTripFolds) {
     const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2),
                        stmt(BPF_LD | BPF_IMM, 0), stmt(BPF_LD | BPF_W | BPF_MEM, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = FactTable::build(prog);
+    const FactTable facts = verify(prog).facts;
     ASSERT_TRUE(facts[3].const_result);
     EXPECT_EQ(facts[3].const_value, 77u);
 }
@@ -226,6 +182,27 @@ TEST(Verifier, UnreachableCodeIsAWarningNotARejection) {
             f.message.find("unreachable") != std::string::npos)
             saw_unreachable = true;
     EXPECT_TRUE(saw_unreachable);
+}
+
+TEST(Verifier, FilterThatFaultsOnEveryPathIsAWarningNotARejection) {
+    // Every path through ether[70000] reaches a load that cannot be in
+    // bounds, so no RET ever runs; a RET is still structurally reachable,
+    // and the filter is legal: it rejects every packet.  The ip-guarded
+    // form has a path to ret #0 and draws no such warning.
+    const auto has = [](const VerifyResult& r, Severity sev, const std::string& text) {
+        return std::any_of(r.findings.begin(), r.findings.end(), [&](const auto& f) {
+            return f.severity == sev && f.message.find(text) != std::string::npos;
+        });
+    };
+    const VerifyResult faulting = verify(filter::compile_filter("ether[70000] = 1"));
+    EXPECT_TRUE(faulting.ok()) << analysis::to_string(*faulting.first_error());
+    EXPECT_TRUE(has(faulting, Severity::kWarning, "every path faults"));
+    EXPECT_FALSE(has(faulting, Severity::kError, "no reachable return"));
+
+    const VerifyResult guarded = verify(filter::compile_filter("ip and ether[70000] = 1"));
+    EXPECT_TRUE(guarded.ok());
+    EXPECT_FALSE(has(guarded, Severity::kWarning, "every path faults"));
+    EXPECT_TRUE(has(guarded, Severity::kWarning, "never accept"));
 }
 
 TEST(Verifier, FindingsAreSortedErrorsFirst) {
@@ -279,7 +256,7 @@ VmResult run_jit(const DecodedProgram& d, std::span<const std::byte> data) {
 TEST(Decode, ProvenLoadsBecomeUncheckedTokens) {
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, FactTable::build(prog));
+    const DecodedProgram d = decode(prog, verify(prog).facts);
     EXPECT_EQ(d.insns[0].tok, Tok::kLdAbsW);
     EXPECT_EQ(d.insns[1].tok, Tok::kLdAbsBU);
     EXPECT_EQ(d.stats.packet_loads, 2u);
@@ -290,7 +267,7 @@ TEST(Decode, ConstantScratchLoadFoldsToImmediate) {
     const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2),
                        stmt(BPF_LD | BPF_IMM, 0), stmt(BPF_LD | BPF_W | BPF_MEM, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, FactTable::build(prog));
+    const DecodedProgram d = decode(prog, verify(prog).facts);
     EXPECT_EQ(d.insns[3].tok, Tok::kLdImm);
     EXPECT_EQ(d.insns[3].k, 77u);
     EXPECT_EQ(d.stats.folded_loads, 1u);
@@ -302,7 +279,7 @@ TEST(Decode, ConstantScratchLoadFoldsToImmediate) {
 TEST(Decode, OverShiftFoldsToZeroImmediate) {
     const Program prog{stmt(BPF_LD | BPF_IMM, 0xFFFF), stmt(BPF_ALU | BPF_LSH | BPF_K, 33),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, FactTable::build(prog));
+    const DecodedProgram d = decode(prog, verify(prog).facts);
     EXPECT_EQ(d.insns[1].tok, Tok::kLdImm);
     EXPECT_EQ(d.insns[1].k, 0u);
     if (JitProgram::supported()) {
@@ -313,7 +290,7 @@ TEST(Decode, OverShiftFoldsToZeroImmediate) {
 TEST(Decode, JumpTargetsBecomeAbsolute) {
     const Program prog{jump(BPF_JMP | BPF_JA, 1, 0, 0), stmt(BPF_RET | BPF_K, 0),
                        stmt(BPF_RET | BPF_K, 42)};
-    const DecodedProgram d = decode(prog, FactTable::build(prog));
+    const DecodedProgram d = decode(prog, verify(prog).facts);
     EXPECT_EQ(d.insns[0].tok, Tok::kJa);
     EXPECT_EQ(d.insns[0].jt, 2u);
     if (JitProgram::supported()) {
@@ -324,7 +301,7 @@ TEST(Decode, JumpTargetsBecomeAbsolute) {
 TEST(Decode, AbortingLoadMatchesInterpreterOnJit) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_RET | BPF_K, 1)};
-    const DecodedProgram d = decode(prog, FactTable::build(prog));
+    const DecodedProgram d = decode(prog, verify(prog).facts);
     const auto data = bytes({1, 2});
     const VmResult interp = Vm::run(prog, data);
     const VmResult jit = run_jit(d, data);
@@ -423,23 +400,32 @@ TEST(AttachGate, AllThreeStacksRejectVerifierFailingPrograms) {
 }
 
 TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
-    Fixture f;
-    BsdBpfDev bsd{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
-    LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515, nullptr};
-    MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515, 2048};
-    for (PacketTap* tap : {static_cast<PacketTap*>(&bsd), static_cast<PacketTap*>(&sock),
-                           static_cast<PacketTap*>(&ring)}) {
-        auto* endpoint = dynamic_cast<StackEndpoint*>(tap);
-        ASSERT_NE(endpoint, nullptr);
-        endpoint->install_filter(always_aborting_program());
-        for (std::uint64_t id = 1; id <= 3; ++id) {
-            const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
-            tap->plan(p);
-            tap->commit(p);
+    // The second filter faults on every path and verify() proves it: a
+    // warning, not a rejection, so it attaches like the first.
+    for (const bpf::Program& prog :
+         {always_aborting_program(), bpf::filter::compile_filter("ether[70000] = 1")}) {
+        Fixture f;
+        BsdBpfDev bsd{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
+        LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515, nullptr};
+        MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515, 2048};
+        for (PacketTap* tap : {static_cast<PacketTap*>(&bsd), static_cast<PacketTap*>(&sock),
+                               static_cast<PacketTap*>(&ring)}) {
+            auto* endpoint = dynamic_cast<StackEndpoint*>(tap);
+            ASSERT_NE(endpoint, nullptr);
+            ASSERT_NO_THROW(endpoint->install_filter(prog)) << bpf::disassemble(prog);
+            for (std::uint64_t id = 1; id <= 3; ++id) {
+                const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
+                tap->plan(p);
+                tap->commit(p);
+            }
+            // Aborts are counted inside dropped_filter, so the drop
+            // identity still closes.
+            const CaptureStats& st = endpoint->stats();
+            EXPECT_EQ(st.kernel_seen, 3u);
+            EXPECT_EQ(st.accepted, 0u);
+            EXPECT_EQ(st.dropped_filter, 3u);
+            EXPECT_EQ(st.filter_aborts, 3u);
         }
-        EXPECT_EQ(endpoint->stats().accepted, 0u);
-        EXPECT_EQ(endpoint->stats().dropped_filter, 3u);
-        EXPECT_EQ(endpoint->stats().filter_aborts, 3u);
     }
 }
 
@@ -472,7 +458,7 @@ TEST(TierEquivalence, ThousandRandomProgramsMatchByteForByte) {
         const Program prog = random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const auto jitted = JitProgram::compile(decode(prog, analysis::FactTable::build(prog)));
+        const auto jitted = JitProgram::compile(decode(prog, verify(prog).facts));
 
         for (int trial = 0; trial < 4; ++trial) {
             std::vector<std::byte> data(rng() % 100);

@@ -209,9 +209,10 @@ TEST(ObsMetrics, DeliveredMatchesHeadlineCaptureCounters) {
 }
 
 TEST(ObsMetrics, CpusageSamplesFeedTrimusage) {
-    harness::RunConfig cfg = metrics_run(400.0);
-    cfg.cpusage_interval = sim::milliseconds(5);
-    const auto result = harness::run_once({harness::standard_sut("swan")}, cfg);
+    // cpusage samples every 10 ms; the run's warmup, generation and drain
+    // span over 200 ms of simulated time, well past five samples.
+    const auto result =
+        harness::run_once({harness::standard_sut("swan")}, metrics_run(400.0));
     ASSERT_TRUE(result.metrics.enabled);
     const auto& samples = result.metrics.suts[0].cpu_samples;
     EXPECT_GT(samples.size(), 5u);
