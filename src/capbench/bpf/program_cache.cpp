@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/verifier.hpp"
 
 namespace capbench::bpf {
@@ -28,6 +29,7 @@ struct Cache {
     std::mutex mu;
     std::map<Program, CachedFilter, ProgramLess> entries;
     CacheStats stats;
+    std::map<std::pair<std::string, std::uint32_t>, std::shared_ptr<const Program>> compiled;
 };
 
 Cache& cache() {
@@ -84,6 +86,21 @@ CachedFilter cache_filter(const Program& prog, bool want_jit) {
         ++c.stats.jit_compiles;
     }
     return it->second;
+}
+
+std::shared_ptr<const Program> compiled_filter(const std::string& expression,
+                                               std::uint32_t snaplen) {
+    Cache& c = cache();
+    auto key = std::pair{expression, snaplen};
+    {
+        const std::lock_guard<std::mutex> lock(c.mu);
+        if (const auto it = c.compiled.find(key); it != c.compiled.end()) return it->second;
+    }
+    // Parse + codegen + optimize outside the lock, like cache_filter; a
+    // throw stores nothing, and the first insert wins a race.
+    auto prog = std::make_shared<const Program>(filter::compile_filter(expression, snaplen));
+    const std::lock_guard<std::mutex> lock(c.mu);
+    return c.compiled.try_emplace(std::move(key), std::move(prog)).first->second;
 }
 
 std::shared_ptr<const DecodedProgram> cache_decoded(const Program& prog) {

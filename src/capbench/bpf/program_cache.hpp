@@ -1,8 +1,13 @@
-// Process-wide cache of verified + decoded (and jit-compiled) BPF programs.
+// Process-wide caches of compiled filter expressions and of verified +
+// decoded (and jit-compiled) BPF programs.
 //
-// Every capture stack attaches filters through FilterRunner::install; the
-// cache keys on program content, so the four endpoints of a sweep point
-// (and every sweep point of a run) installing the same filter share one
+// pcap::Session::set_filter takes its program from compiled_filter(), a
+// memo keyed on (expression, snaplen), so each distinct expression is
+// parsed, generated and optimized once per process (pcap_compile runs once
+// per attach in the thesis, not once per sweep point).  Every capture stack
+// then attaches the program through FilterRunner::install; that cache keys
+// on program content, so the four endpoints of a sweep point (and every
+// sweep point of a run) installing the same filter share one
 // DecodedProgram — verified once, decoded once, tagged with a monotonic
 // program id — and, under the jit tier, one compiled code mapping.
 // Thread-safe: parallel sweep workers attach concurrently.
@@ -11,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/insn.hpp"
@@ -30,6 +36,14 @@ struct CachedFilter {
 /// with `want_jit` (caller must have checked JitProgram::supported())
 /// also the native code, compiled at most once per distinct program.
 CachedFilter cache_filter(const Program& prog, bool want_jit);
+
+/// filter::compile_filter(expression, snaplen) at the default
+/// CompileOptions, memoized per (expression, snaplen) for the process.
+/// Every caller gets the stored program; a bad expression throws
+/// filter::FilterError on every call (failures are not stored).  The memo
+/// counts nothing: each install still goes through cache_filter once.
+std::shared_ptr<const Program> compiled_filter(const std::string& expression,
+                                               std::uint32_t snaplen);
 
 /// Shorthand for cache_filter(prog, false).decoded.
 std::shared_ptr<const DecodedProgram> cache_decoded(const Program& prog);

@@ -30,8 +30,9 @@ bool FanoutGroup::targets(std::size_t index, std::size_t tap_count, int queue,
 }
 
 void FilterRunner::install(bpf::Program program) {
-    decoded_.reset();
-    jit_.reset();
+    // Nothing is committed until verification passes, so a rejected
+    // program leaves the previous filter fully installed.
+    bpf::CachedFilter cached;
     if (!program.empty()) {
         const bpf::ExecTier tier =
             bpf::effective_tier(bpf::exec_tier(), bpf::JitProgram::supported());
@@ -40,12 +41,12 @@ void FilterRunner::install(bpf::Program program) {
         } else {
             // Verifies (throws on rejection); compiles native code at most
             // once per distinct program.
-            bpf::CachedFilter cached = bpf::cache_filter(program, true);
-            decoded_ = std::move(cached.decoded);
-            jit_ = std::move(cached.jit);
+            cached = bpf::cache_filter(program, true);
         }
     }
     program_ = std::move(program);
+    decoded_ = std::move(cached.decoded);
+    jit_ = std::move(cached.jit);
 }
 
 void StackEndpoint::install_filter(bpf::Program program) {

@@ -118,7 +118,8 @@ public:
     /// finding on error-severity results) and, unless
     /// CAPBENCH_BPF_TIER=interpreter, caches the decoded form and its
     /// compiled native code per program id.  An empty program clears the
-    /// filter.  A build without native support runs the interpreter.
+    /// filter; a rejected one leaves the previous filter installed.  A
+    /// build without native support runs the interpreter.
     void install(bpf::Program program);
 
     [[nodiscard]] bool has_filter() const { return !program_.empty(); }

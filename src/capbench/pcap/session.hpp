@@ -10,7 +10,7 @@
 #include <functional>
 #include <string>
 
-#include "capbench/bpf/filter/codegen.hpp"
+#include "capbench/bpf/program_cache.hpp"
 #include "capbench/capture/tap.hpp"
 
 namespace capbench::pcap {
@@ -28,11 +28,14 @@ public:
             bool is_mmap)
         : endpoint_(&endpoint), device_(std::move(device)), snaplen_(snaplen), is_mmap_(is_mmap) {}
 
-    /// Compiles `expression` (pcap_compile) and installs it (pcap_setfilter).
-    /// Throws bpf::filter::FilterError on bad expressions.
+    /// Compiles `expression` (pcap_compile, memoized process-wide per
+    /// expression and snaplen by bpf::compiled_filter) and installs it
+    /// (pcap_setfilter).  Throws bpf::filter::FilterError on bad
+    /// expressions and std::invalid_argument on verifier rejection; either
+    /// way the previous filter and filter_expression() stay in place.
     void set_filter(const std::string& expression) {
+        endpoint_->install_filter(*bpf::compiled_filter(expression, snaplen_));
         filter_expr_ = expression;
-        endpoint_->install_filter(bpf::filter::compile_filter(expression, snaplen_));
     }
 
     /// pcap_setnonblock(): rejected on mmap sessions, like the patch.

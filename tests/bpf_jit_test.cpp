@@ -5,11 +5,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "capbench/bpf/asm_text.hpp"
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/filter/codegen.hpp"
+#include "capbench/bpf/filter/lexer.hpp"
 #include "capbench/bpf/jit/assembler.hpp"
 #include "capbench/bpf/jit/exec_memory.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
@@ -17,6 +22,9 @@
 #include "capbench/bpf/validator.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
+#include "capbench/harness/experiment.hpp"
+#include "capbench/harness/sut.hpp"
+#include "capbench/sim/simulator.hpp"
 
 #include "bpf_random_program.hpp"
 
@@ -302,6 +310,63 @@ TEST(JitProgramCache, JitRequestOnFreshProgramCompilesWithTheMiss) {
     EXPECT_EQ(after.misses - before.misses, 1u);
     EXPECT_EQ(after.jit_compiles - before.jit_compiles, 1u);
     EXPECT_EQ(after.hits - before.hits, 0u);
+}
+
+// ---- filter-expression memo --------------------------------------------------
+
+TEST(FilterMemo, MatchesCompileFilterAndSharesOneProgramPerKey) {
+    for (const std::string& expr :
+         {std::string("udp"), std::string("tcp or udp"), harness::fig_6_5_filter_expression()}) {
+        const auto full = compiled_filter(expr, 1515);
+        const auto small = compiled_filter(expr, 96);
+        ASSERT_NE(full, nullptr);
+        ASSERT_NE(small, nullptr);
+        EXPECT_EQ(*full, filter::compile_filter(expr, 1515)) << expr;
+        EXPECT_EQ(*small, filter::compile_filter(expr, 96)) << expr;
+        EXPECT_EQ(compiled_filter(expr, 1515).get(), full.get()) << expr;
+        EXPECT_EQ(compiled_filter(expr, 96).get(), small.get()) << expr;
+        EXPECT_NE(*full, *small) << expr;
+    }
+}
+
+TEST(FilterMemo, BadExpressionThrowsOnEveryCall) {
+    EXPECT_THROW(compiled_filter("ip and and", 1515), filter::FilterError);
+    EXPECT_THROW(compiled_filter("ip and and", 1515), filter::FilterError);
+}
+
+TEST(FilterMemo, RacingCallersGetTheSameProgram) {
+    constexpr int kThreads = 8;
+    const std::string expr = "udp and port 4711 and not src port 4712";
+    std::vector<const Program*> got(kThreads, nullptr);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[static_cast<std::size_t>(i)] = compiled_filter(expr, 1515).get();
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    ASSERT_NE(got[0], nullptr);
+    for (const Program* p : got) EXPECT_EQ(p, got[0]);
+    EXPECT_EQ(*got[0], filter::compile_filter(expr, 1515));
+}
+
+TEST(FilterMemo, EachSessionInstallStillCountsOneCacheLookup) {
+    // The memo sits in front of the program cache, not in place of it: the
+    // bpf_cache section of the metrics document must count what it did
+    // before.  The interpreter tier verifies without the cache.
+    harness::SutConfig cfg = harness::standard_sut("swan");
+    cfg.filter_expression = harness::fig_6_5_filter_expression();
+    cfg.app_count = 4;
+    const bool jit_tier = effective_tier(exec_tier(), JitProgram::supported()) == ExecTier::kJit;
+    sim::Simulator sim;
+    const CacheStats before = cache_stats();
+    {
+        const harness::Sut sut{sim, cfg};
+    }
+    const CacheStats after = cache_stats();
+    EXPECT_EQ(after.lookups - before.lookups, jit_tier ? 4u : 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capbench/bpf/asm_text.hpp"
@@ -396,6 +397,39 @@ TEST(AttachGate, AllThreeStacksRejectVerifierFailingPrograms) {
                       std::string::npos);
             EXPECT_NE(std::string(e.what()).find("error"), std::string::npos);
         }
+    }
+}
+
+TEST(AttachGate, RejectedInstallKeepsThePreviousFilter) {
+    const auto ip_frame = [](std::uint8_t proto) {
+        std::vector<std::byte> frame(64);
+        frame[12] = std::byte{0x08};
+        frame[14] = std::byte{0x45};
+        frame[23] = std::byte{proto};
+        return net::Packet{1, std::move(frame), sim::SimTime{}};
+    };
+    const net::Packet udp = ip_frame(17);
+    const net::Packet tcp = ip_frame(6);
+
+    FilterRunner runner;
+    runner.install(bpf::filter::compile_filter("udp"));
+    const bpf::DecodedProgram* decoded = runner.decoded();
+    const FilterRunner::Verdict udp_before = runner.run(udp, 1515);
+    const FilterRunner::Verdict tcp_before = runner.run(tcp, 1515);
+    ASSERT_TRUE(udp_before.accept);
+    ASSERT_FALSE(tcp_before.accept);
+
+    EXPECT_THROW(runner.install(invalid_program()), std::invalid_argument);
+    EXPECT_TRUE(runner.has_filter());
+    // Same decoded program (and so the same native code and program id),
+    // not a silent fall-back to the interpreter.
+    EXPECT_EQ(runner.decoded(), decoded);
+    for (const auto& [packet, before] : {std::pair{&udp, udp_before}, std::pair{&tcp, tcp_before}}) {
+        const FilterRunner::Verdict after = runner.run(*packet, 1515);
+        EXPECT_EQ(after.accept, before.accept);
+        EXPECT_EQ(after.caplen, before.caplen);
+        EXPECT_EQ(after.insns, before.insns);
+        EXPECT_FALSE(after.aborted);
     }
 }
 

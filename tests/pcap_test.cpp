@@ -48,7 +48,21 @@ TEST(Session, InstallsCompiledFilter) {
 TEST(Session, BadFilterThrows) {
     Fixture f;
     Session session{f.sock, "swan:if0", 1515, false};
+    session.set_filter("udp");
     EXPECT_THROW(session.set_filter("ip and and"), bpf::filter::FilterError);
+    // The rejected expression changes nothing: udp is still installed and
+    // still reported.
+    EXPECT_EQ(session.filter_expression(), "udp");
+    std::vector<std::byte> tcp_frame(64);
+    tcp_frame[12] = std::byte{0x08};
+    tcp_frame[13] = std::byte{0x00};
+    tcp_frame[14] = std::byte{0x45};
+    tcp_frame[23] = std::byte{6};  // TCP
+    auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
+    f.sock.plan(pkt);
+    f.sock.commit(pkt);
+    EXPECT_EQ(session.stats().ps_recv, 0u);
+    EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
 
 TEST(Session, NonblockRejectedOnMmap) {
