@@ -97,6 +97,8 @@ int parse_int_arg(const char* flag, const std::string& value) {
 
 CliOptions parse_cli(int argc, char** argv) {
     CliOptions opts;
+    // --gnuplot's default, for the figure and time-series exports alike.
+    if (const char* env = std::getenv("CAPBENCH_GNUPLOT_DIR")) opts.gnuplot_dir = env;
     bool collecting_ids = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -329,13 +331,10 @@ int main(int argc, char** argv) {
                 throw std::runtime_error("cannot write timeseries to '" +
                                          cli.timeseries_path + "'");
             std::printf("(timeseries written to %s)\n", cli.timeseries_path.c_str());
-            std::string dir = cli.gnuplot_dir;
-            if (dir.empty())
-                if (const char* env = std::getenv("CAPBENCH_GNUPLOT_DIR")) dir = env;
-            if (!dir.empty()) {
-                report::write_timeseries_gnuplot(dir, timeseries_id, timeseries);
+            if (!cli.gnuplot_dir.empty()) {
+                report::write_timeseries_gnuplot(cli.gnuplot_dir, timeseries_id, timeseries);
                 std::printf("(timeseries gnuplot written to %s/%s_timeseries.dat / .gp)\n",
-                            dir.c_str(), timeseries_id.c_str());
+                            cli.gnuplot_dir.c_str(), timeseries_id.c_str());
             }
         }
         return 0;

@@ -136,86 +136,57 @@ std::string fig_6_5_filter_expression() {
     return out.str();
 }
 
-std::vector<SweepRow> rate_sweep(const std::vector<SutConfig>& suts, const RunConfig& base,
-                                 const std::vector<double>& rates, int reps,
-                                 const ParallelExecutor* exec, obs::TraceSink* trace,
-                                 obs::TimeSeries* timeseries) {
-    std::vector<SweepRow> rows(rates.size());
-    const auto run_point = [&](std::size_t i) {
-        RunConfig cfg = base;
-        cfg.rate_mbps = rates[i];
-        // The designated trace/time-series point is the last of the grid
-        // (the deepest overload) so each sink has exactly one writer at any
-        // job count.
-        cfg.trace = (trace != nullptr && i == rows.size() - 1) ? trace : nullptr;
-        cfg.timeseries =
-            (timeseries != nullptr && i == rows.size() - 1) ? timeseries : nullptr;
-        rows[i] = SweepRow{rates[i], run_repeated(suts, cfg, reps)};
-    };
-    if (exec != nullptr) {
-        exec->parallel_for(rows.size(), run_point);
-    } else {
-        for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
+AxisLabels axis_labels(Axis axis) {
+    switch (axis) {
+        case Axis::kRateMbps: return {"Mbit/s", "Datarate [Mbit/s]"};
+        case Axis::kBufferKb: return {"buffer kB", "Buffer size [kB]"};
+        case Axis::kQueues: return {"queues", "Receive queues / cores"};
     }
-    return rows;
+    throw std::logic_error("unknown sweep axis");
 }
 
-std::vector<SweepRow> buffer_sweep(std::vector<SutConfig> suts, const RunConfig& base,
-                                   const std::vector<std::uint64_t>& buffer_kb, int reps,
-                                   const ParallelExecutor* exec, obs::TraceSink* trace,
-                                   obs::TimeSeries* timeseries) {
-    std::vector<SweepRow> rows(buffer_kb.size());
-    const auto run_point = [&](std::size_t i) {
-        const std::uint64_t kb = buffer_kb[i];
-        std::vector<SutConfig> sized = suts;
-        for (auto& sut : sized) {
+void apply_axis(Axis axis, double x, std::vector<SutConfig>& suts, RunConfig& cfg) {
+    switch (axis) {
+        case Axis::kRateMbps:
+            cfg.rate_mbps = x;
+            break;
+        case Axis::kBufferKb:
             // "The buffer size was reduced by a factor of two for FreeBSD"
             // so the effective (double-buffered) space matches Linux.
-            const bool freebsd = sut.os->family == capture::OsFamily::kFreeBsd;
-            sut.buffer_bytes = kb * 1024 / (freebsd ? 2 : 1);
-        }
-        RunConfig cfg = base;
-        cfg.rate_mbps = 0.0;  // highest possible rate, no inter-packet gap
-        cfg.trace = (trace != nullptr && i == rows.size() - 1) ? trace : nullptr;
-        cfg.timeseries =
-            (timeseries != nullptr && i == rows.size() - 1) ? timeseries : nullptr;
-        rows[i] = SweepRow{static_cast<double>(kb), run_repeated(sized, cfg, reps)};
-    };
-    if (exec != nullptr) {
-        exec->parallel_for(rows.size(), run_point);
-    } else {
-        for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
+            for (auto& sut : suts)
+                sut.buffer_bytes = static_cast<std::uint64_t>(x) * 1024 /
+                                   (sut.os->family == capture::OsFamily::kFreeBsd ? 2 : 1);
+            cfg.rate_mbps = 0.0;  // highest possible rate, no inter-packet gap
+            break;
+        case Axis::kQueues:
+            // Queue j's IRQ line lands on CPU j (the default affinity), so
+            // each point is a balanced N-queue/N-core configuration.
+            for (auto& sut : suts) sut.cores = sut.nic.queues = static_cast<int>(x);
+            break;
     }
-    return rows;
 }
 
-std::vector<SweepRow> queue_sweep(std::vector<SutConfig> suts, const RunConfig& base,
-                                  const std::vector<int>& counts, int reps,
-                                  const ParallelExecutor* exec, obs::TraceSink* trace,
-                                  obs::TimeSeries* timeseries) {
-    std::vector<SweepRow> rows(counts.size());
+std::vector<PointResult> sweep(Axis axis, const std::vector<SutConfig>& suts,
+                               const RunConfig& base, const std::vector<double>& xs, int reps,
+                               const ParallelExecutor* exec) {
+    std::vector<PointResult> points(xs.size());
     const auto run_point = [&](std::size_t i) {
-        const int count = counts[i];
-        std::vector<SutConfig> scaled = suts;
-        for (auto& sut : scaled) {
-            // Cores and queues move together: queue j's IRQ line lands on
-            // CPU j (the default affinity), so each point is a balanced
-            // N-queue/N-core configuration.
-            sut.cores = count;
-            sut.nic.queues = count;
-        }
+        std::vector<SutConfig> point_suts = suts;
         RunConfig cfg = base;
-        cfg.trace = (trace != nullptr && i == rows.size() - 1) ? trace : nullptr;
-        cfg.timeseries =
-            (timeseries != nullptr && i == rows.size() - 1) ? timeseries : nullptr;
-        rows[i] = SweepRow{static_cast<double>(count), run_repeated(scaled, cfg, reps)};
+        apply_axis(axis, xs[i], point_suts, cfg);
+        // Only the designated (last) point keeps base's sinks.
+        if (i + 1 != xs.size()) {
+            cfg.trace = nullptr;
+            cfg.timeseries = nullptr;
+        }
+        points[i] = PointResult{xs[i], run_repeated(point_suts, cfg, reps)};
     };
     if (exec != nullptr) {
-        exec->parallel_for(rows.size(), run_point);
+        exec->parallel_for(points.size(), run_point);
     } else {
-        for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
+        for (std::size_t i = 0; i < points.size(); ++i) run_point(i);
     }
-    return rows;
+    return points;
 }
 
 }  // namespace capbench::harness

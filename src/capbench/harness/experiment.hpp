@@ -63,47 +63,40 @@ void apply_single_cpu(std::vector<SutConfig>& suts);
 /// generated packet, but only after evaluating the full chain).
 std::string fig_6_5_filter_expression();
 
-struct SweepRow {
-    double rate_mbps = 0.0;
+/// The one influencing variable a sweep moves (Section 3.4).
+enum class Axis {
+    kRateMbps,  // generator data rate [Mbit/s]
+    kBufferKb,  // capture buffer size [kB] at maximum data rate
+    kQueues,    // NIC receive queues == cores at a fixed offered load
+};
+
+struct AxisLabels {
+    const char* column;   // text-table column and JSON x_label
+    const char* gnuplot;  // gnuplot xlabel
+};
+AxisLabels axis_labels(Axis axis);
+
+/// Applies sweep value `x` to one point: rate sets `cfg.rate_mbps`;
+/// buffer gives every SUT x kB (FreeBSD half, Section 6.3.1) and forces
+/// `cfg.rate_mbps = 0`; queues gives every SUT x cores and x NIC queues.
+void apply_axis(Axis axis, double x, std::vector<SutConfig>& suts, RunConfig& cfg);
+
+struct PointResult {
+    double x = 0.0;
     RunResult result;
 };
 
-/// Runs the measurement cycle across a rate grid.  With a non-null
-/// executor the points run concurrently; every point builds its own
-/// testbed, so the rows are bit-identical to the serial path regardless
-/// of the job count.
+/// Runs the measurement cycle at every `xs` value along `axis`.  With a
+/// non-null executor the points run concurrently; every point builds its
+/// own testbed, so the results are bit-identical at any job count.
 ///
-/// `trace` (may be null) records the timeline of ONE designated point —
-/// the last of the grid, i.e. the highest rate / deepest overload, and
-/// within it rep 0.  A single fixed point keeps the sink single-writer
-/// under parallel execution and the output identical at any job count.
-/// `timeseries` (may be null) collects interval telemetry for the same
-/// designated point; RunConfig::sample_interval must be positive then.
-std::vector<SweepRow> rate_sweep(const std::vector<SutConfig>& suts, const RunConfig& base,
-                                 const std::vector<double>& rates, int reps,
-                                 const ParallelExecutor* exec = nullptr,
-                                 obs::TraceSink* trace = nullptr,
-                                 obs::TimeSeries* timeseries = nullptr);
-
-/// Runs a sweep over capture buffer sizes at maximum data rate (the
-/// Figure 6.4 experiment).  `buffer_kb` values apply to all SUTs; FreeBSD
-/// halves them per Section 6.3.1's fairness note (double buffer).
-/// `trace` designates the last point, as in rate_sweep.
-std::vector<SweepRow> buffer_sweep(std::vector<SutConfig> suts, const RunConfig& base,
-                                   const std::vector<std::uint64_t>& buffer_kb, int reps,
-                                   const ParallelExecutor* exec = nullptr,
-                                   obs::TraceSink* trace = nullptr,
-                                   obs::TimeSeries* timeseries = nullptr);
-
-/// Runs a sweep over queue/core counts: point i gives every SUT
-/// `counts[i]` cores AND `counts[i]` NIC receive queues (default IRQ
-/// affinity spreads queue j to CPU j), measuring how capture rate scales
-/// with parallelism at a fixed offered load.  `trace` designates the last
-/// point, as in rate_sweep.  SweepRow::rate_mbps holds the count.
-std::vector<SweepRow> queue_sweep(std::vector<SutConfig> suts, const RunConfig& base,
-                                  const std::vector<int>& counts, int reps,
-                                  const ParallelExecutor* exec = nullptr,
-                                  obs::TraceSink* trace = nullptr,
-                                  obs::TimeSeries* timeseries = nullptr);
+/// `base.trace` and `base.timeseries` (may be null) go to ONE designated
+/// point — the last of the grid, i.e. the deepest overload, and within it
+/// rep 0 — which keeps each sink single-writer and its output identical
+/// at any job count.  A time series needs a positive
+/// `base.sample_interval`.
+std::vector<PointResult> sweep(Axis axis, const std::vector<SutConfig>& suts,
+                               const RunConfig& base, const std::vector<double>& xs, int reps,
+                               const ParallelExecutor* exec = nullptr);
 
 }  // namespace capbench::harness

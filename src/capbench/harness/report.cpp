@@ -39,69 +39,60 @@ void print_figure_banner(std::ostream& out, const std::string& figure_id,
     out << "\n=== " << figure_id << " ===\n" << caption << "\n\n";
 }
 
+namespace {
+
+/// The per-SUT columns of a sweep, in the order every sweep output uses:
+/// capture rate (worst/avg/best with `multi_app`), then CPU usage.
+std::vector<const char*> sut_columns(bool multi_app) {
+    if (multi_app) return {"worst", "avg", "best", "cpu"};
+    return {"cap", "cpu"};
+}
+
+std::vector<double> sut_values(const SutRunResult& sut, bool multi_app) {
+    if (multi_app)
+        return {sut.capture_worst_pct, sut.capture_avg_pct, sut.capture_best_pct, sut.cpu_pct};
+    return {sut.capture_avg_pct, sut.cpu_pct};
+}
+
+}  // namespace
+
 void print_sweep(std::ostream& out, const std::string& x_label,
-                 const std::vector<SweepRow>& rows, bool multi_app) {
+                 const std::vector<PointResult>& rows, bool multi_app) {
     if (rows.empty()) return;
     std::vector<std::string> headers{x_label};
-    for (const auto& sut : rows.front().result.suts) {
-        if (multi_app) {
-            headers.push_back(sut.name + " worst%");
-            headers.push_back(sut.name + " avg%");
-            headers.push_back(sut.name + " best%");
-        } else {
-            headers.push_back(sut.name + " cap%");
-        }
-        headers.push_back(sut.name + " cpu%");
-    }
+    for (const auto& sut : rows.front().result.suts)
+        for (const char* column : sut_columns(multi_app))
+            headers.push_back(sut.name + " " + column + "%");
     Table table{std::move(headers)};
     for (const auto& row : rows) {
         std::vector<std::string> cells;
         char x[32];
-        std::snprintf(x, sizeof x, "%.0f", row.rate_mbps);
+        std::snprintf(x, sizeof x, "%.0f", row.x);
         cells.emplace_back(x);
-        for (const auto& sut : row.result.suts) {
-            if (multi_app) {
-                cells.push_back(format_pct(sut.capture_worst_pct));
-                cells.push_back(format_pct(sut.capture_avg_pct));
-                cells.push_back(format_pct(sut.capture_best_pct));
-            } else {
-                cells.push_back(format_pct(sut.capture_avg_pct));
-            }
-            cells.push_back(format_pct(sut.cpu_pct));
-        }
+        for (const auto& sut : row.result.suts)
+            for (const double v : sut_values(sut, multi_app)) cells.push_back(format_pct(v));
         table.add_row(std::move(cells));
     }
     table.print(out);
 }
 
-void write_gnuplot_data(std::ostream& out, const std::vector<SweepRow>& rows,
+void write_gnuplot_data(std::ostream& out, const std::vector<PointResult>& rows,
                         bool multi_app) {
     if (rows.empty()) return;
     out << "# x";
-    for (const auto& sut : rows.front().result.suts) {
-        if (multi_app)
-            out << ' ' << sut.name << "_worst " << sut.name << "_avg " << sut.name << "_best";
-        else
-            out << ' ' << sut.name << "_cap";
-        out << ' ' << sut.name << "_cpu";
-    }
+    for (const auto& sut : rows.front().result.suts)
+        for (const char* column : sut_columns(multi_app)) out << ' ' << sut.name << '_' << column;
     out << '\n';
     for (const auto& row : rows) {
-        out << row.rate_mbps;
-        for (const auto& sut : row.result.suts) {
-            if (multi_app)
-                out << ' ' << sut.capture_worst_pct << ' ' << sut.capture_avg_pct << ' '
-                    << sut.capture_best_pct;
-            else
-                out << ' ' << sut.capture_avg_pct;
-            out << ' ' << sut.cpu_pct;
-        }
+        out << row.x;
+        for (const auto& sut : row.result.suts)
+            for (const double v : sut_values(sut, multi_app)) out << ' ' << v;
         out << '\n';
     }
 }
 
 void write_gnuplot_script(std::ostream& out, const std::string& data_file,
-                          const std::string& title, const std::vector<SweepRow>& rows,
+                          const std::string& title, const std::vector<PointResult>& rows,
                           const std::string& x_label, bool multi_app) {
     if (rows.empty()) return;
     out << "set title '" << title << "'\n"
@@ -113,7 +104,7 @@ void write_gnuplot_script(std::ostream& out, const std::string& data_file,
     const auto& suts = rows.front().result.suts;
     // Column layout matches write_gnuplot_data: x, then per SUT either
     // cap,cpu or worst,avg,best,cpu.
-    const std::size_t per_sut = multi_app ? 4 : 2;
+    const std::size_t per_sut = sut_columns(multi_app).size();
     for (std::size_t i = 0; i < suts.size(); ++i) {
         const std::size_t first_col = 2 + i * per_sut;
         const std::size_t cap_col = multi_app ? first_col + 1 : first_col;  // avg series

@@ -27,11 +27,12 @@ private:
 void print_figure_banner(std::ostream& out, const std::string& figure_id,
                          const std::string& caption);
 
-/// Prints a rate (or buffer) sweep as the thesis plots it: one row per
-/// x value, per SUT the capture rate and CPU usage.  With `multi_app`,
-/// worst/avg/best capture-rate columns per SUT (Figures 6.7-6.9).
+/// Prints a sweep as the thesis plots it: one row per x value (column
+/// `x_label`, axis_labels().column), per SUT the capture rate and CPU
+/// usage.  With `multi_app`, worst/avg/best capture-rate columns per SUT
+/// (Figures 6.7-6.9).
 void print_sweep(std::ostream& out, const std::string& x_label,
-                 const std::vector<SweepRow>& rows, bool multi_app = false);
+                 const std::vector<PointResult>& rows, bool multi_app = false);
 
 /// The Figure 2.4 inventory table of the four sniffers.
 void print_sut_inventory(std::ostream& out, const std::vector<SutConfig>& suts);
@@ -41,16 +42,16 @@ std::string format_pct(double v);
 /// Writes a sweep as whitespace-separated gnuplot data: column 1 is the x
 /// value, then per SUT capture% (worst/avg/best with `multi_app`) and
 /// cpu%.  A `# ` header line names the columns.
-void write_gnuplot_data(std::ostream& out, const std::vector<SweepRow>& rows,
+void write_gnuplot_data(std::ostream& out, const std::vector<PointResult>& rows,
                         bool multi_app = false);
 
 /// Writes a ready-to-run gnuplot script plotting `data_file` in the
 /// thesis's linespoints style (capture rate left axis, CPU right axis).
-/// `x_label` names the sweep axis (data rate or buffer size); with
+/// `x_label` names the sweep axis (axis_labels().gnuplot); with
 /// `multi_app` the columns follow write_gnuplot_data's worst/avg/best
 /// layout and the avg series is plotted.
 void write_gnuplot_script(std::ostream& out, const std::string& data_file,
-                          const std::string& title, const std::vector<SweepRow>& rows,
+                          const std::string& title, const std::vector<PointResult>& rows,
                           const std::string& x_label = "Datarate [Mbit/s]",
                           bool multi_app = false);
 

@@ -399,10 +399,4 @@ sim::Duration Machine::total_busy() const {
     return sum;
 }
 
-double Machine::utilization_since(sim::Duration busy_at_start, sim::Duration window) const {
-    if (window <= sim::Duration::zero()) return 0.0;
-    const auto busy = total_busy() - busy_at_start;
-    return std::min(1.0, busy.seconds() / (window.seconds() * logical_cpus()));
-}
-
 }  // namespace capbench::hostsim

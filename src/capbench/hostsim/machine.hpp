@@ -148,9 +148,6 @@ public:
         return kernel_queue_len_cpu_[static_cast<std::size_t>(cpu)];
     }
 
-    /// How far CPU 0's kernel queue tail is ahead of now.
-    [[nodiscard]] sim::Duration kernel_backlog() const { return kernel_backlog(0); }
-
     /// How far `cpu`'s kernel queue tail is ahead of now.
     [[nodiscard]] sim::Duration kernel_backlog(int cpu) const;
 
@@ -175,11 +172,6 @@ public:
     /// Sum of busy time over all CPUs (for utilization: divide by
     /// logical_cpus() * window).
     [[nodiscard]] sim::Duration total_busy() const;
-
-    /// Machine-wide utilization in [0, 1] over a window given a snapshot of
-    /// total_busy() taken at the window start.
-    [[nodiscard]] double utilization_since(sim::Duration busy_at_start,
-                                           sim::Duration window) const;
 
     /// Nanoseconds `work` takes right now on CPU `cpu_index` (contention
     /// and HT sibling state are sampled at call time).

@@ -1,7 +1,6 @@
 #include "capbench/scenario/runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -31,14 +30,14 @@ void print_custom(std::ostream& out, const CustomResult& table) {
 }
 
 void export_sweep_gnuplot(const std::string& dir, const std::string& file_id,
-                          const std::string& caption, const std::string& gp_x_label,
-                          const std::vector<harness::SweepRow>& rows, bool multi_app,
+                          const std::string& caption, const char* gp_x_label,
+                          const std::vector<PointResult>& points, bool multi_app,
                           std::ostream* out) {
     const std::string base = dir + "/" + file_id;
     std::ofstream data{base + ".dat"};
-    harness::write_gnuplot_data(data, rows, multi_app);
+    harness::write_gnuplot_data(data, points, multi_app);
     std::ofstream script{base + ".gp"};
-    harness::write_gnuplot_script(script, file_id + ".dat", caption, rows, gp_x_label,
+    harness::write_gnuplot_script(script, file_id + ".dat", caption, points, gp_x_label,
                                   multi_app);
     if (!data || !script)
         throw std::runtime_error("gnuplot export failed: cannot write " + base + ".dat/.gp");
@@ -64,19 +63,13 @@ void export_custom_data(const std::string& dir, const ScenarioResult& res, std::
     if (out != nullptr) *out << "(table data written to " << path << ")\n";
 }
 
-std::string resolve_gnuplot_dir(const RunOptions& opts) {
-    std::string dir = opts.gnuplot_dir;
-    if (dir.empty() && opts.gnuplot_env_fallback) {
-        if (const char* env = std::getenv("CAPBENCH_GNUPLOT_DIR")) dir = env;
-    }
-    if (!dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        if (ec)
-            throw std::runtime_error("cannot create gnuplot directory '" + dir +
-                                     "': " + ec.message());
-    }
-    return dir;
+void create_gnuplot_dir(const std::string& dir) {
+    if (dir.empty()) return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        throw std::runtime_error("cannot create gnuplot directory '" + dir +
+                                 "': " + ec.message());
 }
 
 }  // namespace
@@ -95,7 +88,8 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts) {
     res.jobs = std::max(1, opts.jobs);
 
     std::ostream* out = opts.out;
-    const std::string gnuplot_dir = resolve_gnuplot_dir(opts);
+    const std::string& gnuplot_dir = opts.gnuplot_dir;
+    create_gnuplot_dir(gnuplot_dir);
 
     if (s.is_custom()) {
         if (out != nullptr) {
@@ -111,58 +105,30 @@ ScenarioResult run_scenario(const Scenario& s, const RunOptions& opts) {
     if (out != nullptr && s.preamble) s.preamble(*out);
 
     const harness::ParallelExecutor exec{res.jobs};
-    const std::string gp_x_label = s.axis == Axis::kRateMbps ? "Datarate [Mbit/s]"
-                                   : s.axis == Axis::kBufferKb
-                                       ? "Buffer size [kB]"
-                                       : "Receive queues / cores";
-    bool first_variant = true;
     for (const auto& v : s.variants) {
-        const auto suts = v.suts();
         harness::RunConfig cfg;
         cfg.packets = res.packets;
         cfg.seed = res.base_seed;
         cfg.collect_metrics = opts.metrics;
         cfg.sample_interval = opts.sample_interval;
         if (v.tweak) v.tweak(cfg);
-
         // The timeline and time-series belong to one deterministic run:
-        // the first variant's sweep designates its last point (see
-        // rate_sweep).
-        obs::TraceSink* trace = first_variant ? opts.trace : nullptr;
-        obs::TimeSeries* timeseries = first_variant ? opts.timeseries : nullptr;
-        first_variant = false;
-
-        std::vector<harness::SweepRow> rows;
-        if (s.axis == Axis::kRateMbps) {
-            rows = harness::rate_sweep(suts, cfg, s.sweep, res.reps, &exec, trace, timeseries);
-        } else if (s.axis == Axis::kQueues) {
-            std::vector<int> counts;
-            counts.reserve(s.sweep.size());
-            for (const double c : s.sweep) counts.push_back(static_cast<int>(c));
-            rows = harness::queue_sweep(suts, cfg, counts, res.reps, &exec, trace, timeseries);
-        } else {
-            std::vector<std::uint64_t> buffer_kb;
-            buffer_kb.reserve(s.sweep.size());
-            for (const double kb : s.sweep)
-                buffer_kb.push_back(static_cast<std::uint64_t>(kb));
-            rows = harness::buffer_sweep(suts, cfg, buffer_kb, res.reps, &exec, trace,
-                                         timeseries);
+        // the first variant's designated point (see harness::sweep).
+        if (&v == &s.variants.front()) {
+            cfg.trace = opts.trace;
+            cfg.timeseries = opts.timeseries;
         }
 
+        VariantResult vr{v.name, v.suffix,
+                         harness::sweep(s.axis, v.suts(), cfg, s.sweep, res.reps, &exec)};
         if (out != nullptr) {
             harness::print_figure_banner(*out, s.id + v.suffix, variant_caption(s, v));
-            harness::print_sweep(*out, res.x_label, rows, s.multi_app);
+            harness::print_sweep(*out, res.x_label, vr.points, s.multi_app);
         }
         if (!gnuplot_dir.empty())
             export_sweep_gnuplot(gnuplot_dir, s.id + v.suffix, variant_caption(s, v),
-                                 gp_x_label, rows, s.multi_app, out);
-
-        VariantResult vr;
-        vr.name = v.name;
-        vr.suffix = v.suffix;
-        vr.points.reserve(rows.size());
-        for (auto& row : rows)
-            vr.points.push_back(PointResult{row.rate_mbps, std::move(row.result)});
+                                 harness::axis_labels(s.axis).gnuplot, vr.points, s.multi_app,
+                                 out);
         res.variants.push_back(std::move(vr));
     }
     if (out != nullptr && !s.postscript.empty()) *out << '\n' << s.postscript << '\n';

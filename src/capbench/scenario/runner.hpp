@@ -24,10 +24,12 @@ struct RunOptions {
     int jobs = 1;
     /// Text report target; nullptr runs quietly (tests, JSON-only runs).
     std::ostream* out = nullptr;
-    /// Gnuplot export directory; when empty and `gnuplot_env_fallback`
-    /// is set, CAPBENCH_GNUPLOT_DIR is honoured — uniformly for every
-    /// scenario, sweep or custom.
+    /// Gnuplot export directory (created if missing), for every scenario,
+    /// sweep or custom; empty writes none.  run_scenario reads no
+    /// environment variable for it: capbench_figures resolves
+    /// CAPBENCH_GNUPLOT_DIR as its --gnuplot default.
     std::string gnuplot_dir;
+    /// Ignored.  Kept only so callers that still set it compile.
     bool gnuplot_env_fallback = true;
     /// 0 = packets_per_run() (CAPBENCH_PACKETS).
     std::uint64_t packets = 0;

@@ -5,8 +5,8 @@
 //
 // Two scenario shapes exist:
 //  * sweep scenarios run the Section 3.4 measurement cycle over an x-axis
-//    (data rate or buffer size) for one or more variants (e.g. the
-//    single/dual-processor (a)/(b) sub-figures), and
+//    (data rate, buffer size or queue count) for one or more variants
+//    (e.g. the single/dual-processor (a)/(b) sub-figures), and
 //  * custom scenarios (the Chapter 4 workload tables and the Figure 6.13
 //    disk benchmark) produce labelled tables directly.
 // Both render through the shared report path (text, gnuplot, JSON).
@@ -21,11 +21,8 @@
 
 namespace capbench::scenario {
 
-enum class Axis {
-    kRateMbps,   // generator data rate [Mbit/s]
-    kBufferKb,   // capture buffer size [kB] at maximum data rate
-    kQueues,     // NIC receive queues == cores at a fixed offered load
-};
+using harness::Axis;
+using harness::PointResult;
 
 /// One experiment line of a sweep scenario: a SUT roster plus RunConfig
 /// deltas.  `suffix` keys output files ("fig_6_2(a).dat") and JSON
@@ -53,7 +50,7 @@ struct Scenario {
     std::string id;       // thesis numbering: "fig_6_2", "fig_b_1", "ext_10gbe"
     std::string caption;  // the figure caption
     Axis axis = Axis::kRateMbps;
-    std::vector<double> sweep;  // x values (rates in Mbit/s or buffers in kB)
+    std::vector<double> sweep;  // x values along `axis`
     bool multi_app = false;     // worst/avg/best columns (Figures 6.7-6.9)
     std::vector<Variant> variants;
     /// Extra context printed before the runs (SUT inventory, the Figure
@@ -65,16 +62,7 @@ struct Scenario {
     std::function<CustomResult()> custom;
 
     [[nodiscard]] bool is_custom() const { return static_cast<bool>(custom); }
-    [[nodiscard]] const char* x_label() const {
-        if (axis == Axis::kQueues) return "queues";
-        return axis == Axis::kRateMbps ? "Mbit/s" : "buffer kB";
-    }
-};
-
-/// One executed sweep point.
-struct PointResult {
-    double x = 0.0;
-    harness::RunResult result;
+    [[nodiscard]] const char* x_label() const { return harness::axis_labels(axis).column; }
 };
 
 struct VariantResult {

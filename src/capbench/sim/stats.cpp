@@ -1,28 +1,10 @@
 #include "capbench/sim/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 namespace capbench::sim {
-
-void RunningStats::add(double x) {
-    ++n_;
-    sum_ += x;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-    if (n_ < 2) return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleSet::min() const {
     if (samples_.empty()) throw std::logic_error("SampleSet::min on empty set");

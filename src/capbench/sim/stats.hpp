@@ -2,33 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace capbench::sim {
-
-/// Running min / max / mean / variance (Welford) without storing samples.
-class RunningStats {
-public:
-    void add(double x);
-
-    [[nodiscard]] std::uint64_t count() const { return n_; }
-    [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-    [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-    [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-    /// Sample variance (n-1 denominator); 0 with fewer than two samples.
-    [[nodiscard]] double variance() const;
-    [[nodiscard]] double stddev() const;
-    [[nodiscard]] double sum() const { return sum_; }
-
-private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Stores integer samples (nanoseconds) and answers quantile queries; the
 /// observability layer's packet-lifecycle latency sets.  Summaries select

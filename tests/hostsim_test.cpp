@@ -372,11 +372,11 @@ TEST(Machine, DualCpuRunsKernelAndThreadInParallel) {
 TEST(Machine, UtilizationSince) {
     sim::Simulator sim;
     Machine m{sim, opteron_spec(2), {}};
-    const auto busy0 = m.total_busy();
     m.post_kernel_work(Work{.cycles = 18'000}, CpuState::kInterrupt, {});
     sim.run();
-    // 10us busy over a 10us window on 2 CPUs = 50%.
-    EXPECT_NEAR(m.utilization_since(busy0, sim.now() - sim::SimTime{}), 0.5, 1e-9);
+    // One 10us job over a 10us window on 2 CPUs: 10us busy (50%).
+    EXPECT_EQ(sim.now().ns(), 10'000);
+    EXPECT_EQ(m.total_busy().ns(), 10'000);
 }
 
 TEST(Machine, YieldRoundRobins) {

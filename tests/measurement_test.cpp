@@ -155,8 +155,8 @@ TEST(Experiment, Fig65FilterExpressionCompilesTo39Terms) {
 }
 
 TEST(Report, SweepTableContainsAllSeries) {
-    std::vector<SweepRow> rows;
-    rows.push_back(SweepRow{100.0, run_once(standard_suts(), small_run(100.0))});
+    std::vector<PointResult> rows;
+    rows.push_back(PointResult{100.0, run_once(standard_suts(), small_run(100.0))});
     std::ostringstream out;
     print_sweep(out, "Mbit/s", rows);
     const std::string text = out.str();

@@ -1,6 +1,7 @@
 // Tests for the ParallelExecutor and the determinism contract of the
 // parallel sweep path: same seed => byte-identical RunResults whatever
-// the job count, and run_repeated's seed-variation stride stays pinned.
+// the job count on every axis, each axis's point rule, and run_repeated's
+// seed-variation stride stays pinned.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,10 +35,10 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     }
 }
 
-void expect_identical(const std::vector<SweepRow>& a, const std::vector<SweepRow>& b) {
+void expect_identical(const std::vector<PointResult>& a, const std::vector<PointResult>& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].rate_mbps, b[i].rate_mbps);
+        EXPECT_EQ(a[i].x, b[i].x);
         expect_identical(a[i].result, b[i].result);
     }
 }
@@ -92,10 +93,10 @@ TEST(ParallelSweep, RateSweepIsBitIdenticalAcrossJobCounts) {
     cfg.packets = 2'000;
     const std::vector<double> rates{100, 300, 500, 700, 900};
 
-    const auto serial = rate_sweep(suts, cfg, rates, /*reps=*/1);
+    const auto serial = sweep(Axis::kRateMbps, suts, cfg, rates, /*reps=*/1);
     for (const int jobs : {2, 5}) {
         const ParallelExecutor exec{jobs};
-        const auto parallel = rate_sweep(suts, cfg, rates, /*reps=*/1, &exec);
+        const auto parallel = sweep(Axis::kRateMbps, suts, cfg, rates, /*reps=*/1, &exec);
         expect_identical(serial, parallel);
     }
 }
@@ -104,12 +105,27 @@ TEST(ParallelSweep, BufferSweepIsBitIdenticalAcrossJobCounts) {
     const std::vector<SutConfig> suts{standard_sut("moorhen"), standard_sut("snipe")};
     RunConfig cfg;
     cfg.packets = 2'000;
-    const std::vector<std::uint64_t> buffers_kb{128, 1024, 32768};
+    const std::vector<double> buffers_kb{128, 1024, 32768};
 
-    const auto serial = buffer_sweep(suts, cfg, buffers_kb, /*reps=*/1);
+    const auto serial = sweep(Axis::kBufferKb, suts, cfg, buffers_kb, /*reps=*/1);
     const ParallelExecutor exec{3};
-    const auto parallel = buffer_sweep(suts, cfg, buffers_kb, /*reps=*/1, &exec);
+    const auto parallel = sweep(Axis::kBufferKb, suts, cfg, buffers_kb, /*reps=*/1, &exec);
     expect_identical(serial, parallel);
+}
+
+TEST(ParallelSweep, QueueSweepIsBitIdenticalAcrossJobCounts) {
+    const std::vector<SutConfig> suts{standard_sut("swan"), standard_sut("moorhen")};
+    RunConfig cfg;
+    cfg.packets = 2'000;
+    cfg.link_gbps = 10.0;
+    cfg.rate_mbps = 9'500;
+    cfg.flow_count = 4096;  // spread flows across the RSS table
+    const std::vector<double> counts{1, 2, 4};
+
+    const ParallelExecutor serial_exec{1};
+    const auto serial = sweep(Axis::kQueues, suts, cfg, counts, /*reps=*/1, &serial_exec);
+    const ParallelExecutor exec{3};
+    expect_identical(serial, sweep(Axis::kQueues, suts, cfg, counts, /*reps=*/1, &exec));
 }
 
 TEST(ParallelSweep, RepeatedPointsStayIdenticalInParallel) {
@@ -119,9 +135,41 @@ TEST(ParallelSweep, RepeatedPointsStayIdenticalInParallel) {
     cfg.packets = 1'500;
     const std::vector<double> rates{200, 600};
 
-    const auto serial = rate_sweep(suts, cfg, rates, /*reps=*/3);
+    const auto serial = sweep(Axis::kRateMbps, suts, cfg, rates, /*reps=*/3);
     const ParallelExecutor exec{2};
-    expect_identical(serial, rate_sweep(suts, cfg, rates, /*reps=*/3, &exec));
+    expect_identical(serial, sweep(Axis::kRateMbps, suts, cfg, rates, /*reps=*/3, &exec));
+}
+
+TEST(SweepAxis, EachAxisAppliesItsPointRule) {
+    // swan runs Linux, moorhen FreeBSD.
+    const std::vector<SutConfig> base_suts{standard_sut("swan"), standard_sut("moorhen")};
+    RunConfig base;
+    base.rate_mbps = 700.0;  // as a variant's tweak would set it
+
+    std::vector<SutConfig> suts = base_suts;
+    RunConfig cfg = base;
+    apply_axis(Axis::kRateMbps, 450.0, suts, cfg);
+    EXPECT_EQ(cfg.rate_mbps, 450.0);
+    EXPECT_EQ(suts[0].buffer_bytes, base_suts[0].buffer_bytes);
+    EXPECT_EQ(suts[1].cores, base_suts[1].cores);
+
+    suts = base_suts;
+    cfg = base;
+    apply_axis(Axis::kBufferKb, 1024.0, suts, cfg);
+    EXPECT_EQ(cfg.rate_mbps, 0.0);  // maximum data rate overrides the tweak
+    EXPECT_EQ(suts[0].buffer_bytes, 1024u * 1024);
+    EXPECT_EQ(suts[1].buffer_bytes, 512u * 1024);  // FreeBSD's double buffer: halved
+    EXPECT_EQ(suts[0].cores, base_suts[0].cores);
+
+    suts = base_suts;
+    cfg = base;
+    apply_axis(Axis::kQueues, 4.0, suts, cfg);
+    EXPECT_EQ(cfg.rate_mbps, 700.0);  // the offered load stays fixed
+    for (const auto& sut : suts) {
+        EXPECT_EQ(sut.cores, 4);
+        EXPECT_EQ(sut.nic.queues, 4);
+    }
+    EXPECT_EQ(suts[1].buffer_bytes, base_suts[1].buffer_bytes);
 }
 
 TEST(RunRepeated, SeedVariationStrideIsPinned) {

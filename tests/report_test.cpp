@@ -14,14 +14,14 @@ namespace {
 
 using namespace harness;
 
-std::vector<SweepRow> tiny_sweep() {
+std::vector<PointResult> tiny_sweep() {
     RunConfig cfg;
     cfg.packets = 4'000;
     cfg.rate_mbps = 100.0;
-    std::vector<SweepRow> rows;
-    rows.push_back(SweepRow{100.0, run_once({standard_sut("moorhen")}, cfg)});
+    std::vector<PointResult> rows;
+    rows.push_back(PointResult{100.0, run_once({standard_sut("moorhen")}, cfg)});
     cfg.rate_mbps = 200.0;
-    rows.push_back(SweepRow{200.0, run_once({standard_sut("moorhen")}, cfg)});
+    rows.push_back(PointResult{200.0, run_once({standard_sut("moorhen")}, cfg)});
     return rows;
 }
 

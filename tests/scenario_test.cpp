@@ -124,7 +124,6 @@ RunOptions tiny_options(int jobs) {
     opts.jobs = jobs;
     opts.packets = 2'000;
     opts.reps = 1;
-    opts.gnuplot_env_fallback = false;  // keep tests hermetic
     return opts;
 }
 

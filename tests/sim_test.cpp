@@ -186,24 +186,6 @@ TEST(Rng, DoubleInUnitInterval) {
     }
 }
 
-TEST(RunningStats, TracksMoments) {
-    RunningStats s;
-    for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-    const RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(SampleSet, QuantilesInterpolate) {
     SampleSet s;
     for (int i = 1; i <= 5; ++i) s.add(i);

@@ -172,7 +172,6 @@ TEST(TimeseriesDoc, ByteIdenticalAcrossJobsViaTheScenarioRunner) {
         opts.jobs = jobs;
         opts.packets = 4'000;
         opts.reps = 1;
-        opts.gnuplot_env_fallback = false;
         opts.timeseries = &ts;
         opts.sample_interval = sim::microseconds(500);
         scenario::run_scenario(*s, opts);
