@@ -22,8 +22,8 @@ void BsdBpfDev::plan_copy(hostsim::Work& work, std::uint32_t caplen) const {
     work.working_set_bytes = static_cast<double>(2 * buffer_bytes_);
 }
 
-bool BsdBpfDev::store(const net::PacketPtr& packet, std::uint32_t caplen) {
-    const std::uint64_t need = slot_bytes(caplen);
+bool BsdBpfDev::store(CaptureRecord record) {
+    const std::uint64_t need = slot_bytes(record.caplen);
     // catchpacket(): a slot larger than a whole buffer half can never be
     // stored; rotating would not help.
     if (need > buffer_bytes_) return false;
@@ -32,9 +32,9 @@ bool BsdBpfDev::store(const net::PacketPtr& packet, std::uint32_t caplen) {
         if (hold_ready_) return false;
         rotate();
     }
-    store_.packets.push_back(packet);
     store_.stored_bytes += need;
-    store_.caplen_bytes += caplen;
+    store_.caplen_bytes += record.caplen;
+    store_.packets.push_back(std::move(record));
     return true;
 }
 

@@ -39,7 +39,7 @@ public:
 
 private:
     struct Buffer {
-        std::vector<net::PacketPtr> packets;
+        std::vector<CaptureRecord> packets;
         std::uint64_t stored_bytes = 0;  // captured bytes incl. bpf headers
         std::uint64_t caplen_bytes = 0;  // captured bytes excl. headers
         void clear() {
@@ -51,7 +51,7 @@ private:
     };
 
     void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
-    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
     /// The traced fill is STORE's, the half the kernel copies into.
     [[nodiscard]] std::uint64_t traced_occupancy() const override {

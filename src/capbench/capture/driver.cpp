@@ -14,9 +14,11 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
     const std::uint32_t hash =
         fanout_.mode() == FanoutMode::kCluster ? rss::flow_hash(*packet) : 0;
     const std::size_t tap_count = taps_.size();
+    bool keep_bytes = false;
     for (std::size_t i = 0; i < tap_count; ++i) {
         if (fanout_.targets(i, tap_count, queue, hash)) {
             work += taps_[i]->plan(packet);
+            keep_bytes = keep_bytes || taps_[i]->keeps_bytes();
         } else {
             taps_[i]->fanout_skip();
         }
@@ -24,13 +26,17 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
 
     // FreeBSD taps packets inside the interrupt handler; Linux does the
     // demux + clone work in the NET_RX softirq (accounted as system time).
+    // Every filter has run, so the completion holds only the packet's
+    // record: the payload goes back to the arena once the NIC ring lets go.
     const auto state = os_->family == OsFamily::kFreeBsd ? hostsim::CpuState::kInterrupt
                                                          : hostsim::CpuState::kSystem;
-    machine_->post_kernel_work_on(cpu, work, state, [this, queue, hash, packet] {
-        const std::size_t tap_count = taps_.size();
-        for (std::size_t i = 0; i < tap_count; ++i)
-            if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(packet);
-    });
+    machine_->post_kernel_work_on(
+        cpu, work, state,
+        [this, queue, hash, record = CaptureRecord::of(packet, keep_bytes)] {
+            const std::size_t tap_count = taps_.size();
+            for (std::size_t i = 0; i < tap_count; ++i)
+                if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(record);
+        });
 }
 
 }  // namespace capbench::capture

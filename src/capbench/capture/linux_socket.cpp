@@ -17,13 +17,13 @@ std::uint64_t LinuxPacketSocket::truesize(std::uint32_t frame_len) const {
     return data + os_->skb_overhead;
 }
 
-bool LinuxPacketSocket::store(const net::PacketPtr& packet, std::uint32_t caplen) {
-    const std::uint64_t ts = truesize(packet->frame_len());
+bool LinuxPacketSocket::store(CaptureRecord record) {
+    const std::uint64_t ts = truesize(record.frame_len);
     // sk_rmem (or the shared skb pool) exhausted: drop for this socket.
     if (queued_truesize_ + ts > rmem_bytes_ ||
         (pool_ != nullptr && pool_->used + ts > pool_->limit))
         return false;
-    queue_.push_back(Queued{packet, caplen, ts});
+    queue_.push_back(Queued{std::move(record), ts});
     queued_truesize_ += ts;
     if (pool_ != nullptr) pool_->used += ts;
     wake_reader();
@@ -36,14 +36,14 @@ bool LinuxPacketSocket::read(std::size_t max_packets, Batch& batch) {
     batch.packets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         Queued& q = queue_.front();
-        batch.packets.push_back(std::move(q.packet));
-        batch.bytes += q.caplen;
+        batch.bytes += q.record.caplen;
         queued_truesize_ -= q.truesize;
         if (pool_ != nullptr) pool_->used -= q.truesize;
         // Every packet costs one recvfrom(): syscall + copy_to_user.
         batch.fetch_work += os_->syscall_overhead;
         batch.fetch_work += os_->deliver_per_packet;
-        batch.fetch_work.copy_bytes += q.caplen;
+        batch.fetch_work.copy_bytes += q.record.caplen;
+        batch.packets.push_back(std::move(q.record));
         queue_.pop_front();
     }
     return true;

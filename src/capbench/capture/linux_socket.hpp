@@ -43,12 +43,11 @@ public:
 
 private:
     struct Queued {
-        net::PacketPtr packet;
-        std::uint32_t caplen = 0;
+        CaptureRecord record;
         std::uint64_t truesize = 0;
     };
 
-    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
 
     [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;

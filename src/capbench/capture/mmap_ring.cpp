@@ -15,9 +15,9 @@ void MmapRing::plan_copy(hostsim::Work& work, std::uint32_t caplen) const {
     work.copy_bytes += caplen;
 }
 
-bool MmapRing::store(const net::PacketPtr& packet, std::uint32_t caplen) {
+bool MmapRing::store(CaptureRecord record) {
     if (ring_.size() >= slots_) return false;
-    ring_.push_back(Queued{packet, caplen});
+    ring_.push_back(std::move(record));
     wake_reader();
     return true;
 }
@@ -27,9 +27,8 @@ bool MmapRing::read(std::size_t max_packets, Batch& batch) {
     const std::size_t n = std::min(max_packets, ring_.size());
     batch.packets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        Queued& q = ring_.front();
-        batch.packets.push_back(std::move(q.packet));
-        batch.bytes += q.caplen;
+        batch.bytes += ring_.front().caplen;
+        batch.packets.push_back(std::move(ring_.front()));
         ring_.pop_front();
     }
     // No syscall, no copy: the application reads mapped frames directly.

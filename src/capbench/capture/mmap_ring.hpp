@@ -29,17 +29,12 @@ public:
     [[nodiscard]] std::size_t slots() const { return slots_; }
 
 private:
-    struct Queued {
-        net::PacketPtr packet;
-        std::uint32_t caplen = 0;
-    };
-
     void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
-    bool store(const net::PacketPtr& packet, std::uint32_t caplen) override;
+    bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
 
     std::size_t slots_;
-    sim::RingBuffer<Queued> ring_;
+    sim::RingBuffer<CaptureRecord> ring_;
 };
 
 }  // namespace capbench::capture

@@ -64,7 +64,7 @@ hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {
     return work.scaled(os_->kernel_cost_multiplier);
 }
 
-void StackEndpoint::commit(const net::PacketPtr& packet) {
+void StackEndpoint::commit(const CaptureRecord& record) {
     const FilterRunner::Verdict verdict = pending_.pop();
     if (!verdict.accept) {
         ++stats_.dropped_filter;
@@ -75,12 +75,14 @@ void StackEndpoint::commit(const net::PacketPtr& packet) {
         return;
     }
     ++stats_.accepted;
-    if (!store(packet, verdict.caplen)) {
+    CaptureRecord stored = record;
+    stored.caplen = verdict.caplen;
+    if (!store(std::move(stored))) {
         ++stats_.dropped_buffer;
         return;
     }
     if (app_obs_ != nullptr)
-        app_obs_->enqueued(packet->id(), machine_->sim().now(),
+        app_obs_->enqueued(record.id, machine_->sim().now(),
                            static_cast<std::int64_t>(traced_occupancy()));
 }
 
@@ -94,7 +96,7 @@ std::optional<StackEndpoint::Batch> StackEndpoint::fetch(std::size_t max_packets
     stats_.delivered += batch.packets.size();
     if (app_obs_ != nullptr) {
         const sim::SimTime now = machine_->sim().now();
-        for (const net::PacketPtr& p : batch.packets) app_obs_->delivered(p->id(), now);
+        for (const CaptureRecord& r : batch.packets) app_obs_->delivered(r.id, now);
         app_obs_->fetched(batch.packets.size(),
                           static_cast<std::int64_t>(traced_occupancy()), now);
     }

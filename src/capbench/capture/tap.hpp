@@ -44,6 +44,32 @@ struct CaptureStats {
     std::uint64_t fanout_skipped = 0;
 };
 
+/// What a capture buffer holds of a packet: the kernel's record of it
+/// (Section 2.1.1: catchpacket() copies caplen bytes, the frame itself is
+/// freed).  Buffers hold records, so a buffered packet pins no arena
+/// payload; `packet` is set only when the reader reads bytes.
+struct CaptureRecord {
+    std::uint64_t id = 0;
+    std::uint32_t frame_len = 0;
+    std::uint32_t caplen = 0;  // set by the tap that buffers the record
+    net::PacketPtr packet;     // null unless the reader reads bytes
+
+    [[nodiscard]] static CaptureRecord of(const net::PacketPtr& packet, bool keep_bytes) {
+        return {packet->id(), packet->frame_len(), 0, keep_bytes ? packet : nullptr};
+    }
+};
+
+/// The application thread reading an endpoint: woken when data arrives.
+class Reader : public hostsim::Thread {
+public:
+    using hostsim::Thread::Thread;
+
+    /// True when the application reads frame bytes (a pcap handler or a
+    /// pcap file sink); only then do the endpoint's records keep the
+    /// packet.  Asked for every packet the driver plans.
+    [[nodiscard]] virtual bool reads_bytes() const = 0;
+};
+
 /// Kernel-side interface: the driver asks each tap to plan (cost) and then,
 /// when the kernel work for the packet completes, to commit (buffer state
 /// mutation + reader wakeup).  plan/commit are called strictly in FIFO
@@ -56,9 +82,14 @@ public:
     /// packet (filter interpretation, clone/enqueue, buffer copy).
     virtual hostsim::Work plan(const net::PacketPtr& packet) = 0;
 
-    /// Applies the planned action: enqueue/copy into the consumer's buffer
-    /// or count a drop; wakes the reader when data becomes available.
-    virtual void commit(const net::PacketPtr& packet) = 0;
+    /// True when the packet's record must keep its bytes for this tap's
+    /// reader.
+    [[nodiscard]] virtual bool keeps_bytes() const { return false; }
+
+    /// Applies the planned action: enqueue/copy the packet's record into
+    /// the consumer's buffer or count a drop; wakes the reader when data
+    /// becomes available.
+    virtual void commit(const CaptureRecord& record) = 0;
 
     /// The fanout group delivered this packet to another tap: account it
     /// (CaptureStats::fanout_skipped) without planning any kernel work.
@@ -199,7 +230,7 @@ private:
 class StackEndpoint : public PacketTap {
 public:
     struct Batch {
-        std::vector<net::PacketPtr> packets;
+        std::vector<CaptureRecord> packets;
         std::uint64_t bytes = 0;        // captured bytes (after snaplen)
         hostsim::Work fetch_work;       // syscall + copy cost to charge
     };
@@ -211,7 +242,10 @@ public:
 
     // -- PacketTap --
     hostsim::Work plan(const net::PacketPtr& packet) final;
-    void commit(const net::PacketPtr& packet) final;
+    [[nodiscard]] bool keeps_bytes() const final {
+        return reader_ != nullptr && reader_->reads_bytes();
+    }
+    void commit(const CaptureRecord& record) final;
     void fanout_skip() final { ++stats_.fanout_skipped; }
 
     /// Non-blocking read of up to `max_packets`.  std::nullopt means "no
@@ -219,7 +253,7 @@ public:
     std::optional<Batch> fetch(std::size_t max_packets);
 
     /// Registers the application thread to wake when data arrives.
-    void set_reader(hostsim::Thread* reader) { reader_ = reader; }
+    void set_reader(Reader* reader) { reader_ = reader; }
 
     /// Installs a BPF filter (the attach-time gate of FilterRunner).
     void install_filter(bpf::Program program);
@@ -234,10 +268,10 @@ public:
     /// The capacity `buffer_occupancy()` saturates at, in the same units.
     [[nodiscard]] virtual std::uint64_t buffer_capacity() const = 0;
 
-    /// Hands a consumed batch's packet vector back for reuse: the next
+    /// Hands a consumed batch's record vector back for reuse: the next
     /// fetch() builds its batch in it, capacity intact, so steady-state
     /// fetch loops allocate nothing.
-    void recycle(std::vector<net::PacketPtr> packets) {
+    void recycle(std::vector<CaptureRecord> packets) {
         packets.clear();
         spare_packets_ = std::move(packets);
     }
@@ -254,11 +288,12 @@ protected:
     /// PF_PACKET only clones the skb, so the default adds nothing.
     virtual void plan_copy(hostsim::Work& /*work*/, std::uint32_t /*caplen*/) const {}
 
-    /// Buffers an accepted packet (waking the reader when the stack does);
-    /// false means no buffer space — the caller counts the drop.
-    virtual bool store(const net::PacketPtr& packet, std::uint32_t caplen) = 0;
+    /// Buffers an accepted packet's record, its caplen set (waking the
+    /// reader when the stack does); false means no buffer space — the
+    /// caller counts the drop.
+    virtual bool store(CaptureRecord record) = 0;
 
-    /// Moves up to `max_packets` buffered packets into `batch.packets`
+    /// Moves up to `max_packets` buffered records into `batch.packets`
     /// (handed in empty, pooled capacity) and sets bytes and fetch_work;
     /// false means no data yet.
     virtual bool read(std::size_t max_packets, Batch& batch) = 0;
@@ -266,7 +301,7 @@ protected:
     /// The buffer fill the lifecycle hooks trace at enqueue and fetch.
     [[nodiscard]] virtual std::uint64_t traced_occupancy() const { return buffer_occupancy(); }
 
-    [[nodiscard]] hostsim::Thread* reader() const { return reader_; }
+    [[nodiscard]] Reader* reader() const { return reader_; }
     void wake_reader() {
         if (reader_ != nullptr) machine_->wake(*reader_);
     }
@@ -279,8 +314,8 @@ private:
     FilterRunner filter_;
     PendingVerdicts pending_;  // FIFO plan->commit handoff
     CaptureStats stats_;
-    hostsim::Thread* reader_ = nullptr;
-    std::vector<net::PacketPtr> spare_packets_;
+    Reader* reader_ = nullptr;
+    std::vector<CaptureRecord> spare_packets_;
     obs::AppObserver* app_obs_ = nullptr;
 };
 

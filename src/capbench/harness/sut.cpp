@@ -141,7 +141,7 @@ CaptureApp::CaptureApp(std::string name, capture::StackEndpoint& endpoint,
                        const load::AppLoad& app_load, std::uint32_t snaplen,
                        load::DiskModel* disk, load::FifoPipe* pipe,
                        load::DiskWriterThread* disk_writer)
-    : hostsim::Thread(std::move(name)),
+    : capture::Reader(std::move(name)),
       endpoint_(&endpoint),
       session_(&session),
       os_(&os),
@@ -156,6 +156,10 @@ CaptureApp::CaptureApp(std::string name, capture::StackEndpoint& endpoint,
 void CaptureApp::main() {
     endpoint_->set_reader(this);
     fetch_loop();
+}
+
+bool CaptureApp::reads_bytes() const {
+    return session_->handler() || (disk_writer_ != nullptr && disk_writer_->has_sink());
 }
 
 void CaptureApp::fetch_loop() {
@@ -176,24 +180,28 @@ void CaptureApp::process(capture::StackEndpoint::Batch batch, std::size_t index)
     std::uint64_t disk_bytes = 0;
     std::uint64_t pipe_bytes = 0;
     for (std::size_t i = index; i < end; ++i) {
-        const auto& pkt = batch.packets[i];
-        const std::uint32_t caplen = std::min(snaplen_, pkt->frame_len());
+        const capture::CaptureRecord& rec = batch.packets[i];
+        const std::uint32_t caplen = std::min(snaplen_, rec.frame_len);
         work += load::per_packet_app_base();
         work += load::per_packet_load_work(app_load_, caplen);
         if (app_load_.disk_bytes_per_packet > 0) {
             const std::uint32_t db = std::min(caplen, app_load_.disk_bytes_per_packet);
             if (disk_writer_ != nullptr) {
-                // Pipeline mode: stage an arena-backed record (stamped at
-                // handler time, like the inline write) for the bring-ring
-                // hand-off; the writer thread pays the disk cost.
+                // Pipeline mode: stage a record (stamped at handler time,
+                // like the inline write) for the bring-ring hand-off; the
+                // writer thread pays the disk cost.
                 pending_records_.push_back(load::RecordRef{
-                    pkt, caplen, db, machine().sim().now()});
+                    rec.packet, caplen, db, machine().sim().now()});
             } else {
                 disk_bytes += db;
             }
         }
         if (app_load_.pipe_to_gzip) pipe_bytes += caplen;
-        if (session_->handler()) session_->handler()(pkt, caplen);
+        if (session_->handler()) {
+            if (rec.packet == nullptr)
+                throw std::logic_error("CaptureApp: handler set after the packet was buffered");
+            session_->handler()(rec.packet, caplen);
+        }
         ++processed_;
         bytes_processed_ += caplen;
     }

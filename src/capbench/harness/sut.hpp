@@ -138,7 +138,7 @@ private:
 /// fetches packets from its stack endpoint, charges per-packet analysis
 /// load, optionally writes headers to disk or pipes packets to gzip, and
 /// counts everything.
-class CaptureApp final : public hostsim::Thread {
+class CaptureApp final : public capture::Reader {
 public:
     CaptureApp(std::string name, capture::StackEndpoint& endpoint, pcap::Session& session,
                const capture::OsSpec& os, const load::AppLoad& app_load, std::uint32_t snaplen,
@@ -146,6 +146,9 @@ public:
                load::DiskWriterThread* disk_writer = nullptr);
 
     void main() override;
+
+    /// A pcap handler or a disk writer with a pcap sink reads bytes.
+    [[nodiscard]] bool reads_bytes() const override;
 
     [[nodiscard]] std::uint64_t processed() const { return processed_; }
     [[nodiscard]] std::uint64_t bytes_processed() const { return bytes_processed_; }

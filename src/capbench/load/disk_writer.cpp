@@ -122,8 +122,11 @@ void DiskWriterThread::submit(std::uint64_t bytes) {
 
 void DiskWriterThread::flush_batch() {
     if (sink_ != nullptr) {
-        for (const RecordRef& rec : batch_)
+        for (const RecordRef& rec : batch_) {
+            if (rec.packet == nullptr)
+                throw std::logic_error("DiskWriterThread: sink set after the packet was buffered");
             sink_->write(*rec.packet, rec.caplen, rec.timestamp);
+        }
     }
     records_written_ += batch_.size();
     for (const RecordRef& rec : batch_) bytes_written_ += rec.disk_bytes;

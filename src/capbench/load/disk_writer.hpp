@@ -4,11 +4,12 @@
 // joined by a fixed-size lock-free "bring" ring: the listener only stamps a
 // record descriptor and pushes it; the writer drains descriptors in batches
 // and pays the syscall + per-byte cost.  We mirror that split inside the
-// host simulation: the capture application offers arena-backed `RecordRef`s
-// (a PacketPtr keeps the payload alive — no byte staging) into a `BringRing`
-// and a `DiskWriterThread` drains them, charges `DiskModel::write_work` off
-// the capture thread, blocks on disk back-pressure, and optionally streams
-// each record through the zero-copy `pcap::FileWriter` path.
+// host simulation: the capture application offers `RecordRef`s into a
+// `BringRing` and a `DiskWriterThread` drains them, charges
+// `DiskModel::write_work` off the capture thread, blocks on disk
+// back-pressure, and optionally streams each record through the zero-copy
+// `pcap::FileWriter` path.  A record carries its packet (no byte staging)
+// only when the writer has such a sink.
 //
 // When the ring is full, the configured `SpillPolicy` decides: `kBlock`
 // back-pressures the capture thread (offer() returns false, the producer
@@ -52,12 +53,12 @@ struct DiskWriterConfig {
     SpillPolicy spill = SpillPolicy::kBlock;
 };
 
-/// One pcap record staged for the writer thread: the arena-backed packet
-/// (the shared_ptr keeps the payload alive across the hand-off) plus its
-/// capture metadata.  No payload bytes are copied until the writer emits
-/// the record.
+/// One pcap record staged for the writer thread: its capture metadata
+/// and, when the writer has a pcap sink, the arena-backed packet (the
+/// shared_ptr keeps the payload alive across the hand-off; no payload
+/// bytes are copied until the sink emits the record).
 struct RecordRef {
-    net::PacketPtr packet;
+    net::PacketPtr packet;         // null unless the writer has a sink
     std::uint32_t caplen = 0;      // pcap capture length
     std::uint32_t disk_bytes = 0;  // bytes charged against the disk model
     sim::SimTime timestamp{};
@@ -102,8 +103,11 @@ public:
     bool offer(RecordRef& rec, hostsim::Thread& producer);
 
     /// Optional pcap sink: each drained record is emitted through the
-    /// zero-copy FileWriter path, in hand-off order.
+    /// zero-copy FileWriter path, in hand-off order.  Set it before
+    /// traffic: records staged without a sink carry no bytes, and one
+    /// reaching the sink throws std::logic_error.
     void set_sink(pcap::FileWriter* sink) { sink_ = sink; }
+    [[nodiscard]] bool has_sink() const { return sink_ != nullptr; }
 
     /// Optional obs hooks (spill counter, ring-occupancy trace counter).
     void set_observer(obs::AppObserver* obs) { obs_ = obs; }

@@ -4,8 +4,10 @@
 // The generator publishes millions of shared immutable packets per run; with
 // plain make_shared every packet costs a control-block allocation (plus a
 // payload allocation in full mode), all freed moments later when the last
-// sniffer drops its reference.  The arena turns that churn into two freelist
-// pops and pushes:
+// sniffer's driver has filtered the packet (capture buffers hold records,
+// not packets, unless the application reads bytes).  So the arena holds
+// about as many payloads as the NIC rings hold frames.  It turns that churn
+// into two freelist pops and pushes:
 //
 //  * control blocks: packets are created with std::allocate_shared using a
 //    NodeAlloc that recycles the single combined (control block + Packet)

@@ -11,9 +11,12 @@
 //    process of capturing", Section 3.2).
 //
 // Packets are shared immutably (like cloned skbs): the splitter hands the
-// same underlying packet to all four sniffers.  On the hot path both the
-// control block and the payload come from a PacketArena (see arena.hpp) and
-// are recycled through freelists, so pktgen -> splitter -> NICs runs without
+// same underlying packet to all four sniffers.  A packet lives only until
+// every sniffer's driver has run its taps' filters over it: capture buffers
+// then hold a compact capture::CaptureRecord, which keeps the packet only
+// for an application that reads bytes.  On the hot path both the control
+// block and the payload come from a PacketArena (see arena.hpp) and are
+// recycled through freelists, so pktgen -> splitter -> NICs runs without
 // malloc churn; the plain constructors below remain for tests and tools.
 #pragma once
 

@@ -44,13 +44,14 @@ FileWriter::FileWriter(std::ostream& out, std::uint32_t snaplen) : out_(&out), s
 }
 
 void FileWriter::write(const net::Packet& packet, std::uint32_t caplen, sim::SimTime timestamp) {
-    const std::uint32_t cap = std::min({caplen, snaplen_, packet.frame_len()});
-    const auto bytes = packet.has_bytes() ? packet.bytes() : std::span<const std::byte>{};
-    write(bytes, cap, packet.frame_len(), timestamp);
+    write(packet.bytes(), caplen, packet.frame_len(), timestamp);
 }
 
 void FileWriter::write(std::span<const std::byte> data, std::uint32_t caplen,
                        std::uint32_t wire_len, sim::SimTime timestamp) {
+    // A record never holds more than the file's snaplen or the frame had
+    // on the wire.
+    caplen = std::min({caplen, snaplen_, wire_len});
     const auto usec_total = timestamp.ns() / 1000;
     put(*out_, static_cast<std::uint32_t>(usec_total / 1'000'000));
     put(*out_, static_cast<std::uint32_t>(usec_total % 1'000'000));

@@ -48,7 +48,7 @@ public:
     void write(const net::Packet& packet, std::uint32_t caplen, sim::SimTime timestamp);
 
     /// Zero-copy path: emits a record header followed by `data`, truncated
-    /// or zero-padded to exactly `caplen` bytes.
+    /// or zero-padded to exactly min(caplen, snaplen, wire_len) bytes.
     void write(std::span<const std::byte> data, std::uint32_t caplen, std::uint32_t wire_len,
                sim::SimTime timestamp);
 

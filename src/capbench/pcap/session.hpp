@@ -53,7 +53,10 @@ public:
     [[nodiscard]] const std::string& filter_expression() const { return filter_expr_; }
 
     /// Per-packet callback run by the capture application thread for every
-    /// delivered packet (the pcap_loop user function).
+    /// delivered packet (the pcap_loop user function).  Set it before
+    /// traffic: only while a handler is set do capture buffers keep the
+    /// packet's bytes, and a packet buffered without them throws
+    /// std::logic_error when delivered.
     using Handler = std::function<void(const net::PacketPtr&, std::uint32_t caplen)>;
     void set_handler(Handler handler) { handler_ = std::move(handler); }
     [[nodiscard]] const Handler& handler() const { return handler_; }

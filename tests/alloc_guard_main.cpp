@@ -23,6 +23,7 @@
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/vm.hpp"
 #include "capbench/capture/bsd_bpf.hpp"
+#include "capbench/capture/linux_socket.hpp"
 #include "capbench/capture/mmap_ring.hpp"
 #include "capbench/capture/os.hpp"
 #include "capbench/dist/builtin.hpp"
@@ -242,9 +243,9 @@ TEST(AllocGuard, BsdBpfFetchLoopDoesNotAllocate) {
     auto arena = capbench::net::PacketArena::create();
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
-            auto p = arena->make_full(i, 1000, sim::SimTime{});
+            const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
             dev.plan(p);
-            dev.commit(p);
+            dev.commit(capture::CaptureRecord::of(p, false));
             if (auto batch = dev.fetch(64)) dev.recycle(std::move(batch->packets));
         }
     };
@@ -252,6 +253,34 @@ TEST(AllocGuard, BsdBpfFetchLoopDoesNotAllocate) {
     const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
     EXPECT_EQ(allocs, 0u) << "bsd_bpf deliver/fetch/recycle loop allocated";
     EXPECT_GT(dev.stats().delivered, 0u);
+    // Buffered records pin no payload: every packet reuses the first one.
+    EXPECT_EQ(arena->stats().payload_allocs, 1u);
+}
+
+TEST(AllocGuard, LinuxSocketFetchLoopDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    namespace capture = capbench::capture;
+    namespace hostsim = capbench::hostsim;
+    sim::Simulator sim;
+    hostsim::Machine machine{
+        sim, hostsim::MachineSpec{hostsim::ArchSpec::amd_opteron(), 2, false}, {}};
+    capture::LinuxPacketSocket sock{machine, capture::OsSpec::linux_2_6_11(), 1 << 20, 1515};
+    auto arena = capbench::net::PacketArena::create();
+    const auto churn = [&](std::uint64_t iters) {
+        for (std::uint64_t i = 0; i < iters; ++i) {
+            const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
+            sock.plan(p);
+            sock.commit(capture::CaptureRecord::of(p, false));
+            if ((i & 7) == 7) {
+                if (auto batch = sock.fetch(8)) sock.recycle(std::move(batch->packets));
+            }
+        }
+    };
+    churn(64);  // warmup: receive queue and batch vector reach steady capacity
+    const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
+    EXPECT_EQ(allocs, 0u) << "linux_socket deliver/fetch/recycle loop allocated";
+    EXPECT_GT(sock.stats().delivered, 0u);
+    EXPECT_EQ(arena->stats().payload_allocs, 1u);
 }
 
 TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
@@ -265,9 +294,9 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
     auto arena = capbench::net::PacketArena::create();
     const auto churn = [&](std::uint64_t iters) {
         for (std::uint64_t i = 0; i < iters; ++i) {
-            auto p = arena->make_full(i, 1000, sim::SimTime{});
+            const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
             ring.plan(p);
-            ring.commit(p);
+            ring.commit(capture::CaptureRecord::of(p, false));
             if ((i & 7) == 7) {
                 if (auto batch = ring.fetch(8)) ring.recycle(std::move(batch->packets));
             }
@@ -277,6 +306,7 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
     const std::uint64_t allocs = allocations_during([&] { churn(10'000); });
     EXPECT_EQ(allocs, 0u) << "mmap_ring deliver/fetch/recycle loop allocated";
     EXPECT_GT(ring.stats().delivered, 0u);
+    EXPECT_EQ(arena->stats().payload_allocs, 1u);
 }
 
 /// A testbed warmed by complete 4,000-packet generation passes, so every

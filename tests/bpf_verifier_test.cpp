@@ -450,7 +450,7 @@ TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
             for (std::uint64_t id = 1; id <= 3; ++id) {
                 const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
                 tap->plan(p);
-                tap->commit(p);
+                tap->commit(CaptureRecord::of(p, false));
             }
             // Aborts are counted inside dropped_filter, so the drop
             // identity still closes.

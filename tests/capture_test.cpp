@@ -28,11 +28,15 @@ struct Fixture {
     Machine machine{sim, MachineSpec{ArchSpec::amd_opteron(), 2, false}, {}};
 };
 
+/// The record the driver commits for `p` to a tap whose reader reads no
+/// bytes.
+CaptureRecord record(const net::PacketPtr& p) { return CaptureRecord::of(p, false); }
+
 /// Runs the plan/commit pair directly (bypassing the driver) for unit
 /// testing of the buffer state machines.
 void deliver(PacketTap& tap, const net::PacketPtr& p) {
     tap.plan(p);
-    tap.commit(p);
+    tap.commit(record(p));
 }
 
 TEST(BsdBpf, StoresUntilFullThenRotatesOnOverflow) {
@@ -112,7 +116,7 @@ TEST(BsdBpf, OversizedPacketIsDroppedNotStored) {
     const auto batch = dev.fetch(999);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->packets.size(), 1u);
-    EXPECT_EQ(batch->packets.front()->id(), 2u);
+    EXPECT_EQ(batch->packets.front().id, 2u);
 }
 
 TEST(BsdBpf, FilterRejectsAndCountsSeparately) {
@@ -129,10 +133,10 @@ TEST(BsdBpf, PlanChargesCopyOnlyWhenAccepted) {
     Fixture f;
     BsdBpfDev dev{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
     const auto accepted = dev.plan(synthetic(1, 1000));
-    dev.commit(synthetic(1, 1000));
+    dev.commit(record(synthetic(1, 1000)));
     dev.install_filter(bpf::reject_all());
     const auto rejected = dev.plan(synthetic(2, 1000));
-    dev.commit(synthetic(2, 1000));
+    dev.commit(record(synthetic(2, 1000)));
     EXPECT_GT(accepted.copy_bytes, 900.0);
     EXPECT_EQ(rejected.copy_bytes, 0.0);
 }
@@ -223,13 +227,13 @@ TEST(Taps, CommitWithoutPlanFailsFast) {
     const auto p = synthetic(1, 500);
 
     BsdBpfDev bpf{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
-    EXPECT_THROW(bpf.commit(p), std::logic_error);
+    EXPECT_THROW(bpf.commit(record(p)), std::logic_error);
 
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(sock.commit(p), std::logic_error);
+    EXPECT_THROW(sock.commit(record(p)), std::logic_error);
 
     MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(ring.commit(p), std::logic_error);
+    EXPECT_THROW(ring.commit(record(p)), std::logic_error);
 }
 
 TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
@@ -237,7 +241,7 @@ TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
     const auto p = synthetic(1, 500);
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
     deliver(sock, p);                               // matched pair: fine
-    EXPECT_THROW(sock.commit(p), std::logic_error);  // one commit too many
+    EXPECT_THROW(sock.commit(record(p)), std::logic_error);  // one commit too many
     deliver(sock, p);                               // queue still usable
     EXPECT_EQ(sock.stats().accepted, 2u);
 }
@@ -247,9 +251,10 @@ TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
 /// An application thread that blocks forever (re-blocking each time it is
 /// woken) — keeps BsdBpfDev's reader in State::kBlocked so the timeout
 /// re-arm path is taken.
-struct ParkedReader final : Thread {
-    ParkedReader() : Thread("parked-reader") {}
+struct ParkedReader final : Reader {
+    ParkedReader() : Reader("parked-reader") {}
     void main() override { park(); }
+    [[nodiscard]] bool reads_bytes() const override { return false; }
     void park() {
         block([this] { park(); });
     }
@@ -297,7 +302,7 @@ TEST(BsdBpf, NoReArmAfterHoldReadyUntilNextFetch) {
     const auto first = dev.fetch(999);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->packets.size(), 1u);
-    EXPECT_EQ(first->packets.front()->id(), 1u);
+    EXPECT_EQ(first->packets.front().id, 1u);
 
     // ...until the NEXT empty fetch arms a fresh timeout that rotates it.
     EXPECT_EQ(dev.fetch(999), std::nullopt);
@@ -305,7 +310,7 @@ TEST(BsdBpf, NoReArmAfterHoldReadyUntilNextFetch) {
     const auto second = dev.fetch(999);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->packets.size(), 1u);
-    EXPECT_EQ(second->packets.front()->id(), 2u);
+    EXPECT_EQ(second->packets.front().id, 2u);
 }
 
 // ---- batch vector pooling -----------------------------------------------------
@@ -318,7 +323,7 @@ TEST(Taps, RecycledBatchVectorsKeepTheirStorage) {
     for (int i = 0; i < 8; ++i) deliver(sock, synthetic(i, 200));
     auto batch = sock.fetch(8);
     ASSERT_TRUE(batch.has_value());
-    const net::PacketPtr* storage = batch->packets.data();
+    const CaptureRecord* storage = batch->packets.data();
     sock.recycle(std::move(batch->packets));
 
     for (int i = 8; i < 16; ++i) deliver(sock, synthetic(i, 200));
@@ -330,7 +335,7 @@ TEST(Taps, RecycledBatchVectorsKeepTheirStorage) {
     for (int i = 0; i < 8; ++i) deliver(ring, synthetic(i, 200));
     auto rb = ring.fetch(8);
     ASSERT_TRUE(rb.has_value());
-    const net::PacketPtr* ring_storage = rb->packets.data();
+    const CaptureRecord* ring_storage = rb->packets.data();
     ring.recycle(std::move(rb->packets));
     for (int i = 8; i < 16; ++i) deliver(ring, synthetic(i, 200));
     EXPECT_EQ(ring.fetch(8)->packets.data(), ring_storage);
@@ -346,7 +351,7 @@ struct CountingTap : PacketTap {
         ++planned;
         return Work{.cycles = 500};
     }
-    void commit(const net::PacketPtr&) override { ++committed; }
+    void commit(const CaptureRecord&) override { ++committed; }
     void fanout_skip() override { ++skipped; }
 };
 

@@ -177,6 +177,23 @@ TEST(DiskWriterThread, RingOutputIsByteIdenticalToInlineWriter) {
     EXPECT_EQ(ring_out.str(), inline_out.str());
 }
 
+TEST(DiskWriterThread, BytelessRecordAtASinkFailsLoudly) {
+    // A record whose app read no bytes carries no packet; a sink must not
+    // dereference it.
+    Fixture f;
+    std::stringstream out;
+    pcap::FileWriter sink{out, 1515};
+    auto writer = std::make_shared<DiskWriterThread>(
+        "wr", capture::OsSpec::freebsd_5_4(), f.disk, DiskWriterConfig{true, 4});
+    writer->set_sink(&sink);
+    std::vector<RecordRef> records{RecordRef{nullptr, 76, 76, sim::SimTime{}}};
+    auto producer = std::make_shared<Producer>(*writer, std::move(records));
+    f.machine.spawn(writer);
+    f.machine.spawn(producer);
+    EXPECT_THROW(f.sim.run(), std::logic_error);
+    EXPECT_EQ(sink.records_written(), 0u);
+}
+
 TEST(DiskWriterThread, ChargesDiskOffTheProducerAndBlocksOnBackpressure) {
     Fixture f;
     // A tiny write-back queue forces the writer into DiskModel waits.

@@ -40,7 +40,7 @@ TEST(Session, InstallsCompiledFilter) {
     tcp_frame[23] = std::byte{6};  // TCP
     auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(pkt);
+    f.sock.commit(capture::CaptureRecord::of(pkt, false));
     EXPECT_EQ(session.stats().ps_recv, 0u);
     EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
@@ -60,7 +60,7 @@ TEST(Session, BadFilterThrows) {
     tcp_frame[23] = std::byte{6};  // TCP
     auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(pkt);
+    f.sock.commit(capture::CaptureRecord::of(pkt, false));
     EXPECT_EQ(session.stats().ps_recv, 0u);
     EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
@@ -80,7 +80,7 @@ TEST(Session, StatsMapToPcapSemantics) {
     Session session{f.sock, "swan:if0", 1515, false};
     auto pkt = std::make_shared<net::Packet>(1, 500, sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(pkt);
+    f.sock.commit(capture::CaptureRecord::of(pkt, false));
     f.sock.fetch(99);
     EXPECT_EQ(session.stats().ps_recv, 1u);
     EXPECT_EQ(session.stats().ps_drop, 0u);
@@ -98,7 +98,7 @@ TEST(Session, StatsMapBufferDropsToPsDrop) {
     for (int i = 0; i < 10; ++i) {
         auto pkt = std::make_shared<net::Packet>(id++, 1500, sim::SimTime{});
         small.plan(pkt);
-        small.commit(pkt);
+        small.commit(capture::CaptureRecord::of(pkt, false));
     }
     EXPECT_GT(small.stats().dropped_buffer, 0u);
     EXPECT_EQ(session.stats().ps_drop, small.stats().dropped_buffer);
@@ -232,6 +232,28 @@ TEST(File, SnaplenCapsRecords) {
     EXPECT_EQ(rec->wire_len, 1500u);
     // Synthetic packets produce zero-filled data.
     EXPECT_EQ(std::to_integer<int>(rec->data[10]), 0);
+}
+
+TEST(File, RecordOverloadClampsToSnaplenAndWireLength) {
+    // A record claiming more bytes than the file's snaplen or than the
+    // frame had on the wire is written at the smaller of the three, like
+    // the Packet overload.
+    std::vector<std::byte> data(200);
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::byte>(i);
+    const Record oversized{sim::SimTime{}, 200, 150, data};
+    for (const auto& [snaplen, want] : {std::pair{96u, 96u}, std::pair{1515u, 150u}}) {
+        std::stringstream buffer;
+        FileWriter writer{buffer, snaplen};
+        writer.write(oversized);
+        FileReader reader{buffer};
+        EXPECT_EQ(reader.header().snaplen, snaplen);
+        const auto rec = reader.next();
+        ASSERT_TRUE(rec.has_value());
+        EXPECT_EQ(rec->caplen, want);
+        EXPECT_EQ(rec->wire_len, 150u);
+        EXPECT_EQ(rec->data, std::vector<std::byte>(data.begin(), data.begin() + want));
+        EXPECT_FALSE(reader.next().has_value());
+    }
 }
 
 TEST(File, RejectsBadMagic) {
