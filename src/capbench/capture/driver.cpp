@@ -28,15 +28,28 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
     // demux + clone work in the NET_RX softirq (accounted as system time).
     // Every filter has run, so the completion holds only the packet's
     // record: the payload goes back to the arena once the NIC ring lets go.
+    // Without bytes to keep, the completion captures plain fields, so
+    // InplaceFunction relocates it with a memcpy.
     const auto state = os_->family == OsFamily::kFreeBsd ? hostsim::CpuState::kInterrupt
                                                          : hostsim::CpuState::kSystem;
-    machine_->post_kernel_work_on(
-        cpu, work, state,
-        [this, queue, hash, record = CaptureRecord::of(packet, keep_bytes)] {
-            const std::size_t tap_count = taps_.size();
-            for (std::size_t i = 0; i < tap_count; ++i)
-                if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(record);
-        });
+    if (keep_bytes) {
+        machine_->post_kernel_work_on(
+            cpu, work, state, [this, queue, hash, record = CaptureRecord::of(packet, true)] {
+                commit(queue, hash, record);
+            });
+    } else {
+        machine_->post_kernel_work_on(
+            cpu, work, state,
+            [this, queue, hash, id = packet->id(), frame_len = packet->frame_len()] {
+                commit(queue, hash, CaptureRecord{id, frame_len, 0, nullptr});
+            });
+    }
+}
+
+void Driver::commit(int queue, std::uint32_t hash, const CaptureRecord& record) {
+    const std::size_t tap_count = taps_.size();
+    for (std::size_t i = 0; i < tap_count; ++i)
+        if (fanout_.targets(i, tap_count, queue, hash)) taps_[i]->commit(record);
 }
 
 }  // namespace capbench::capture

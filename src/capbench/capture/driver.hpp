@@ -33,6 +33,9 @@ public:
     [[nodiscard]] const FanoutGroup& fanout() const { return fanout_; }
 
 private:
+    /// Commits `record` to every tap that fanout targets for `queue`.
+    void commit(int queue, std::uint32_t hash, const CaptureRecord& record);
+
     hostsim::Machine* machine_;
     const OsSpec* os_;
     FanoutGroup fanout_;

@@ -56,4 +56,9 @@ SizeHistogram fixed_size_histogram(std::uint32_t size, std::uint64_t total) {
     return hist;
 }
 
+const TwoStageDist& mwn_trace_dist() {
+    static const TwoStageDist dist{mwn_trace_histogram()};
+    return dist;
+}
+
 }  // namespace capbench::dist

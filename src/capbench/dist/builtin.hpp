@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "capbench/dist/size_histogram.hpp"
+#include "capbench/dist/two_stage_dist.hpp"
 
 namespace capbench::dist {
 
@@ -21,6 +22,11 @@ namespace capbench::dist {
 /// `total` scales the counts (default one million packets, the per-run
 /// generation count of the measurements).
 SizeHistogram mwn_trace_histogram(std::uint64_t total = 1'000'000);
+
+/// The two-stage distribution of mwn_trace_histogram() at its default total
+/// and the thesis parameters, built once per process on first use
+/// (thread-safe) and never changed after.
+const TwoStageDist& mwn_trace_dist();
 
 /// Degenerate distribution: every packet has the same size (the classic
 /// unmodified pktgen behaviour used as baseline in Section 4.1.3).

@@ -41,7 +41,7 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     tb.gen.burst_duration_ns = config.burst_duration.ns();
     tb.gen.burst_multiplier = config.burst_multiplier;
     if (config.use_mwn_dist) {
-        tb.gen.size_dist.emplace(dist::mwn_trace_histogram());
+        tb.gen.size_dist = dist::mwn_trace_dist();
         tb.gen.use_dist = true;
     } else {
         tb.gen.packet_size = config.fixed_size;

@@ -30,6 +30,27 @@ Machine::Machine(sim::Simulator& sim, MachineSpec spec, SchedPolicy policy)
     chunks_.resize(static_cast<std::size_t>(logical));
     kernel_done_.resize(static_cast<std::size_t>(logical));
     kernel_queue_len_cpu_.resize(static_cast<std::size_t>(logical), 0);
+    // Each CPU's kernel-lane head and thread chunk fire fixed targets, and
+    // so does the deferred dispatch after a block, yield or migration.
+    auto& queue = sim_->queue();
+    dispatch_target_ = queue.add_target(
+        [](void* self, std::uint32_t, std::uint64_t) {
+            static_cast<Machine*>(self)->try_dispatch();
+        },
+        this);
+    for (int c = 0; c < logical; ++c) {
+        const auto cpu = static_cast<std::uint32_t>(c);
+        kernel_targets_.push_back(queue.add_target(
+            [](void* self, std::uint32_t cpu_index, std::uint64_t) {
+                static_cast<Machine*>(self)->kernel_work_complete(static_cast<int>(cpu_index));
+            },
+            this, cpu));
+        chunk_targets_.push_back(queue.add_target(
+            [](void* self, std::uint32_t cpu_index, std::uint64_t seq) {
+                static_cast<Machine*>(self)->chunk_event(static_cast<int>(cpu_index), seq);
+            },
+            this, cpu));
+    }
 }
 
 // ---- CPU state inspection ----------------------------------------------------
@@ -143,7 +164,12 @@ void Machine::post_kernel_work_on(int cpu_index, const Work& work, CpuState kind
     auto& fifo = kernel_done_[static_cast<std::size_t>(cpu_index)];
     const std::uint64_t seq = sim_->queue().reserve();
     if (fifo.empty()) push_kernel_event(cpu_index, end, seq);
-    fifo.push_back(KernelDone{end, seq, dur, kind, std::move(done)});
+    KernelDone& item = fifo.emplace_back();
+    item.end = end;
+    item.seq = seq;
+    item.dur = dur;
+    item.kind = kind;
+    item.done = std::move(done);
     if (ctr_kernel_items_) ctr_kernel_items_->inc();
 
     // Kernel work preempts the thread chunk in flight on this CPU: its
@@ -164,18 +190,24 @@ void Machine::post_kernel_work_on(int cpu_index, const Work& work, CpuState kind
 }
 
 void Machine::push_kernel_event(int cpu_index, sim::SimTime end, std::uint64_t seq) {
-    sim_->queue().push_reserved(end, seq, [this, cpu_index] { kernel_work_complete(cpu_index); });
+    sim_->queue().push_reserved(end, seq, kernel_targets_[static_cast<std::size_t>(cpu_index)]);
 }
 
 void Machine::kernel_work_complete(int cpu_index) {
     auto& fifo = kernel_done_[static_cast<std::size_t>(cpu_index)];
-    KernelDone item = std::move(fifo.front());
-    fifo.pop_front();
+    // Read the head where it lies; only its continuation moves out, since
+    // running it may post more work and grow the FIFO.  That leaves the
+    // slot nothing to release, and the next fill overwrites every field.
+    KernelDone& head = fifo.front();
+    const sim::Duration dur = head.dur;
+    const CpuState kind = head.kind;
+    Continuation done = std::move(head.done);
+    fifo.drop_front();
     if (!fifo.empty()) push_kernel_event(cpu_index, fifo.front().end, fifo.front().seq);
-    cpus_[static_cast<std::size_t>(cpu_index)].account(item.kind, item.dur);
+    cpus_[static_cast<std::size_t>(cpu_index)].account(kind, dur);
     --kernel_queue_len_;
     --kernel_queue_len_cpu_[static_cast<std::size_t>(cpu_index)];
-    if (trace_ && item.dur > sim::Duration::zero()) {
+    if (trace_ && dur > sim::Duration::zero()) {
         // Each CPU serializes its kernel work, so [now-dur, now) slices
         // tile that CPU's kernel lane without overlap.
         const int tid = obs::kKernelTid + cpu_index;
@@ -184,10 +216,10 @@ void Machine::kernel_work_complete(int cpu_index) {
             trace_->set_thread_name(trace_pid_, tid,
                                     "kernel/cpu" + std::to_string(cpu_index));
         }
-        trace_->complete(trace_pid_, tid, trace_kernel_name_, state_cat(item.kind),
-                         sim_->now() - item.dur, sim_->now());
+        trace_->complete(trace_pid_, tid, trace_kernel_name_, state_cat(kind),
+                         sim_->now() - dur, sim_->now());
     }
-    if (item.done) item.done();
+    if (done) done();
     // IRQ affinity can saturate several CPUs at once; a thread parked
     // ready while every CPU ran deep kernel queues has no other wake
     // signal than a queue draining, so retry dispatch here.  Guarded by
@@ -314,9 +346,8 @@ void Machine::thread_exec(Thread& thread, const Work& work, CpuState st, Continu
 void Machine::push_chunk_event(int cpu_index) {
     auto& chunk = chunks_[static_cast<std::size_t>(cpu_index)];
     chunk.event_seq = chunk.seq;
-    sim_->queue().push_reserved(chunk.end, chunk.seq, [this, cpu_index, seq = chunk.seq] {
-        chunk_event(cpu_index, seq);
-    });
+    sim_->queue().push_reserved(chunk.end, chunk.seq,
+                                chunk_targets_[static_cast<std::size_t>(cpu_index)]);
 }
 
 void Machine::chunk_event(int cpu_index, std::uint64_t seq) {
@@ -360,7 +391,7 @@ void Machine::migrate_chunk(int cpu_index) {
     thread->state_ = Thread::State::kReady;
     release_cpu(*thread);
     ready_.push_back(thread);
-    sim_->schedule_in(sim::Duration::zero(), [this] { try_dispatch(); });
+    sim_->schedule_at(sim_->now(), dispatch_target_);
 }
 
 void Machine::thread_block(Thread& thread, Continuation on_wake) {
@@ -373,7 +404,7 @@ void Machine::thread_block(Thread& thread, Continuation on_wake) {
     release_cpu(thread);
     // Give other ready threads the CPU we just freed.  Dispatch from a
     // fresh event to keep the current continuation's stack shallow.
-    sim_->schedule_in(sim::Duration::zero(), [this] { try_dispatch(); });
+    sim_->schedule_at(sim_->now(), dispatch_target_);
 }
 
 void Machine::thread_yield(Thread& thread, Continuation then) {
@@ -388,7 +419,7 @@ void Machine::thread_yield(Thread& thread, Continuation then) {
         ready_.push_front(&thread);
     else
         ready_.push_back(&thread);
-    sim_->schedule_in(sim::Duration::zero(), [this] { try_dispatch(); });
+    sim_->schedule_at(sim_->now(), dispatch_target_);
 }
 
 // ---- accounting ---------------------------------------------------------------

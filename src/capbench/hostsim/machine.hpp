@@ -119,6 +119,10 @@ class Machine {
 public:
     Machine(sim::Simulator& sim, MachineSpec spec, SchedPolicy policy);
 
+    /// The queue's fixed targets point at this machine.
+    Machine(const Machine&) = delete;
+    Machine& operator=(const Machine&) = delete;
+
     [[nodiscard]] sim::Simulator& sim() const { return *sim_; }
     [[nodiscard]] const MachineSpec& spec() const { return spec_; }
     [[nodiscard]] int logical_cpus() const { return static_cast<int>(cpus_.size()); }
@@ -209,10 +213,10 @@ private:
     void thread_yield(Thread& thread, Continuation then);
 
     /// The thread chunk in flight on one CPU.  Its completion is due at
-    /// the target (end, seq); preemption moves the target without touching
-    /// the heap.  The chunk's one heap entry carries `event_seq`: when it
-    /// fires short of the target it re-pushes itself at the target, and
-    /// after a migration it no longer matches and does nothing.
+    /// (end, seq); preemption moves that pair without touching the heap.
+    /// The chunk's one heap entry, the CPU's chunk target, fires with
+    /// `event_seq`: when it fires short of (end, seq) it re-pushes itself
+    /// there, and after a migration it no longer matches and does nothing.
     struct RunningChunk {
         bool active = false;
         sim::SimTime end{};
@@ -247,6 +251,10 @@ private:
     std::vector<RunningChunk> chunks_;  // one per cpu
     sim::RingBuffer<Thread*> ready_;
     std::vector<sim::RingBuffer<KernelDone>> kernel_done_;  // one FIFO per cpu
+    /// Fixed queue targets, one per cpu: kernel_work_complete, chunk_event.
+    std::vector<sim::EventQueue::Target> kernel_targets_;
+    std::vector<sim::EventQueue::Target> chunk_targets_;
+    sim::EventQueue::Target dispatch_target_;  // fires try_dispatch()
     std::vector<std::shared_ptr<Thread>> threads_;
     std::size_t kernel_queue_len_ = 0;
     std::vector<std::size_t> kernel_queue_len_cpu_;

@@ -6,6 +6,7 @@
 
 #include "capbench/net/packet.hpp"
 #include "capbench/net/wire.hpp"
+#include "capbench/sim/ring_buffer.hpp"
 #include "capbench/sim/simulator.hpp"
 
 namespace capbench::net {
@@ -13,11 +14,20 @@ namespace capbench::net {
 /// Unidirectional 1 Gbit/s link.  Serializes frames: a frame handed to
 /// transmit() while the link is busy is delayed until the wire is free
 /// (back-pressure towards the generator NIC).
+///
+/// Frames in flight form a FIFO lane: arrival times are increasing, so
+/// each frame reserves its sequence number at transmit() and only the
+/// lane's head holds a heap entry, the link's fixed queue target.  Every
+/// delivery pops at the (time, seq) a push at transmit() would have had.
 class Link {
 public:
     /// `gbps` is the link speed (1 for the thesis's GigE; 10 for the
     /// Section 7.2 10-Gigabit scenario).
-    explicit Link(sim::Simulator& sim, double gbps = 1.0) : sim_(&sim), gbps_(gbps) {}
+    explicit Link(sim::Simulator& sim, double gbps = 1.0);
+
+    /// The queue's fixed target points at this link.
+    Link(const Link&) = delete;
+    Link& operator=(const Link&) = delete;
 
     [[nodiscard]] double gbps() const { return gbps_; }
 
@@ -34,9 +44,20 @@ public:
     [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
 
 private:
+    struct InFlight {
+        sim::SimTime arrival{};
+        std::uint64_t seq = 0;
+        PacketPtr packet;
+    };
+
+    /// Delivers the lane's head to every sink.
+    void deliver();
+
     sim::Simulator* sim_;
     double gbps_ = 1.0;
     std::vector<FrameSink*> sinks_;
+    sim::RingBuffer<InFlight> in_flight_;
+    sim::EventQueue::Target deliver_target_;
     sim::SimTime busy_until_{};
     std::uint64_t frames_sent_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "capbench/pktgen/pktgen.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "capbench/net/wire.hpp"
 #include "capbench/obs/registry.hpp"
@@ -24,7 +26,12 @@ Generator::Generator(sim::Simulator& sim, net::Link& link, GenNicModel nic, GenC
                      std::shared_ptr<net::PacketArena> arena)
     : sim_(&sim), link_(&link),
       arena_(arena != nullptr ? std::move(arena) : net::PacketArena::create()),
-      nic_(std::move(nic)), config_(std::move(config)), rng_(config_.seed) {}
+      nic_(std::move(nic)), config_(std::move(config)), rng_(config_.seed),
+      send_target_(sim.queue().add_target(
+          [](void* self, std::uint32_t, std::uint64_t) {
+              static_cast<Generator*>(self)->send_next();
+          },
+          this)) {}
 
 std::uint32_t Generator::draw_size() {
     if (config_.use_dist && config_.size_dist) return config_.size_dist->sample(rng_);
@@ -93,9 +100,18 @@ net::PacketPtr Generator::build_packet(std::uint32_t ip_size) {
     udp.encode(frame.subspan(net::kEthernetHeaderLen + net::kIpv4MinHeaderLen));
 
     // Payload pattern: pktgen-style magic + sequence for loss debugging.
-    for (std::size_t i = net::kEthernetHeaderLen + net::kIpv4MinHeaderLen + net::kUdpHeaderLen;
-         i < frame.size(); ++i)
-        frame[i] = static_cast<std::byte>((id + i) & 0xFF);
+    // Byte i of the frame is (id + i) & 0xFF: a ramp with a 256-byte
+    // period, copied one period at a time from a table that holds two.
+    static const std::array<std::byte, 512> ramp = [] {
+        std::array<std::byte, 512> r{};
+        for (std::size_t i = 0; i < r.size(); ++i) r[i] = static_cast<std::byte>(i & 0xFF);
+        return r;
+    }();
+    constexpr std::size_t payload_offset =
+        net::kEthernetHeaderLen + net::kIpv4MinHeaderLen + net::kUdpHeaderLen;
+    const std::byte* period = ramp.data() + ((id + payload_offset) & 0xFF);
+    for (std::size_t i = payload_offset; i < frame.size(); i += 256)
+        std::memcpy(frame.data() + i, period, std::min<std::size_t>(256, frame.size() - i));
 
     return packet;
 }
@@ -107,7 +123,7 @@ void Generator::start(sim::SimTime at, std::function<void()> on_done) {
     stats_ = GenStats{};
     stats_.started_at = at;
     pace_next_ = at;
-    sim_->schedule_at(at, [this] { send_next(); });
+    sim_->schedule_at(at, send_target_);
 }
 
 void Generator::send_next() {
@@ -156,7 +172,7 @@ void Generator::send_next() {
         pace_next_ = pace_next_ + inter;
         next = std::max(next, pace_next_);
     }
-    sim_->schedule_at(next, [this] { send_next(); });
+    sim_->schedule_at(next, send_target_);
 }
 
 }  // namespace capbench::pktgen

@@ -115,6 +115,10 @@ public:
     Generator(sim::Simulator& sim, net::Link& link, GenNicModel nic, GenConfig config,
               std::shared_ptr<net::PacketArena> arena = nullptr);
 
+    /// The queue's fixed target points at this generator.
+    Generator(const Generator&) = delete;
+    Generator& operator=(const Generator&) = delete;
+
     /// Applies one pgset command line (Appendix A.2.2); see pgset.cpp for
     /// the command set.  Throws std::runtime_error on unknown commands and
     /// on activating PKTSIZE_REAL before the distribution is complete.
@@ -152,6 +156,7 @@ private:
     obs::Counter* obs_packets_ = nullptr;
     obs::Counter* obs_bytes_ = nullptr;
     std::function<void()> on_done_;
+    sim::EventQueue::Target send_target_;  // fires send_next()
     std::uint64_t next_id_ = 0;
     sim::SimTime pace_next_{};
     /// Distribution input in progress between a `dist` header and its last

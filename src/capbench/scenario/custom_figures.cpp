@@ -69,7 +69,7 @@ double max_rate_dist(const pktgen::GenNicModel& nic) {
     net::Link link{sim};
     pktgen::GenConfig cfg;
     cfg.count = 50'000;
-    cfg.size_dist.emplace(dist::mwn_trace_histogram());
+    cfg.size_dist = dist::mwn_trace_dist();
     cfg.use_dist = true;
     pktgen::Generator gen{sim, link, nic, std::move(cfg)};
     gen.start(sim::SimTime{});

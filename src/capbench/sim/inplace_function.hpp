@@ -8,9 +8,15 @@
 // over-aligned callables (rare: chunk-migration continuations that capture
 // another InplaceFunction) transparently fall back to the heap, keeping the
 // type a drop-in replacement for std::function<void()>.
+//
+// Moving an InplaceFunction relocates its callable.  Trivially copyable
+// callables (the [this, index] captures of most hot-path events) and the
+// heap fallback's pointer relocate with one fixed-size memcpy of the
+// storage; only other callables pay an indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -73,7 +79,7 @@ public:
 
     void reset() noexcept {
         if (ops_ != nullptr) {
-            ops_->destroy(storage_);
+            if (ops_->destroy != nullptr) ops_->destroy(storage_);
             ops_ = nullptr;
         }
     }
@@ -81,8 +87,10 @@ public:
 private:
     struct Ops {
         void (*invoke)(void* self);
-        /// Move-constructs into `dst` from `src`, then destroys `src`.
+        /// Move-constructs into `dst` from `src`, then destroys `src`;
+        /// null when a memcpy of the storage does both.
         void (*relocate)(void* src, void* dst) noexcept;
+        /// Null when the stored object needs no destruction.
         void (*destroy)(void* self) noexcept;
     };
 
@@ -92,26 +100,31 @@ private:
     }
 
     template <typename Fn>
-    static constexpr Ops inline_ops = {
-        [](void* p) { (*self<Fn>(p))(); },
-        [](void* src, void* dst) noexcept {
-            ::new (dst) Fn(std::move(*self<Fn>(src)));
-            self<Fn>(src)->~Fn();
-        },
-        [](void* p) noexcept { self<Fn>(p)->~Fn(); },
-    };
+    static constexpr Ops inline_ops = std::is_trivially_copyable_v<Fn>
+        ? Ops{[](void* p) { (*self<Fn>(p))(); }, nullptr, nullptr}
+        : Ops{
+              [](void* p) { (*self<Fn>(p))(); },
+              [](void* src, void* dst) noexcept {
+                  ::new (dst) Fn(std::move(*self<Fn>(src)));
+                  self<Fn>(src)->~Fn();
+              },
+              [](void* p) noexcept { self<Fn>(p)->~Fn(); },
+          };
 
+    // The stored pointer relocates bytewise; only destruction is typed.
     template <typename Fn>
     static constexpr Ops heap_ops = {
         [](void* p) { (**self<Fn*>(p))(); },
-        // Pointers are trivially destructible: relocation is a plain copy.
-        [](void* src, void* dst) noexcept { ::new (dst) Fn*(*self<Fn*>(src)); },
+        nullptr,
         [](void* p) noexcept { delete *self<Fn*>(p); },
     };
 
     void move_from(InplaceFunction& other) noexcept {
         if (other.ops_ != nullptr) {
-            other.ops_->relocate(other.storage_, storage_);
+            if (other.ops_->relocate != nullptr)
+                other.ops_->relocate(other.storage_, storage_);
+            else
+                std::memcpy(storage_, other.storage_, kInlineBytes);
             ops_ = other.ops_;
             other.ops_ = nullptr;
         }

@@ -32,6 +32,16 @@ public:
         ++count_;
     }
 
+    /// Appends an element and returns it for the caller to fill in place.
+    /// It holds a default-constructed value, or a moved-from one when its
+    /// slot was last vacated by drop_front().
+    [[nodiscard]] T& emplace_back() {
+        reserve_one();
+        T& slot = buf_[(head_ + count_) & mask_];
+        ++count_;
+        return slot;
+    }
+
     void push_front(T value) {
         reserve_one();
         head_ = (head_ + mask_) & mask_;  // head - 1 mod capacity
@@ -41,6 +51,12 @@ public:
 
     void pop_front() {
         buf_[head_] = T{};
+        drop_front();
+    }
+
+    /// Removes the front element without resetting its slot, for a caller
+    /// that has already moved the element's resources out.
+    void drop_front() {
         head_ = (head_ + 1) & mask_;
         --count_;
     }

@@ -30,6 +30,13 @@ public:
         queue_.push(t, std::move(action));
     }
 
+    /// Fires the fixed target `target` at absolute time `t` (must not be in
+    /// the past); see EventQueue::add_target.
+    void schedule_at(SimTime t, EventQueue::Target target) {
+        if (t < now_) throw std::logic_error("Simulator::schedule_at in the past");
+        queue_.push(t, target);
+    }
+
     /// Runs until the queue drains or the clock passes `until`.
     /// Returns the number of events executed.
     std::uint64_t run(SimTime until = SimTime::max()) {

@@ -3,7 +3,9 @@
 // the (time, seq) total order checked against a reference model.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -19,39 +21,49 @@ namespace {
 sim::SimTime at(std::int64_t ns) { return sim::SimTime{} + sim::Duration{ns}; }
 
 TEST(EventQueueStress, RandomReservedReplayMatchesReferenceModel) {
-    // Drive the slab queue and a reference model (map of scheduled events
-    // ordered by the same (time, seq) key) with one random mix of pushes,
-    // reservations, later reserved pushes and pops; every pop must execute
+    // Drive the slab queue and a reference model (the set of scheduled
+    // events ordered by the same (time, seq) key) with one random mix of pushes,
+    // reservations, later reserved pushes and pops; every pop must fire
     // exactly the reference model's minimum.  A reserved push is keyed by
     // the sequence number taken at reservation, so it must pop exactly
-    // where a push made at reservation time would have.
+    // where a push made at reservation time would have.  Each fired event
+    // also pushes 0-2 successors from inside the running event -- plain,
+    // reserved target, or a target at the running time -- which is the
+    // path where the first push fills the popped root's hole.
     sim::Rng rng(20260806);
     sim::EventQueue q;
-    std::uint64_t last_fired = 0;
-    bool fired_flag = false;
 
     using Key = std::pair<std::int64_t, std::uint64_t>;  // (time, seq)
-    std::map<Key, std::uint64_t> reference;              // -> id
+    std::set<Key> reference;
     std::vector<std::uint64_t> reserved;                 // reserved, not yet pushed
     Key running{0, 0};                                   // last popped (time, seq)
-    std::uint64_t next_id = 0;
     std::uint64_t pushes = 0;
     std::uint64_t rejected = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t inner_pushes = 0;
+    std::uint64_t successor_budget = 3'000;
     // Pushes and reservations draw from one counter; learn where it is.
     std::uint64_t ref_seq = q.reserve() + 1;
 
-    const auto action_for = [&](std::uint64_t id) {
-        return [&last_fired, &fired_flag, id] {
-            last_fired = id;
-            fired_flag = true;
-        };
-    };
+    // Every event, slot-backed or target, fires with its sequence number.
+    std::function<void(std::uint64_t)> fire;
+    const sim::EventQueue::Target target = q.add_target(
+        [](void* self, std::uint32_t, std::uint64_t seq) {
+            (*static_cast<std::function<void(std::uint64_t)>*>(self))(seq);
+        },
+        &fire);
 
     const auto push_one = [&] {
         const std::int64_t t = running.first + static_cast<std::int64_t>(rng.next_below(50));
-        const std::uint64_t id = next_id++;
-        q.push(at(t), action_for(id));
-        reference.emplace(Key{t, ref_seq++}, id);
+        const std::uint64_t seq = ref_seq++;
+        q.push(at(t), [&fire, seq] { fire(seq); });
+        reference.insert(Key{t, seq});
+        ++pushes;
+    };
+
+    const auto push_target_now = [&] {
+        q.push(at(running.first), target);
+        reference.insert(Key{running.first, ref_seq++});
         ++pushes;
     };
 
@@ -69,25 +81,56 @@ TEST(EventQueueStress, RandomReservedReplayMatchesReferenceModel) {
         std::int64_t t = running.first + static_cast<std::int64_t>(rng.next_below(20));
         if (Key{t, seq} <= running) {
             // Not after the running event: rejected, and nothing scheduled.
-            EXPECT_THROW(q.push_reserved(at(t), seq, [] {}), std::logic_error);
+            const std::size_t before = q.size();
+            EXPECT_THROW(q.push_reserved(at(t), seq, target), std::logic_error);
+            EXPECT_EQ(q.size(), before);
             ++rejected;
             t = running.first + 1 + static_cast<std::int64_t>(rng.next_below(20));
         }
-        const std::uint64_t id = next_id++;
-        q.push_reserved(at(t), seq, action_for(id));
-        reference.emplace(Key{t, seq}, id);
+        q.push_reserved(at(t), seq, target);
+        reference.insert(Key{t, seq});
         ++pushes;
+    };
+
+    const auto expect_live_state = [&] {
+        EXPECT_EQ(q.size(), reference.size());
+        EXPECT_EQ(q.empty(), reference.empty());
+        if (!reference.empty()) {
+            EXPECT_EQ(q.next_time(), at(reference.begin()->first));
+        }
+    };
+
+    fire = [&](std::uint64_t seq) {
+        ++fired;
+        ASSERT_FALSE(reference.empty());
+        ASSERT_EQ(seq, reference.begin()->second)
+            << "queue violated the (time, seq) total order";
+        running = *reference.begin();
+        reference.erase(reference.begin());
+        // The popped root is a hole now; the queue must not count it.
+        expect_live_state();
+        const int successors =
+            successor_budget > 0 ? static_cast<int>(rng.next_below(3)) : 0;
+        for (int i = 0; i < successors; ++i, --successor_budget) {
+            switch (rng.next_below(3)) {
+                case 0: push_one(); break;
+                case 1:
+                    if (reserved.empty()) reserve_one();
+                    push_reserved_one();
+                    break;
+                default: push_target_now(); break;
+            }
+            ++inner_pushes;
+            expect_live_state();
+        }
     };
 
     const auto pop_and_check = [&] {
         ASSERT_FALSE(reference.empty());
-        fired_flag = false;
-        EXPECT_EQ(q.pop_and_run(), at(reference.begin()->first.first));
-        ASSERT_TRUE(fired_flag) << "pop executed nothing";
-        EXPECT_EQ(last_fired, reference.begin()->second)
-            << "queue violated the (time, seq) total order";
-        running = reference.begin()->first;
-        reference.erase(reference.begin());
+        const std::int64_t expected_time = reference.begin()->first;
+        const std::uint64_t fired_before = fired;
+        EXPECT_EQ(q.pop_and_run(), at(expected_time));
+        ASSERT_EQ(fired, fired_before + 1) << "pop fired nothing";
     };
 
     for (int round = 0; round < 400; ++round) {
@@ -101,39 +144,78 @@ TEST(EventQueueStress, RandomReservedReplayMatchesReferenceModel) {
         }
         const int pops = static_cast<int>(rng.next_below(5));
         for (int i = 0; i < pops && !q.empty(); ++i) pop_and_check();
-        EXPECT_EQ(q.size(), reference.size());
+        expect_live_state();
     }
     while (!reserved.empty()) push_reserved_one();
     while (!q.empty()) pop_and_check();
 
     EXPECT_TRUE(reference.empty());
     EXPECT_GT(rejected, 0u) << "the mix never exercised a rejected pair";
+    EXPECT_GT(inner_pushes, 1'000u) << "the mix rarely pushed from a running event";
     EXPECT_EQ(q.stats().pushed, pushes);
     EXPECT_EQ(q.stats().executed, pushes);
 }
 
 TEST(EventQueueStress, PushReservedRejectsAPairNotAfterTheRunningEvent) {
     sim::EventQueue q;
+    std::vector<std::uint32_t> fired;
+    const auto record = [](void* self, std::uint32_t arg, std::uint64_t) {
+        static_cast<std::vector<std::uint32_t>*>(self)->push_back(arg);
+    };
+    const sim::EventQueue::Target first = q.add_target(record, &fired, 0);
+    const sim::EventQueue::Target second = q.add_target(record, &fired, 1);
+
     const std::uint64_t early = q.reserve();
     q.push(at(100), [] {});
     q.pop_and_run();  // running: (100, a seq above `early`)
 
     // Equal time, lower sequence number.
-    EXPECT_THROW(q.push_reserved(at(100), early, [] {}), std::logic_error);
+    EXPECT_THROW(q.push_reserved(at(100), early, first), std::logic_error);
     // Earlier time.
-    EXPECT_THROW(q.push_reserved(at(99), early, [] {}), std::logic_error);
+    EXPECT_THROW(q.push_reserved(at(99), early, first), std::logic_error);
     // A sequence number never handed out.
     const std::uint64_t late = q.reserve();
-    EXPECT_THROW(q.push_reserved(at(200), late + 1, [] {}), std::logic_error);
+    EXPECT_THROW(q.push_reserved(at(200), late + 1, first), std::logic_error);
     EXPECT_TRUE(q.empty()) << "a rejected push scheduled an event";
 
     // Equal time with a higher sequence number, or a later time with a
     // lower one, is after the running event.
-    std::vector<int> fired;
-    q.push_reserved(at(101), early, [&fired] { fired.push_back(1); });
-    q.push_reserved(at(100), late, [&fired] { fired.push_back(0); });
+    q.push_reserved(at(101), early, second);
+    q.push_reserved(at(100), late, first);
     while (!q.empty()) q.pop_and_run();
-    EXPECT_EQ(fired, (std::vector<int>{0, 1}));
+    EXPECT_EQ(fired, (std::vector<std::uint32_t>{0, 1}));
+}
+
+TEST(EventQueueStress, TargetsFireWithTheirSeqAndUseNoSlot) {
+    // A target is registered once and pushed any number of times; each
+    // firing gets the registered self and argument and the sequence number
+    // its entry was pushed under, and no slab slot is ever taken.
+    sim::EventQueue q;
+    struct Fired {
+        std::uint32_t arg;
+        std::uint64_t seq;
+    };
+    std::vector<Fired> fired;
+    const auto record = [](void* self, std::uint32_t arg, std::uint64_t seq) {
+        static_cast<std::vector<Fired>*>(self)->push_back(Fired{arg, seq});
+    };
+    const sim::EventQueue::Target a = q.add_target(record, &fired, 7);
+    const sim::EventQueue::Target b = q.add_target(record, &fired, 9);
+    const std::uint64_t reserved = q.reserve();
+    q.push(at(5), b);
+    q.push(at(5), a);
+    q.push_reserved(at(5), reserved, a);
+    EXPECT_EQ(q.size(), 3u);
+    while (!q.empty()) q.pop_and_run();
+    ASSERT_EQ(fired.size(), 3u);
+    EXPECT_EQ(fired[0].arg, 7u);
+    EXPECT_EQ(fired[0].seq, reserved);
+    EXPECT_EQ(fired[1].arg, 9u);
+    EXPECT_EQ(fired[1].seq, reserved + 1);
+    EXPECT_EQ(fired[2].arg, 7u);
+    EXPECT_EQ(fired[2].seq, reserved + 2);
+    EXPECT_EQ(q.slot_count(), 0u);
+    EXPECT_EQ(q.stats().executed, 3u);
 }
 
 TEST(EventQueueStress, SizeCountsLiveEventsOnly) {
