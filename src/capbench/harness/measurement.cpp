@@ -249,6 +249,10 @@ RunResult run_repeated(const std::vector<SutConfig>& suts, const RunConfig& conf
         s.cpu_pct /= n;
         for (auto& v : s.per_app_capture_pct) v /= n;
     }
+    // Every rep is merged: digest the latency sets here, in the sweep
+    // worker that ran the point, so the report phase only reads summaries
+    // and the point's samples are freed as it ends.
+    agg.metrics.summarize();
     return agg;
 }
 

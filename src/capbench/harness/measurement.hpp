@@ -106,6 +106,7 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config);
 
 /// Repeats run_once `reps` times with varied seeds and averages.  This is
 /// the "repeat measurement n times" loop of Figure 3.2 (the thesis uses 7).
+/// The merged latency sets come back summarized (obs::RunMetrics::summarize).
 RunResult run_repeated(const std::vector<SutConfig>& suts, const RunConfig& config, int reps);
 
 }  // namespace capbench::harness

@@ -73,4 +73,15 @@ void RunMetrics::merge(const RunMetrics& other) {
     }
 }
 
+void RunMetrics::summarize() {
+    for (SutMetrics& sut : suts) {
+        sut.nic_to_kernel_ns.summarize();
+        for (AppMetrics& app : sut.apps) {
+            app.latency_ns.summarize();
+            app.enqueue_ns.summarize();
+            app.deliver_ns.summarize();
+        }
+    }
+}
+
 }  // namespace capbench::obs

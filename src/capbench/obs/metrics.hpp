@@ -128,8 +128,12 @@ struct RunMetrics {
     /// Accumulates another rep of the same configuration: counts are raw
     /// sums (never averaged, so the drop identity stays exact), sample
     /// sets and CPU samples are concatenated, counters merged by name.
-    /// Throws std::logic_error on shape mismatch.
+    /// Throws std::logic_error on shape mismatch or a summarized set.
     void merge(const RunMetrics& other);
+
+    /// Reduces every latency set to its summary and releases its samples
+    /// (sim::SampleSet::summarize); done once the last rep is merged.
+    void summarize();
 };
 
 }  // namespace capbench::obs

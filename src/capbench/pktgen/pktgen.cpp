@@ -101,17 +101,20 @@ net::PacketPtr Generator::build_packet(std::uint32_t ip_size) {
 
     // Payload pattern: pktgen-style magic + sequence for loss debugging.
     // Byte i of the frame is (id + i) & 0xFF: a ramp with a 256-byte
-    // period, copied one period at a time from a table that holds two.
-    static const std::array<std::byte, 512> ramp = [] {
-        std::array<std::byte, 512> r{};
+    // period.  The table holds 2048 bytes from any phase, so one memcpy
+    // fills every payload up to 2048 bytes (a chunk of whole periods);
+    // larger frames take one more per 2048 bytes.
+    constexpr std::size_t kChunk = 2048;
+    static const std::array<std::byte, 256 + kChunk> ramp = [] {
+        std::array<std::byte, 256 + kChunk> r{};
         for (std::size_t i = 0; i < r.size(); ++i) r[i] = static_cast<std::byte>(i & 0xFF);
         return r;
     }();
     constexpr std::size_t payload_offset =
         net::kEthernetHeaderLen + net::kIpv4MinHeaderLen + net::kUdpHeaderLen;
-    const std::byte* period = ramp.data() + ((id + payload_offset) & 0xFF);
-    for (std::size_t i = payload_offset; i < frame.size(); i += 256)
-        std::memcpy(frame.data() + i, period, std::min<std::size_t>(256, frame.size() - i));
+    const std::byte* phase = ramp.data() + ((id + payload_offset) & 0xFF);
+    for (std::size_t i = payload_offset; i < frame.size(); i += kChunk)
+        std::memcpy(frame.data() + i, phase, std::min(kChunk, frame.size() - i));
 
     return packet;
 }

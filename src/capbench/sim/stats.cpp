@@ -3,17 +3,36 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace capbench::sim {
 
+void SampleSet::released(const char* what) {
+    throw std::logic_error(std::string{"SampleSet::"} + what +
+                           " on a summarized set: its samples are released");
+}
+
+const std::vector<std::int64_t>& SampleSet::samples(const char* what) const {
+    if (digest_) released(what);
+    return samples_;
+}
+
+void SampleSet::append(const SampleSet& other) {
+    if (digest_) released("append");
+    if (other.digest_) released("append (from)");
+    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+}
+
 double SampleSet::min() const {
-    if (samples_.empty()) throw std::logic_error("SampleSet::min on empty set");
-    return static_cast<double>(*std::min_element(samples_.begin(), samples_.end()));
+    const auto& v = samples("min");
+    if (v.empty()) throw std::logic_error("SampleSet::min on empty set");
+    return static_cast<double>(*std::min_element(v.begin(), v.end()));
 }
 
 double SampleSet::max() const {
-    if (samples_.empty()) throw std::logic_error("SampleSet::max on empty set");
-    return static_cast<double>(*std::max_element(samples_.begin(), samples_.end()));
+    const auto& v = samples("max");
+    if (v.empty()) throw std::logic_error("SampleSet::max on empty set");
+    return static_cast<double>(*std::max_element(v.begin(), v.end()));
 }
 
 namespace {
@@ -50,44 +69,57 @@ double select_quantile(std::vector<std::int64_t>& v, std::size_t& limit, double 
     return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
+/// The summary of `v`, which it reorders: an integer pass, then three
+/// selections over shrinking prefixes.
+SampleSet::Summary summarize_in(std::vector<std::int64_t>& v) {
+    SampleSet::Summary s;
+    if (v.empty()) return s;
+    std::int64_t lo = v.front();
+    std::int64_t hi = v.front();
+    std::int64_t sum = 0;
+    for (const std::int64_t x : v) {
+        lo = std::min(lo, x);
+        hi = std::max(hi, x);
+        sum += x;
+    }
+    s.count = v.size();
+    s.min = static_cast<double>(lo);
+    s.max = static_cast<double>(hi);
+    s.mean = mean_of(sum, v.size());
+    // Descending q: each selection narrows the range the next one searches.
+    std::size_t limit = v.size();
+    s.p99 = select_quantile(v, limit, 0.99);
+    s.p95 = select_quantile(v, limit, 0.95);
+    s.p50 = select_quantile(v, limit, 0.50);
+    return s;
+}
+
 }  // namespace
 
 double SampleSet::mean() const {
-    if (samples_.empty()) throw std::logic_error("SampleSet::mean on empty set");
-    return mean_of(std::accumulate(samples_.begin(), samples_.end(), std::int64_t{0}),
-                   samples_.size());
+    const auto& v = samples("mean");
+    if (v.empty()) throw std::logic_error("SampleSet::mean on empty set");
+    return mean_of(std::accumulate(v.begin(), v.end(), std::int64_t{0}), v.size());
 }
 
 double SampleSet::quantile(double q) const {
     if (q < 0.0 || q > 1.0) throw std::invalid_argument("SampleSet::quantile: q outside [0,1]");
-    if (samples_.empty()) return 0.0;
-    std::vector<std::int64_t> scratch = samples_;
+    std::vector<std::int64_t> scratch = samples("quantile");
+    if (scratch.empty()) return 0.0;
     std::size_t limit = scratch.size();
     return select_quantile(scratch, limit, q);
 }
 
 SampleSet::Summary SampleSet::summary() const {
-    Summary s;
-    if (samples_.empty()) return s;
+    if (digest_) return *digest_;
     std::vector<std::int64_t> scratch = samples_;
-    std::int64_t lo = scratch.front();
-    std::int64_t hi = scratch.front();
-    std::int64_t sum = 0;
-    for (const std::int64_t x : scratch) {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-        sum += x;
-    }
-    s.count = scratch.size();
-    s.min = static_cast<double>(lo);
-    s.max = static_cast<double>(hi);
-    s.mean = mean_of(sum, scratch.size());
-    // Descending q: each selection narrows the range the next one searches.
-    std::size_t limit = scratch.size();
-    s.p99 = select_quantile(scratch, limit, 0.99);
-    s.p95 = select_quantile(scratch, limit, 0.95);
-    s.p50 = select_quantile(scratch, limit, 0.50);
-    return s;
+    return summarize_in(scratch);
+}
+
+void SampleSet::summarize() {
+    if (digest_) return;
+    digest_ = summarize_in(samples_);
+    std::vector<std::int64_t>{}.swap(samples_);
 }
 
 }  // namespace capbench::sim

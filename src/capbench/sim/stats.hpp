@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace capbench::sim {
@@ -24,16 +25,23 @@ public:
         double p99 = 0.0;
     };
 
-    void add(std::int64_t x) { samples_.push_back(x); }
+    void add(std::int64_t x) {
+        if (digest_) [[unlikely]] released("add");
+        samples_.push_back(x);
+    }
     void reserve(std::size_t n) { samples_.reserve(n); }
     /// Appends every sample of `other` (merging repetitions of a run).
-    void append(const SampleSet& other) {
-        samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    /// Throws std::logic_error when either set is summarized.
+    void append(const SampleSet& other);
+
+    /// The sample count, also after summarize().
+    [[nodiscard]] std::size_t size() const {
+        return digest_ ? static_cast<std::size_t>(digest_->count) : samples_.size();
     }
+    [[nodiscard]] bool empty() const { return size() == 0; }
 
-    [[nodiscard]] std::size_t size() const { return samples_.size(); }
-    [[nodiscard]] bool empty() const { return samples_.empty(); }
-
+    // These read the samples: on a summarized set they throw
+    // std::logic_error.
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
     [[nodiscard]] double mean() const;
@@ -47,10 +55,21 @@ public:
 
     /// Computes count/min/max/mean/p50/p95/p99 from one scratch copy:
     /// an integer pass, then three selections over shrinking prefixes.
+    /// On a summarized set, returns the kept digest.
     [[nodiscard]] Summary summary() const;
 
+    /// Runs summary()'s selection in the set's own storage, keeps the
+    /// digest and releases the samples.  Afterwards size() and summary()
+    /// still answer, while add, append and the sample readers
+    /// throw std::logic_error.  A second call does nothing.
+    void summarize();
+
 private:
+    [[noreturn]] static void released(const char* what);
+    [[nodiscard]] const std::vector<std::int64_t>& samples(const char* what) const;
+
     std::vector<std::int64_t> samples_;
+    std::optional<Summary> digest_;  // set by summarize(); samples_ is then empty
 };
 
 }  // namespace capbench::sim

@@ -3,9 +3,13 @@
 // their invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/harness/experiment.hpp"
@@ -263,6 +267,70 @@ TEST(ObsMetrics, RepeatedRunsSumRawCounts) {
     for (const auto& sut : thrice.metrics.suts)
         for (const auto& app : sut.apps)
             EXPECT_EQ(app.delivered + app.drops_total(), thrice.metrics.generated);
+}
+
+TEST(ObsMetrics, RepeatedRunsSummarizeAfterMerging) {
+    // run_repeated digests each latency set once every rep is merged: its
+    // summaries must be those of the three reps' samples concatenated,
+    // bit for bit, not a merge of per-rep digests.
+    const std::vector<harness::SutConfig> suts = harness::standard_suts();
+    const harness::RunConfig cfg = metrics_run(700.0);
+    std::vector<harness::RunResult> reps;
+    for (std::uint64_t rep = 0; rep < 3; ++rep) {
+        harness::RunConfig c = cfg;
+        c.seed = cfg.seed + rep * 7919;
+        reps.push_back(harness::run_once(suts, c));
+    }
+    const auto concatenated = [&](const auto& pick) {
+        sim::SampleSet all;
+        for (const harness::RunResult& r : reps) all.append(pick(r.metrics));
+        return all.summary();
+    };
+    const auto expect_same = [](const sim::SampleSet::Summary& got,
+                                const sim::SampleSet::Summary& want, const std::string& where) {
+        const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+        EXPECT_EQ(got.count, want.count) << where;
+        EXPECT_EQ(bits(got.min), bits(want.min)) << where;
+        EXPECT_EQ(bits(got.max), bits(want.max)) << where;
+        EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+        EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+        EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
+        EXPECT_EQ(bits(got.p99), bits(want.p99)) << where;
+    };
+
+    const auto thrice = harness::run_repeated(suts, cfg, 3);
+    ASSERT_TRUE(thrice.metrics.enabled);
+    ASSERT_EQ(thrice.metrics.suts.size(), suts.size());
+    for (std::size_t s = 0; s < suts.size(); ++s) {
+        const obs::SutMetrics& sut = thrice.metrics.suts[s];
+        expect_same(sut.nic_to_kernel_ns.summary(),
+                    concatenated([&](const obs::RunMetrics& m) -> const sim::SampleSet& {
+                        return m.suts[s].nic_to_kernel_ns;
+                    }),
+                    sut.name + " nic_to_kernel_ns");
+        EXPECT_GT(sut.nic_to_kernel_ns.size(), 0u) << sut.name;
+        for (std::size_t a = 0; a < sut.apps.size(); ++a) {
+            const obs::AppMetrics& app = sut.apps[a];
+            const std::string where = sut.name + " app " + std::to_string(a);
+            using Set = sim::SampleSet obs::AppMetrics::*;
+            for (const auto& [name, member] :
+                 {std::pair<const char*, Set>{"latency_ns", &obs::AppMetrics::latency_ns},
+                  {"enqueue_ns", &obs::AppMetrics::enqueue_ns},
+                  {"deliver_ns", &obs::AppMetrics::deliver_ns}}) {
+                expect_same((app.*member).summary(),
+                            concatenated([&](const obs::RunMetrics& m) -> const sim::SampleSet& {
+                                return m.suts[s].apps[a].*member;
+                            }),
+                            where + " " + name);
+            }
+            // The digests keep their counts: one sample per delivery.
+            // (enqueue_ns also counts packets still buffered at stop.)
+            EXPECT_GT(app.delivered, 0u) << where;
+            EXPECT_EQ(app.latency_ns.size(), app.delivered) << where;
+            EXPECT_EQ(app.deliver_ns.size(), app.delivered) << where;
+            EXPECT_GE(app.enqueue_ns.size(), app.delivered) << where;
+        }
+    }
 }
 
 // ---- timeline through the measurement cycle -----------------------------------

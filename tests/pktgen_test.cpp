@@ -123,6 +123,30 @@ TEST(Pktgen, FullBytesBuildValidFrames) {
     EXPECT_EQ(src_macs.size(), 3u);
 }
 
+TEST(Pktgen, FullBytesPayloadIsTheRampAtEverySize) {
+    // Byte i of a frame is (id + i) & 0xFF.  The sizes put the payload
+    // below, at and past one 2048-byte copy, and past several.
+    constexpr std::size_t kPayloadOffset =
+        net::kEthernetHeaderLen + net::kIpv4MinHeaderLen + net::kUdpHeaderLen;
+    for (const std::uint32_t size : {46u, 500u, 2090u, 2091u, 4200u, 9000u}) {
+        Fixture f;
+        GenConfig cfg;
+        cfg.count = 3;
+        cfg.packet_size = size;
+        cfg.full_bytes = true;
+        f.generate(cfg);
+        ASSERT_EQ(f.sink.packets.size(), 3u);
+        for (const auto& p : f.sink.packets) {
+            const auto frame = p->bytes();
+            ASSERT_EQ(frame.size(), p->frame_len());
+            std::size_t wrong = 0;
+            for (std::size_t i = kPayloadOffset; i < frame.size(); ++i)
+                wrong += frame[i] != static_cast<std::byte>((p->id() + i) & 0xFF);
+            EXPECT_EQ(wrong, 0u) << "ip size " << size << " id " << p->id();
+        }
+    }
+}
+
 TEST(Pktgen, TinySizesPaddedToMinimumFrame) {
     Fixture f;
     GenConfig cfg;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "capbench/obs/metrics.hpp"
 #include "capbench/sim/event_queue.hpp"
 #include "capbench/sim/random.hpp"
 #include "capbench/sim/simulator.hpp"
@@ -336,7 +337,61 @@ TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
             EXPECT_EQ(bits(set.max()), bits(want.max)) << where;
             EXPECT_EQ(bits(set.mean()), bits(want.mean)) << where;
         }
+
+        // summarize() selects in the set's own storage, then keeps only
+        // the digest; size() and summary() still answer from it.
+        set.summarize();
+        const SampleSet::Summary kept = set.summary();
+        EXPECT_EQ(set.size(), n) << where;
+        EXPECT_EQ(set.empty(), n == 0) << where;
+        EXPECT_EQ(kept.count, want.count) << where;
+        EXPECT_EQ(bits(kept.min), bits(want.min)) << where;
+        EXPECT_EQ(bits(kept.max), bits(want.max)) << where;
+        EXPECT_EQ(bits(kept.mean), bits(want.mean)) << where;
+        EXPECT_EQ(bits(kept.p50), bits(want.p50)) << where;
+        EXPECT_EQ(bits(kept.p95), bits(want.p95)) << where;
+        EXPECT_EQ(bits(kept.p99), bits(want.p99)) << where;
     }
+}
+
+TEST(SampleSet, SummarizedSetRefusesSamplesAndMerges) {
+    SampleSet done;
+    for (int i = 1; i <= 10; ++i) done.add(i);
+    done.summarize();
+    done.summarize();  // a second call keeps the same digest
+    EXPECT_EQ(done.size(), 10u);
+    EXPECT_DOUBLE_EQ(done.summary().mean, 5.5);
+
+    SampleSet open;
+    open.add(7);
+    EXPECT_THROW(done.add(1), std::logic_error);
+    EXPECT_THROW(done.append(open), std::logic_error);
+    EXPECT_THROW(open.append(done), std::logic_error);
+    EXPECT_EQ(open.size(), 1u);
+    // The sample readers need the released samples.
+    EXPECT_THROW((void)done.min(), std::logic_error);
+    EXPECT_THROW((void)done.mean(), std::logic_error);
+    EXPECT_THROW((void)done.quantile(0.5), std::logic_error);
+    EXPECT_THROW((void)done.p99(), std::logic_error);
+
+    // RunMetrics::merge appends every latency set, so a summarized run
+    // cannot take another rep, nor be merged into one.
+    const auto run = [] {
+        obs::RunMetrics m;
+        m.enabled = true;
+        m.suts.resize(1);
+        m.suts[0].name = "swan";
+        m.suts[0].apps.resize(1);
+        m.suts[0].apps[0].latency_ns.add(3);
+        m.suts[0].nic_to_kernel_ns.add(2);
+        return m;
+    };
+    obs::RunMetrics summarized = run();
+    summarized.summarize();
+    EXPECT_EQ(summarized.suts[0].apps[0].latency_ns.size(), 1u);
+    EXPECT_THROW(summarized.merge(run()), std::logic_error);
+    obs::RunMetrics fresh = run();
+    EXPECT_THROW(fresh.merge(summarized), std::logic_error);
 }
 
 }  // namespace
