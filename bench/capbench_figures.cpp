@@ -26,6 +26,7 @@
 
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/verifier.hpp"
+#include "capbench/harness/experiment.hpp"
 #include "capbench/obs/timeseries.hpp"
 #include "capbench/obs/trace.hpp"
 #include "capbench/report/metrics_writer.hpp"
@@ -81,20 +82,6 @@ struct CliOptions {
     std::string timeseries_path;
 };
 
-int parse_int_arg(const char* flag, const std::string& value) {
-    std::size_t consumed = 0;
-    int parsed = 0;
-    try {
-        parsed = std::stoi(value, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != value.size() || parsed < 1)
-        throw std::runtime_error(std::string(flag) + " expects a positive integer, got '" +
-                                 value + "'");
-    return parsed;
-}
-
 CliOptions parse_cli(int argc, char** argv) {
     CliOptions opts;
     // --gnuplot's default, for the figure and time-series exports alike.
@@ -140,7 +127,8 @@ CliOptions parse_cli(int argc, char** argv) {
             no_value("--run");
             collecting_ids = true;
         } else if (arg == "--jobs") {
-            opts.jobs = parse_int_arg("--jobs", next("--jobs"));
+            opts.jobs = static_cast<int>(
+                harness::parse_integer("--jobs", next("--jobs"), 1, harness::kMaxJobs));
             collecting_ids = false;
         } else if (arg == "--json") {
             opts.json_path = next("--json");

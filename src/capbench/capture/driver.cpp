@@ -5,7 +5,6 @@
 namespace capbench::capture {
 
 void Driver::process(const net::PacketPtr& packet, int queue, int cpu) {
-    ++packets_processed_;
     hostsim::Work work = os_->driver_per_packet;
     work += os_->softirq_per_packet;
     work = work.scaled(os_->kernel_cost_multiplier);

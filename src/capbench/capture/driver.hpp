@@ -29,7 +29,6 @@ public:
     /// whose IRQ line targets `cpu` — the kernel work runs there.
     void process(const net::PacketPtr& packet, int queue, int cpu);
 
-    [[nodiscard]] std::uint64_t packets_processed() const { return packets_processed_; }
     [[nodiscard]] const FanoutGroup& fanout() const { return fanout_; }
 
 private:
@@ -40,7 +39,6 @@ private:
     const OsSpec* os_;
     FanoutGroup fanout_;
     std::vector<PacketTap*> taps_;
-    std::uint64_t packets_processed_ = 0;
 };
 
 }  // namespace capbench::capture

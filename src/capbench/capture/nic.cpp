@@ -32,12 +32,12 @@ Nic::Nic(hostsim::Machine& machine, const OsSpec& os, NicModel model, Driver& dr
     }
 }
 
-void Nic::register_metrics(obs::Registry& registry, const std::string& prefix) {
+void Nic::register_metrics(obs::Registry& registry, const std::string& prefix) const {
     for (std::size_t i = 0; i < queues_.size(); ++i) {
         const std::string base = prefix + ".q" + std::to_string(i);
-        queues_[i].ctr_frames = &registry.counter(base + ".frames");
-        queues_[i].ctr_ring_drops = &registry.counter(base + ".ring_drops");
-        queues_[i].ctr_backlog_drops = &registry.counter(base + ".backlog_drops");
+        registry.add(base + ".frames", queues_[i].frames);
+        registry.add(base + ".ring_drops", queues_[i].ring_drops);
+        registry.add(base + ".backlog_drops", queues_[i].backlog_drops);
     }
 }
 
@@ -49,16 +49,12 @@ int Nic::select_queue(const net::Packet& packet) const {
 }
 
 void Nic::on_frame(const net::PacketPtr& packet) {
-    ++frames_seen_;
     const int qi = select_queue(*packet);
     Queue& q = queues_[static_cast<std::size_t>(qi)];
     ++q.frames;
-    if (q.ctr_frames) q.ctr_frames->inc();
     if (obs_) obs_->nic_arrival(packet->id(), machine_->sim().now());
     if (q.ring.size() >= model_.ring_slots) {
-        ++ring_drops_;
         ++q.ring_drops;
-        if (q.ctr_ring_drops) q.ctr_ring_drops->inc();
         return;
     }
     q.ring.push_back(packet);
@@ -83,9 +79,7 @@ void Nic::serve(int qi) {
             // netdev backlog / ifqueue full on this CPU: drop before
             // protocol work.
             q.ring.pop_front();
-            ++backlog_drops_;
             ++q.backlog_drops;
-            if (q.ctr_backlog_drops) q.ctr_backlog_drops->inc();
             continue;
         }
         if (obs_) obs_->kernel_handoff(q.ring.front()->id(), machine_->sim().now());

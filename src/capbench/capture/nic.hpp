@@ -31,7 +31,6 @@
 #include "capbench/sim/ring_buffer.hpp"
 
 namespace capbench::obs {
-class Counter;
 class Registry;
 class SutObserver;
 }
@@ -73,13 +72,14 @@ public:
     /// branch-guarded so an untraced run pays one predictable branch).
     void set_observer(obs::SutObserver* obs) { obs_ = obs; }
 
-    /// Registers per-queue counters `<prefix>.q<j>.{frames,ring_drops,
-    /// backlog_drops}` in `registry`.
-    void register_metrics(obs::Registry& registry, const std::string& prefix);
+    /// Registers views of the per-queue counts `<prefix>.q<j>.{frames,
+    /// ring_drops,backlog_drops}` in `registry`.
+    void register_metrics(obs::Registry& registry, const std::string& prefix) const;
 
-    [[nodiscard]] std::uint64_t frames_seen() const { return frames_seen_; }
-    [[nodiscard]] std::uint64_t ring_drops() const { return ring_drops_; }
-    [[nodiscard]] std::uint64_t backlog_drops() const { return backlog_drops_; }
+    /// NIC totals: sums of the per-queue counts.
+    [[nodiscard]] std::uint64_t frames_seen() const { return sum(&Queue::frames); }
+    [[nodiscard]] std::uint64_t ring_drops() const { return sum(&Queue::ring_drops); }
+    [[nodiscard]] std::uint64_t backlog_drops() const { return sum(&Queue::backlog_drops); }
 
     [[nodiscard]] int queue_count() const { return static_cast<int>(queues_.size()); }
     [[nodiscard]] std::uint64_t queue_frames(int q) const {
@@ -112,10 +112,13 @@ private:
         std::uint64_t frames = 0;
         std::uint64_t ring_drops = 0;
         std::uint64_t backlog_drops = 0;
-        obs::Counter* ctr_frames = nullptr;
-        obs::Counter* ctr_ring_drops = nullptr;
-        obs::Counter* ctr_backlog_drops = nullptr;
     };
+
+    [[nodiscard]] std::uint64_t sum(std::uint64_t Queue::*count) const {
+        std::uint64_t total = 0;
+        for (const Queue& q : queues_) total += q.*count;
+        return total;
+    }
 
     [[nodiscard]] int select_queue(const net::Packet& packet) const;
     void serve(int qi);
@@ -128,9 +131,6 @@ private:
     obs::SutObserver* obs_ = nullptr;
     std::vector<Queue> queues_;
     rss::IndirectionTable table_;
-    std::uint64_t frames_seen_ = 0;
-    std::uint64_t ring_drops_ = 0;
-    std::uint64_t backlog_drops_ = 0;
 };
 
 }  // namespace capbench::capture

@@ -68,10 +68,7 @@ void StackEndpoint::commit(const CaptureRecord& record) {
     const FilterRunner::Verdict verdict = pending_.pop();
     if (!verdict.accept) {
         ++stats_.dropped_filter;
-        if (verdict.aborted) {
-            ++stats_.filter_aborts;
-            if (app_obs_ != nullptr) app_obs_->filter_aborted();
-        }
+        if (verdict.aborted) ++stats_.filter_aborts;
         return;
     }
     ++stats_.accepted;

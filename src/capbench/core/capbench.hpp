@@ -26,7 +26,6 @@
 #include "capbench/capture/mmap_ring.hpp"
 #include "capbench/capture/nic.hpp"
 #include "capbench/capture/os.hpp"
-#include "capbench/core/calibration.hpp"
 #include "capbench/dist/builtin.hpp"
 #include "capbench/dist/createdist.hpp"
 #include "capbench/dist/size_histogram.hpp"

@@ -7,18 +7,12 @@
 
 namespace capbench::harness {
 
-namespace {
-
-/// Strict positive-integer parsing for the CAPBENCH_* knobs: the whole
-/// string must be digits (an optional leading '+' is fine), the value
-/// must fit and be >= 1.  Anything else — garbage, empty, zero,
-/// negative, overflow — is a configuration error worth failing loudly
-/// over, not an invitation to silently run the wrong experiment.
-std::uint64_t parse_positive_env(const char* name, const char* value, std::uint64_t max_value) {
-    const std::string text = value == nullptr ? "" : value;
+std::uint64_t parse_integer(const std::string& name, const std::string& text,
+                            std::uint64_t min, std::uint64_t max) {
     const auto reject = [&](const char* why) {
-        throw std::runtime_error(std::string(name) + "='" + text + "': " + why +
-                                 " (expected a positive integer)");
+        throw std::runtime_error(name + "='" + text + "': " + why +
+                                 " (expected an integer in [" + std::to_string(min) + ", " +
+                                 std::to_string(max) + "])");
     };
     if (text.empty()) reject("empty value");
     if (text[0] == '-') reject("negative value");
@@ -28,35 +22,16 @@ std::uint64_t parse_positive_env(const char* name, const char* value, std::uint6
     char* end = nullptr;
     const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0') reject("not a number");
-    if (errno == ERANGE || parsed > max_value) reject("value out of range");
-    if (parsed == 0) reject("must be at least 1");
+    if (errno == ERANGE || parsed < min || parsed > max) reject("value out of range");
     return parsed;
 }
+
+namespace {
 
 std::uint64_t env_knob(const char* name, std::uint64_t fallback, std::uint64_t max_value) {
     const char* value = std::getenv(name);
     if (value == nullptr) return fallback;
-    return parse_positive_env(name, value, max_value);
-}
-
-/// Strict non-negative parsing for list items like CAPBENCH_AFFINITY's CPU
-/// indices, where 0 is a perfectly good value (CPU 0) but everything
-/// parse_positive_env rejects stays rejected.
-std::uint64_t parse_nonnegative_env(const char* name, const std::string& text,
-                                    std::uint64_t max_value) {
-    const auto reject = [&](const char* why) {
-        throw std::runtime_error(std::string(name) + "='" + text + "': " + why +
-                                 " (expected a non-negative integer)");
-    };
-    if (text.empty()) reject("empty value");
-    if (text[0] == '-') reject("negative value");
-    if (text[0] != '+' && (text[0] < '0' || text[0] > '9')) reject("not a number");
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') reject("not a number");
-    if (errno == ERANGE || parsed > max_value) reject("value out of range");
-    return parsed;
+    return parse_integer(name, value, 1, max_value);
 }
 
 }  // namespace
@@ -73,7 +48,7 @@ std::uint64_t packets_per_run() {
 
 int default_reps() { return static_cast<int>(env_knob("CAPBENCH_REPS", 1, 1'000)); }
 
-int default_jobs() { return static_cast<int>(env_knob("CAPBENCH_JOBS", 1, 512)); }
+int default_jobs() { return static_cast<int>(env_knob("CAPBENCH_JOBS", 1, kMaxJobs)); }
 
 int default_queues() { return static_cast<int>(env_knob("CAPBENCH_QUEUES", 1, 16)); }
 
@@ -82,7 +57,7 @@ sim::Duration sample_interval_from_env() {
     if (value == nullptr) return sim::Duration::zero();
     // Microseconds of simulated time, capped at one hour.
     const std::uint64_t us =
-        parse_positive_env("CAPBENCH_SAMPLE_INTERVAL", value, 3'600'000'000ull);
+        parse_integer("CAPBENCH_SAMPLE_INTERVAL", value, 1, 3'600'000'000ull);
     return sim::microseconds(static_cast<std::int64_t>(us));
 }
 
@@ -99,7 +74,7 @@ std::vector<int> affinity_from_env() {
         const std::size_t comma = text.find(',', start);
         const std::string item = text.substr(
             start, comma == std::string::npos ? std::string::npos : comma - start);
-        cpus.push_back(static_cast<int>(parse_nonnegative_env("CAPBENCH_AFFINITY", item, 255)));
+        cpus.push_back(static_cast<int>(parse_integer("CAPBENCH_AFFINITY", item, 0, 255)));
         if (comma == std::string::npos) break;
         start = comma + 1;
     }

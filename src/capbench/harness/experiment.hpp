@@ -2,6 +2,7 @@
 // variables of Section 6.1 and the measurement parameters of Section 6.2).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,19 @@
 #include "capbench/harness/parallel.hpp"
 
 namespace capbench::harness {
+
+/// Strict integer parsing for the CAPBENCH_* knobs and command-line
+/// values: the whole of `text` must be decimal digits (an optional
+/// leading '+' is fine) with a value in [min, max].  Anything else —
+/// garbage, empty, whitespace, negative, overflow, out of range — throws
+/// std::runtime_error naming `name` and `text`: a configuration error is
+/// worth failing loudly over, not an invitation to silently run the
+/// wrong experiment.
+std::uint64_t parse_integer(const std::string& name, const std::string& text,
+                            std::uint64_t min, std::uint64_t max);
+
+/// Most sweep worker threads CAPBENCH_JOBS and `--jobs` accept.
+inline constexpr int kMaxJobs = 512;
 
 /// The data-rate grid of the Chapter 6 plots: 50..950 Mbit/s in 50 Mbit/s
 /// steps.
@@ -26,7 +40,8 @@ int default_reps();
 
 /// Worker threads for sweep execution (see ParallelExecutor).  Defaults
 /// to 1 (serial); override with CAPBENCH_JOBS.  Garbage/zero/negative
-/// values throw std::runtime_error; values above 512 are rejected too.
+/// values throw std::runtime_error; values above kMaxJobs are rejected
+/// too.
 int default_jobs();
 
 /// NIC receive queues for the standard sniffers.  Defaults to 1 (the

@@ -50,10 +50,36 @@ Sut::Sut(sim::Simulator& sim, SutConfig config, obs::Observer* observer)
         config_.buffer_bytes > 0 ? config_.buffer_bytes : os.default_buffer_bytes;
     if (config_.app_count < 1) throw std::invalid_argument("Sut: app_count must be >= 1");
 
+    // Every endpoint exists before the observer registers the SUT, which
+    // views each endpoint's statistics.
+    for (int i = 0; i < config_.app_count; ++i) {
+        if (config_.stack == StackKind::kMmap || config_.stack == StackKind::kZeroCopyBpf) {
+            if (config_.stack == StackKind::kMmap && os.family != capture::OsFamily::kLinux)
+                throw std::invalid_argument(
+                    "Sut: the mmap patch exists only for Linux (use kZeroCopyBpf for the "
+                    "FreeBSD extension)");
+            if (config_.stack == StackKind::kZeroCopyBpf &&
+                os.family != capture::OsFamily::kFreeBsd)
+                throw std::invalid_argument("Sut: kZeroCopyBpf is the FreeBSD extension");
+            endpoints_.push_back(std::make_unique<capture::MmapRing>(*machine_, os, buffer,
+                                                                     config_.snaplen));
+        } else if (os.family == capture::OsFamily::kLinux) {
+            if (!skb_pool_) skb_pool_ = std::make_unique<capture::SkbPool>();
+            endpoints_.push_back(std::make_unique<capture::LinuxPacketSocket>(
+                *machine_, os, buffer, config_.snaplen, skb_pool_.get()));
+        } else {
+            auto dev = std::make_unique<capture::BsdBpfDev>(*machine_, os, buffer,
+                                                            config_.snaplen);
+            dev->enable_read_timeout(sim::milliseconds(20));
+            endpoints_.push_back(std::move(dev));
+        }
+    }
+
     obs::SutObserver* so = nullptr;
     if (observer != nullptr) {
-        so = &observer->add_sut(config_.name,
-                                static_cast<std::size_t>(config_.app_count));
+        std::vector<const capture::CaptureStats*> app_stats;
+        for (const auto& endpoint : endpoints_) app_stats.push_back(&endpoint->stats());
+        so = &observer->add_sut(config_.name, app_stats);
         machine_->set_trace(observer->trace(), so->pid());
         machine_->register_metrics(observer->registry(), config_.name);
         nic_->set_observer(so);
@@ -67,48 +93,26 @@ Sut::Sut(sim::Simulator& sim, SutConfig config, obs::Observer* observer)
         gzip_ = std::make_shared<load::GzipThread>(*pipe_, config_.app_load.pipe_gzip_level);
     }
 
-    for (int i = 0; i < config_.app_count; ++i) {
-        std::unique_ptr<capture::StackEndpoint> endpoint;
-        bool is_mmap = false;
-        if (config_.stack == StackKind::kMmap || config_.stack == StackKind::kZeroCopyBpf) {
-            if (config_.stack == StackKind::kMmap && os.family != capture::OsFamily::kLinux)
-                throw std::invalid_argument(
-                    "Sut: the mmap patch exists only for Linux (use kZeroCopyBpf for the "
-                    "FreeBSD extension)");
-            if (config_.stack == StackKind::kZeroCopyBpf &&
-                os.family != capture::OsFamily::kFreeBsd)
-                throw std::invalid_argument("Sut: kZeroCopyBpf is the FreeBSD extension");
-            endpoint = std::make_unique<capture::MmapRing>(*machine_, os, buffer,
-                                                           config_.snaplen);
-            is_mmap = true;
-        } else if (os.family == capture::OsFamily::kLinux) {
-            if (!skb_pool_) skb_pool_ = std::make_unique<capture::SkbPool>();
-            endpoint = std::make_unique<capture::LinuxPacketSocket>(
-                *machine_, os, buffer, config_.snaplen, skb_pool_.get());
-        } else {
-            auto dev = std::make_unique<capture::BsdBpfDev>(*machine_, os, buffer,
-                                                            config_.snaplen);
-            dev->enable_read_timeout(sim::milliseconds(20));
-            endpoint = std::move(dev);
-        }
-        if (so != nullptr) endpoint->set_observer(&so->app(static_cast<std::size_t>(i)));
+    const bool is_mmap = config_.stack != StackKind::kNative;
+    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
+        capture::StackEndpoint& endpoint = *endpoints_[i];
+        if (so != nullptr) endpoint.set_observer(&so->app(i));
         if (needs_disk && config_.disk_writer.enabled) {
             auto writer = std::make_shared<load::DiskWriterThread>(
                 config_.name + "-diskwr" + std::to_string(i), os, *disk_,
                 config_.disk_writer);
             if (so != nullptr) {
-                auto& ao = so->app(static_cast<std::size_t>(i));
-                ao.disk_writer_attached();
+                auto& ao = so->app(i);
+                ao.disk_writer_attached(writer->spilled());
                 writer->set_observer(&ao);
             }
             disk_writers_.push_back(std::move(writer));
         }
-        driver_->attach(*endpoint);
+        driver_->attach(endpoint);
         sessions_.push_back(std::make_unique<pcap::Session>(
-            *endpoint, config_.name + ":if0", config_.snaplen, is_mmap));
+            endpoint, config_.name + ":if0", config_.snaplen, is_mmap));
         if (!config_.filter_expression.empty())
             sessions_.back()->set_filter(config_.filter_expression);
-        endpoints_.push_back(std::move(endpoint));
     }
 }
 
@@ -202,8 +206,6 @@ void CaptureApp::process(capture::StackEndpoint::Batch batch, std::size_t index)
                 throw std::logic_error("CaptureApp: handler set after the packet was buffered");
             session_->handler()(rec.packet, caplen);
         }
-        ++processed_;
-        bytes_processed_ += caplen;
     }
     if (disk_bytes > 0 && disk_ != nullptr) {
         work += os_->write_syscall;

@@ -136,8 +136,8 @@ private:
 
 /// The capturing application (createDist in capture mode, Appendix A.1):
 /// fetches packets from its stack endpoint, charges per-packet analysis
-/// load, optionally writes headers to disk or pipes packets to gzip, and
-/// counts everything.
+/// load, and optionally writes headers to disk or pipes packets to gzip.
+/// Its endpoint's CaptureStats count what it receives.
 class CaptureApp final : public capture::Reader {
 public:
     CaptureApp(std::string name, capture::StackEndpoint& endpoint, pcap::Session& session,
@@ -149,9 +149,6 @@ public:
 
     /// A pcap handler or a disk writer with a pcap sink reads bytes.
     [[nodiscard]] bool reads_bytes() const override;
-
-    [[nodiscard]] std::uint64_t processed() const { return processed_; }
-    [[nodiscard]] std::uint64_t bytes_processed() const { return bytes_processed_; }
 
 private:
     void fetch_loop();
@@ -172,8 +169,6 @@ private:
     /// Records staged during process() (stamped at handler time) and
     /// offered to the writer ring in push_records(); pooled capacity.
     std::vector<load::RecordRef> pending_records_;
-    std::uint64_t processed_ = 0;
-    std::uint64_t bytes_processed_ = 0;
     int batches_since_yield_ = 0;
     int chunks_since_yield_ = 0;
 };

@@ -29,7 +29,6 @@ Machine::Machine(sim::Simulator& sim, MachineSpec spec, SchedPolicy policy)
     cpus_.resize(static_cast<std::size_t>(logical));
     chunks_.resize(static_cast<std::size_t>(logical));
     kernel_done_.resize(static_cast<std::size_t>(logical));
-    kernel_queue_len_cpu_.resize(static_cast<std::size_t>(logical), 0);
     // Each CPU's kernel-lane head and thread chunk fire fixed targets, and
     // so does the deferred dispatch after a block, yield or migration.
     auto& queue = sim_->queue();
@@ -119,12 +118,12 @@ void Machine::set_trace(obs::TraceSink* trace, int pid) {
     cat_interrupt_ = trace_->intern("interrupt");
 }
 
-void Machine::register_metrics(obs::Registry& registry, const std::string& prefix) {
-    ctr_dispatches_ = &registry.counter(prefix + ".sched.dispatches");
-    ctr_yields_ = &registry.counter(prefix + ".sched.yields");
-    ctr_wakeups_ = &registry.counter(prefix + ".sched.wakeups");
-    ctr_migrations_ = &registry.counter(prefix + ".sched.migrations");
-    ctr_kernel_items_ = &registry.counter(prefix + ".sched.kernel_items");
+void Machine::register_metrics(obs::Registry& registry, const std::string& prefix) const {
+    registry.add(prefix + ".sched.dispatches", sched_.dispatches);
+    registry.add(prefix + ".sched.yields", sched_.yields);
+    registry.add(prefix + ".sched.wakeups", sched_.wakeups);
+    registry.add(prefix + ".sched.migrations", sched_.migrations);
+    registry.add(prefix + ".sched.kernel_items", sched_.kernel_items);
 }
 
 const char* Machine::state_cat(CpuState st) const {
@@ -154,8 +153,6 @@ void Machine::post_kernel_work_on(int cpu_index, const Work& work, CpuState kind
     const sim::SimTime start = std::max(sim_->now(), cpu.kernel_busy_until);
     const sim::SimTime end = start + dur;
     cpu.kernel_busy_until = end;
-    ++kernel_queue_len_;
-    ++kernel_queue_len_cpu_[static_cast<std::size_t>(cpu_index)];
     // Each CPU serializes its kernel work, so completion times are
     // non-decreasing per CPU and completions are strictly FIFO per CPU.
     // Every item takes its sequence number now, but only the FIFO head
@@ -170,7 +167,7 @@ void Machine::post_kernel_work_on(int cpu_index, const Work& work, CpuState kind
     item.dur = dur;
     item.kind = kind;
     item.done = std::move(done);
-    if (ctr_kernel_items_) ctr_kernel_items_->inc();
+    ++sched_.kernel_items;
 
     // Kernel work preempts the thread chunk in flight on this CPU: its
     // completion target moves out by the stolen time, under a fresh
@@ -205,8 +202,6 @@ void Machine::kernel_work_complete(int cpu_index) {
     fifo.drop_front();
     if (!fifo.empty()) push_kernel_event(cpu_index, fifo.front().end, fifo.front().seq);
     cpus_[static_cast<std::size_t>(cpu_index)].account(kind, dur);
-    --kernel_queue_len_;
-    --kernel_queue_len_cpu_[static_cast<std::size_t>(cpu_index)];
     if (trace_ && dur > sim::Duration::zero()) {
         // Each CPU serializes its kernel work, so [now-dur, now) slices
         // tile that CPU's kernel lane without overlap.
@@ -227,6 +222,12 @@ void Machine::kernel_work_complete(int cpu_index) {
     // succeed where the existing dispatch points would not, and skipping
     // it keeps the single-queue schedule untouched.
     if (kernel_spread_ && !ready_.empty()) try_dispatch();
+}
+
+std::size_t Machine::kernel_queue_len() const {
+    std::size_t n = 0;
+    for (const auto& fifo : kernel_done_) n += fifo.size();
+    return n;
 }
 
 sim::Duration Machine::kernel_backlog(int cpu_index) const {
@@ -259,7 +260,7 @@ void Machine::wake(Thread& thread) {
         thread.wake_pending_ = false;
         if (thread.state_ != Thread::State::kBlocked) return;
         thread.state_ = Thread::State::kReady;
-        if (ctr_wakeups_) ctr_wakeups_->inc();
+        ++sched_.wakeups;
         enqueue_ready(thread, /*woken=*/true);
         try_dispatch();
     });
@@ -268,7 +269,7 @@ void Machine::wake(Thread& thread) {
 void Machine::wake_now(Thread& thread) {
     if (thread.state_ != Thread::State::kBlocked) return;
     thread.state_ = Thread::State::kReady;
-    if (ctr_wakeups_) ctr_wakeups_->inc();
+    ++sched_.wakeups;
     enqueue_ready(thread, /*woken=*/true);
     try_dispatch();
 }
@@ -289,7 +290,7 @@ void Machine::try_dispatch() {
         thread->state_ = Thread::State::kRunning;
         thread->cpu_ = cpu_index;
         cpus_[static_cast<std::size_t>(cpu_index)].current = thread;
-        if (ctr_dispatches_) ctr_dispatches_->inc();
+        ++sched_.dispatches;
         if (trace_ && thread->blocked_since_ >= 0) {
             trace_->complete(trace_pid_, thread->trace_tid_, trace_blocked_name_,
                              trace_blocked_name_, sim::SimTime{thread->blocked_since_},
@@ -380,7 +381,7 @@ void Machine::migrate_chunk(int cpu_index) {
     if (!chunk.active || thread == nullptr)
         throw std::logic_error("Machine::migrate_chunk: no chunk in flight");
     chunk.active = false;
-    if (ctr_migrations_) ctr_migrations_->inc();
+    ++sched_.migrations;
     // Re-execute the chunk's work when re-dispatched (progress made in the
     // interrupt gaps is conservatively discarded).
     thread->resume_ = [this, thread, work = chunk.work, st = chunk.state,
@@ -413,7 +414,7 @@ void Machine::thread_yield(Thread& thread, Continuation then) {
     thread.action_taken_ = true;
     thread.state_ = Thread::State::kReady;
     thread.resume_ = std::move(then);
-    if (ctr_yields_) ctr_yields_->inc();
+    ++sched_.yields;
     release_cpu(thread);
     if (policy_.lifo_yield)
         ready_.push_front(&thread);

@@ -31,7 +31,6 @@
 #include "capbench/sim/simulator.hpp"
 
 namespace capbench::obs {
-class Counter;
 class Registry;
 class TraceSink;
 }
@@ -144,12 +143,12 @@ public:
 
     /// Number of kernel work items queued but not yet completed across all
     /// CPUs.
-    [[nodiscard]] std::size_t kernel_queue_len() const { return kernel_queue_len_; }
+    [[nodiscard]] std::size_t kernel_queue_len() const;
 
     /// Kernel work items queued but not yet completed on one CPU (the
-    /// per-CPU netdev backlog / ifqueue occupancy).
+    /// per-CPU netdev backlog / ifqueue occupancy): its completion FIFO.
     [[nodiscard]] std::size_t kernel_queue_len(int cpu) const {
-        return kernel_queue_len_cpu_[static_cast<std::size_t>(cpu)];
+        return kernel_done_[static_cast<std::size_t>(cpu)].size();
     }
 
     /// How far `cpu`'s kernel queue tail is ahead of now.
@@ -188,8 +187,19 @@ public:
     /// are spawned; null disables tracing (hooks are branch-guarded).
     void set_trace(obs::TraceSink* trace, int pid);
 
-    /// Registers scheduler counters (`<prefix>.sched.*`) in `registry`.
-    void register_metrics(obs::Registry& registry, const std::string& prefix);
+    /// Scheduler event counts, kept whether or not anything observes them.
+    struct SchedCounts {
+        std::uint64_t dispatches = 0;
+        std::uint64_t yields = 0;
+        std::uint64_t wakeups = 0;
+        std::uint64_t migrations = 0;
+        std::uint64_t kernel_items = 0;  // kernel work items posted
+    };
+    [[nodiscard]] const SchedCounts& sched_counts() const { return sched_; }
+
+    /// Registers views of the scheduler counts (`<prefix>.sched.*`) in
+    /// `registry`.
+    void register_metrics(obs::Registry& registry, const std::string& prefix) const;
 
 private:
     friend class Thread;
@@ -256,8 +266,7 @@ private:
     std::vector<sim::EventQueue::Target> chunk_targets_;
     sim::EventQueue::Target dispatch_target_;  // fires try_dispatch()
     std::vector<std::shared_ptr<Thread>> threads_;
-    std::size_t kernel_queue_len_ = 0;
-    std::vector<std::size_t> kernel_queue_len_cpu_;
+    SchedCounts sched_;
     /// True once kernel work has been posted to a CPU other than 0.  Only
     /// then does kernel_work_complete() retry thread dispatch — with every
     /// IRQ on CPU 0 (the single-queue world) the retry can never be needed
@@ -276,11 +285,6 @@ private:
     const char* cat_user_ = nullptr;
     const char* cat_system_ = nullptr;
     const char* cat_interrupt_ = nullptr;
-    obs::Counter* ctr_dispatches_ = nullptr;
-    obs::Counter* ctr_yields_ = nullptr;
-    obs::Counter* ctr_wakeups_ = nullptr;
-    obs::Counter* ctr_migrations_ = nullptr;
-    obs::Counter* ctr_kernel_items_ = nullptr;
 
     [[nodiscard]] const char* state_cat(CpuState st) const;
     void trace_chunk_slice(const Thread& thread, const RunningChunk& chunk);

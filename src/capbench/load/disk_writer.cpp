@@ -57,7 +57,6 @@ bool DiskWriterThread::offer(RecordRef& rec, hostsim::Thread& producer) {
             return false;
         }
         ++spilled_;
-        if (obs_ != nullptr) obs_->disk_spilled();
         if (config_.spill == SpillPolicy::kDropNewest) {
             rec.packet.reset();
             return true;

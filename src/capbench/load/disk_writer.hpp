@@ -109,7 +109,7 @@ public:
     void set_sink(pcap::FileWriter* sink) { sink_ = sink; }
     [[nodiscard]] bool has_sink() const { return sink_ != nullptr; }
 
-    /// Optional obs hooks (spill counter, ring-occupancy trace counter).
+    /// Optional obs hook (ring-occupancy trace counter).
     void set_observer(obs::AppObserver* obs) { obs_ = obs; }
 
     void main() override;
@@ -119,8 +119,9 @@ public:
     [[nodiscard]] std::size_t max_ring_occupancy() const { return max_occupancy_; }
     /// Records accepted into the ring so far.
     [[nodiscard]] std::uint64_t enqueued() const { return enqueued_; }
-    /// Records rejected by a drop spill policy (the `disk_spill` bucket).
-    [[nodiscard]] std::uint64_t spilled() const { return spilled_; }
+    /// Records rejected by a drop spill policy (the `disk_spill` bucket);
+    /// a reference, so the metrics registry can view it.
+    [[nodiscard]] const std::uint64_t& spilled() const { return spilled_; }
     /// Records fully retired (disk charged, sink written).
     [[nodiscard]] std::uint64_t records_written() const { return records_written_; }
     [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }

@@ -8,35 +8,40 @@
 namespace capbench::obs {
 
 void AppObserver::filter_installed(const bpf::DecodedProgram* decoded) {
-    // One install per endpoint per run and insertion-ordered counter
-    // names, so the metrics snapshot stays byte-stable across --jobs.
+    // One install per endpoint per run and insertion-ordered views, so the
+    // metrics snapshot stays byte-stable across --jobs.
     Registry& reg = sut_->owner_->registry_;
     const std::string prefix =
         "bpf." + sut_->name_ + ".app" + std::to_string(index_);
-    reg.counter(prefix + ".filter_installs").inc();
-    if (decoded != nullptr) {
-        reg.counter(prefix + ".decoded_insns").inc(decoded->insns.size());
-        reg.counter(prefix + ".dead_stores_elided").inc(decoded->stats.dead_stores);
-        reg.counter(prefix + ".unchecked_loads").inc(decoded->stats.unchecked_loads);
+    if (bpf_.filter_installs++ == 0)
+        reg.add(prefix + ".filter_installs", bpf_.filter_installs);
+    if (decoded == nullptr) return;
+    if (!decoded_registered_) {
+        decoded_registered_ = true;
+        reg.add(prefix + ".decoded_insns", bpf_.decoded_insns);
+        reg.add(prefix + ".dead_stores_elided", bpf_.dead_stores_elided);
+        reg.add(prefix + ".unchecked_loads", bpf_.unchecked_loads);
     }
+    bpf_.decoded_insns += decoded->insns.size();
+    bpf_.dead_stores_elided += decoded->stats.dead_stores;
+    bpf_.unchecked_loads += decoded->stats.unchecked_loads;
 }
 
-void AppObserver::disk_writer_attached() {
-    Registry& reg = sut_->owner_->registry_;
-    disk_spill_ = &reg.counter("capture." + sut_->name_ + ".app" +
-                               std::to_string(index_) + ".disk_spills");
+void AppObserver::disk_writer_attached(const std::uint64_t& spilled) {
+    sut_->owner_->registry_.add(
+        "capture." + sut_->name_ + ".app" + std::to_string(index_) + ".disk_spills", spilled);
     if (TraceSink* tr = sut_->owner_->trace_)
         disk_ring_name_ =
             tr->intern("diskring:" + sut_->name_ + "/app" + std::to_string(index_));
 }
 
 SutObserver::SutObserver(Observer& owner, std::string name, int pid,
-                         std::size_t app_count)
+                         const std::vector<const capture::CaptureStats*>& apps)
     : owner_(&owner), name_(std::move(name)), pid_(pid) {
-    for (std::size_t i = 0; i < app_count; ++i) {
+    for (std::size_t i = 0; i < apps.size(); ++i) {
         apps_.emplace_back(*this, static_cast<int>(i));
-        apps_.back().aborted_ = &owner.registry_.counter(
-            "capture." + name_ + ".app" + std::to_string(i) + ".filter_aborts");
+        owner.registry_.add("capture." + name_ + ".app" + std::to_string(i) + ".filter_aborts",
+                            apps[i]->filter_aborts);
     }
     if (TraceSink* tr = owner_->trace_) {
         irq_name_ = tr->intern("irq");
@@ -44,16 +49,21 @@ SutObserver::SutObserver(Observer& owner, std::string name, int pid,
         tr->set_process_name(pid_, "sut:" + name_);
         tr->set_thread_name(pid_, kNicTid, "nic/irq");
         tr->set_thread_name(pid_, kKernelTid, "kernel");
-        for (std::size_t i = 0; i < app_count; ++i) {
+        for (std::size_t i = 0; i < apps.size(); ++i) {
             apps_[i].occupancy_name_ =
                 tr->intern("buf:" + name_ + "/app" + std::to_string(i));
         }
     }
 }
 
-SutObserver& Observer::add_sut(const std::string& name, std::size_t app_count) {
+SutObserver& Observer::add_sut(const std::string& name,
+                               const std::vector<const capture::CaptureStats*>& apps) {
+    for (const SutObserver& sut : suts_)
+        if (sut.name_ == name)
+            throw std::invalid_argument("Observer::add_sut: SUT name '" + name +
+                                        "' is already registered");
     const int pid = static_cast<int>(suts_.size()) + 1;
-    suts_.emplace_back(*this, name, pid, app_count);
+    suts_.emplace_back(*this, name, pid, apps);
     return suts_.back();
 }
 

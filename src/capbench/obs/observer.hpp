@@ -52,28 +52,18 @@ public:
     /// A fetch() drained `n` packets; `occupancy` is the post-drain fill.
     void fetched(std::size_t n, std::int64_t occupancy, sim::SimTime t);
 
-    /// The filter VM aborted on a packet (out-of-bounds load, division by
-    /// zero) instead of returning a verdict.
-    void filter_aborted() {
-        if (aborted_ != nullptr) aborted_->inc();
-    }
-
     /// A BPF filter was attached to this endpoint.  Attach time, not the
-    /// hot path: registers/bumps the per-SUT `bpf.*` registry counters
-    /// (installs, decoded program size, dead stores elided, unchecked
-    /// loads).  `decoded` is null under the interpreter tier; otherwise the
-    /// filter runs as native code compiled from it.
+    /// hot path: bumps the per-SUT `bpf.*` counts (installs, decoded
+    /// program size, dead stores elided, unchecked loads), registering
+    /// each on its first bump.  `decoded` is null under the interpreter
+    /// tier; otherwise the filter runs as native code compiled from it.
     void filter_installed(const bpf::DecodedProgram* decoded);
 
-    /// A capture-to-disk writer pipeline attached to this app.  Registers
-    /// the spill counter and interns the ring-occupancy trace name lazily,
-    /// so pipeline-less runs keep their counter snapshot byte-identical.
-    void disk_writer_attached();
-
-    /// The app's writer ring rejected a record under a drop spill policy.
-    void disk_spilled() {
-        if (disk_spill_ != nullptr) disk_spill_->inc();
-    }
+    /// A capture-to-disk writer pipeline attached to this app: registers
+    /// a view of the writer's spill count and interns the ring-occupancy
+    /// trace name, so pipeline-less runs keep their counter snapshot
+    /// byte-identical.
+    void disk_writer_attached(const std::uint64_t& spilled);
 
     /// Writer-ring fill level changed (records queued for the disk).
     void disk_ring_occupancy(sim::SimTime t, std::int64_t occupancy);
@@ -82,10 +72,18 @@ private:
     friend class Observer;
     friend class SutObserver;
 
+    /// Attach-time filter counts behind the `bpf.*` views.
+    struct BpfCounts {
+        std::uint64_t filter_installs = 0;
+        std::uint64_t decoded_insns = 0;
+        std::uint64_t dead_stores_elided = 0;
+        std::uint64_t unchecked_loads = 0;
+    };
+
     SutObserver* sut_;
     int index_;
-    Counter* aborted_ = nullptr;  // registry-owned; set by SutObserver
-    Counter* disk_spill_ = nullptr;  // registered on disk_writer_attached()
+    BpfCounts bpf_;
+    bool decoded_registered_ = false;
     const char* occupancy_name_ = nullptr;  // interned; null when untraced
     const char* disk_ring_name_ = nullptr;  // interned; null when untraced
     std::vector<std::int64_t> enqueue_at_;
@@ -97,7 +95,10 @@ private:
 /// Per-SUT hooks, installed on the NIC.
 class SutObserver {
 public:
-    SutObserver(Observer& owner, std::string name, int pid, std::size_t app_count);
+    /// Registers a `capture.<name>.appN.filter_aborts` view onto each of
+    /// `apps`, the endpoints' capture statistics.
+    SutObserver(Observer& owner, std::string name, int pid,
+                const std::vector<const capture::CaptureStats*>& apps);
 
     /// Frame arrived at the NIC (before any drop decision).
     void nic_arrival(std::uint64_t id, sim::SimTime t);
@@ -152,9 +153,13 @@ public:
     Observer(const Observer&) = delete;
     Observer& operator=(const Observer&) = delete;
 
-    /// Registers a SUT and its capture apps; called from the testbed
-    /// build-up, in SUT order (which fixes trace pids and metrics order).
-    SutObserver& add_sut(const std::string& name, std::size_t app_count);
+    /// Registers a SUT and its capture apps, one per entry of `apps` (the
+    /// endpoints' statistics, which must outlive finalize()); called from
+    /// the testbed build-up, in SUT order (which fixes trace pids and
+    /// metrics order).  A name already registered throws
+    /// std::invalid_argument: its counters would collide.
+    SutObserver& add_sut(const std::string& name,
+                         const std::vector<const capture::CaptureStats*>& apps);
 
     /// Pre-sizes every stamp array and sample set for `packets` ids so the
     /// steady state performs no allocation.
@@ -166,6 +171,8 @@ public:
     [[nodiscard]] bool frozen() const { return frozen_; }
 
     [[nodiscard]] TraceSink* trace() { return trace_; }
+    /// The run's counter views.  Every viewed count must outlive
+    /// finalize(), which takes the snapshot.
     [[nodiscard]] Registry& registry() { return registry_; }
     [[nodiscard]] std::size_t sut_count() const { return suts_.size(); }
     [[nodiscard]] SutObserver& sut(std::size_t i) { return suts_[i]; }

@@ -1,52 +1,46 @@
-// Counter registry for the observability layer (ISSUE 5 tentpole, part 3).
+// Metrics registry for the observability layer: an ordered list of
+// read-only views onto counts the components already keep.
 //
-// Components that want run-level counters — the packet generator, each
-// machine's scheduler, the capture stacks — ask the run's Registry for a
-// named Counter at SETUP time and keep the returned pointer; the hot path
-// then increments through the pointer with a single null check when
-// observability is disabled.  Counters are insertion-ordered, so the
-// snapshot that lands in the capbench.metrics.v1 document is byte-stable
-// across runs, `--jobs` values and event-queue backends.
+// Components that publish run-level counts — the packet generator's
+// GenStats, each machine's scheduler counts, the NIC's per-queue counters,
+// each endpoint's CaptureStats, a disk writer's spills — register a view
+// of their own field at SETUP time.  Nothing is counted twice and the hot
+// paths carry no registry code; snapshot() reads every view in
+// registration order, so the capbench.metrics.v1 `counters` object is
+// byte-stable across runs, `--jobs` values and event-queue backends.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace capbench::obs {
 
-/// A monotonically increasing 64-bit counter.  Address-stable for the
-/// registry's lifetime (components cache `Counter*`).
-class Counter {
-public:
-    void inc(std::uint64_t delta = 1) { value_ += delta; }
-    [[nodiscard]] std::uint64_t value() const { return value_; }
-
-private:
-    std::uint64_t value_ = 0;
-};
-
-/// Get-or-create registry of named counters.  One per measurement run
-/// (never shared across sweep points), so no synchronization is needed and
-/// parallel sweeps stay bit-identical.
+/// One per measurement run (never shared across sweep points), so no
+/// synchronization is needed and parallel sweeps stay bit-identical.
+/// Names are unique by construction: each is prefixed by its component
+/// and SUT, and Observer::add_sut rejects a repeated SUT name.
 class Registry {
 public:
-    /// Returns the counter registered under `name`, creating it on first
-    /// use.  The reference stays valid for the registry's lifetime.
-    Counter& counter(const std::string& name);
+    /// Registers a view of `count` under `name`.  The count stays owned by
+    /// its component, which must outlive every snapshot().
+    void add(std::string name, const std::uint64_t& count) {
+        views_.emplace_back(std::move(name), &count);
+    }
 
-    [[nodiscard]] std::size_t size() const { return order_.size(); }
+    [[nodiscard]] std::size_t size() const { return views_.size(); }
 
-    /// (name, value) pairs in registration order.
-    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> snapshot() const;
+    /// (name, current value) pairs in registration order.
+    [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> snapshot() const {
+        std::vector<std::pair<std::string, std::uint64_t>> out;
+        out.reserve(views_.size());
+        for (const auto& [name, count] : views_) out.emplace_back(name, *count);
+        return out;
+    }
 
 private:
-    std::deque<Counter> counters_;  // deque: stable addresses on growth
-    std::vector<std::pair<std::string, Counter*>> order_;
-    std::map<std::string, Counter*, std::less<>> index_;
+    std::vector<std::pair<std::string, const std::uint64_t*>> views_;
 };
 
 }  // namespace capbench::obs

@@ -40,6 +40,12 @@ std::int64_t Series::max() const {
     return best;
 }
 
+std::int64_t SutSeries::overload_loss_at(std::size_t k) const {
+    std::int64_t loss = drop_nic_ring.at(k) + drop_backlog.at(k);
+    for (const AppSeries& a : apps) loss += a.drop_bpf_store.at(k) + a.drop_disk_spill.at(k);
+    return loss;
+}
+
 namespace {
 
 /// Visits every column of a TimeSeries (shape walkers below stay in sync
@@ -98,14 +104,6 @@ std::int64_t occupancy_pct_at(const SutSeries& s, std::size_t k) {
     return pct;
 }
 
-/// Terminal overload losses (NOT verdict/fanout — those are intended
-/// filtering/routing) at interval k.
-std::int64_t overload_loss_at(const SutSeries& s, std::size_t k) {
-    std::int64_t loss = s.drop_nic_ring.at(k) + s.drop_backlog.at(k);
-    for (const AppSeries& a : s.apps) loss += a.drop_bpf_store.at(k) + a.drop_disk_spill.at(k);
-    return loss;
-}
-
 /// Classifies every interval and coalesces dropping runs into episodes.
 void run_overload_detector(TimeSeries& ts) {
     const std::size_t n = ts.sample_count();
@@ -126,7 +124,7 @@ void run_overload_detector(TimeSeries& ts) {
             in_episode = false;
         };
         for (std::size_t k = 0; k < n; ++k) {
-            const std::int64_t loss = overload_loss_at(s, k);
+            const std::int64_t loss = s.overload_loss_at(k);
             const std::int64_t occ = occupancy_pct_at(s, k);
             IntervalClass cls = IntervalClass::kHealthy;
             if (loss > 0)
@@ -320,7 +318,6 @@ void IntervalSampler::sample_now() {
         ps.backlog_drops = backlog_total;
         ss.drop_nic_ring.push(ring_delta);
         ss.drop_backlog.push(backlog_delta);
-        std::int64_t losses = ring_delta + backlog_delta;
 
         for (std::size_t j = 0; j < ss.queues.size(); ++j) {
             const auto occ =
@@ -386,7 +383,6 @@ void IntervalSampler::sample_now() {
             as.buffer_occupancy.push(buffer);
             as.disk_ring.push(disk_ring);
             const std::size_t k = as.delivered.size() - 1;
-            losses += as.drop_bpf_store.at(k) + as.drop_disk_spill.at(k);
             if (trace_) {
                 trace_->counter(src.trace_pid, kSamplerTid, names.app_buffer[a], now, buffer);
                 trace_->counter(src.trace_pid, kSamplerTid, names.app_disk_ring[a], now,
@@ -395,7 +391,9 @@ void IntervalSampler::sample_now() {
                                 as.delivered.at(k));
             }
         }
-        if (trace_) trace_->counter(src.trace_pid, kSamplerTid, names.losses, now, losses);
+        if (trace_)
+            trace_->counter(src.trace_pid, kSamplerTid, names.losses, now,
+                            ss.overload_loss_at(ss.drop_nic_ring.size() - 1));
     }
     last_sample_ = now;
 }

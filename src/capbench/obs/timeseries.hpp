@@ -149,6 +149,11 @@ struct SutSeries {
     std::vector<AppSeries> apps;
     Series classification;  // IntervalClass per interval (detector output)
     std::vector<OverloadEpisode> episodes;
+
+    /// Terminal overload losses at interval k: nic_ring + backlog + every
+    /// app's bpf_store + disk_spill (NOT verdict/fanout — those are
+    /// intended filtering/routing).
+    [[nodiscard]] std::int64_t overload_loss_at(std::size_t k) const;
 };
 
 /// The collected run telemetry.  Owned by the caller of the measurement

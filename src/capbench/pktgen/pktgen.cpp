@@ -38,9 +38,9 @@ std::uint32_t Generator::draw_size() {
     return config_.packet_size;
 }
 
-void Generator::register_metrics(obs::Registry& registry) {
-    obs_packets_ = &registry.counter("pktgen.packets");
-    obs_bytes_ = &registry.counter("pktgen.bytes");
+void Generator::register_metrics(obs::Registry& registry) const {
+    registry.add("pktgen.packets", stats_.packets_sent);
+    registry.add("pktgen.bytes", stats_.bytes_sent);
 }
 
 net::FlowTuple Generator::flow_for(std::uint64_t id) const {
@@ -145,10 +145,6 @@ void Generator::send_next() {
     // convention the Syskonnect card's 1500-byte maximum comes out at the
     // measured 938 Mbit/s.
     stats_.bytes_sent += ip_size;
-    if (obs_packets_) {
-        obs_packets_->inc();
-        obs_bytes_->inc(ip_size);
-    }
 
     // Pacing: at a target rate, the next packet starts one packet-time (at
     // the target rate) after this one started; at full speed, as soon as

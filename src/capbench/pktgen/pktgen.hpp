@@ -23,7 +23,6 @@
 #include "capbench/sim/simulator.hpp"
 
 namespace capbench::obs {
-class Counter;
 class Registry;
 }
 
@@ -138,9 +137,9 @@ public:
     /// The flow tuple packet `id` is stamped with (exposed for tests).
     [[nodiscard]] net::FlowTuple flow_for(std::uint64_t id) const;
 
-    /// Registers `pktgen.packets` / `pktgen.bytes` counters; increments are
-    /// branch-guarded so unobserved runs pay nothing.
-    void register_metrics(obs::Registry& registry);
+    /// Registers views of GenStats' counts as `pktgen.packets` /
+    /// `pktgen.bytes`.
+    void register_metrics(obs::Registry& registry) const;
 
 private:
     void send_next();
@@ -153,8 +152,6 @@ private:
     GenConfig config_;
     sim::Rng rng_;
     GenStats stats_;
-    obs::Counter* obs_packets_ = nullptr;
-    obs::Counter* obs_bytes_ = nullptr;
     std::function<void()> on_done_;
     sim::EventQueue::Target send_target_;  // fires send_next()
     std::uint64_t next_id_ = 0;

@@ -117,13 +117,6 @@ std::int64_t delivered_at(const obs::SutSeries& s, std::size_t k) {
     return sum;
 }
 
-std::int64_t losses_at(const obs::SutSeries& s, std::size_t k) {
-    std::int64_t sum = s.drop_nic_ring.at(k) + s.drop_backlog.at(k);
-    for (const obs::AppSeries& a : s.apps)
-        sum += a.drop_bpf_store.at(k) + a.drop_disk_spill.at(k);
-    return sum;
-}
-
 std::int64_t ring_occupancy_at(const obs::SutSeries& s, std::size_t k) {
     std::int64_t occ = 0;
     for (const obs::QueueSeries& q : s.queues)
@@ -174,7 +167,7 @@ void write_timeseries_gnuplot(const std::string& dir, const std::string& id,
         data << ts.time_ns.at(k) << " " << ts.generated.at(k);
         for (const obs::SutSeries& s : ts.suts)
             data << " " << ring_occupancy_at(s, k) << " " << buffer_occupancy_at(s, k) << " "
-                 << delivered_at(s, k) << " " << losses_at(s, k);
+                 << delivered_at(s, k) << " " << s.overload_loss_at(k);
         data << "\n";
     }
 

@@ -1,7 +1,6 @@
 #include "capbench/sim/stats.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -12,36 +11,13 @@ void SampleSet::released(const char* what) {
                            " on a summarized set: its samples are released");
 }
 
-const std::vector<std::int64_t>& SampleSet::samples(const char* what) const {
-    if (digest_) released(what);
-    return samples_;
-}
-
 void SampleSet::append(const SampleSet& other) {
     if (digest_) released("append");
     if (other.digest_) released("append (from)");
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
 }
 
-double SampleSet::min() const {
-    const auto& v = samples("min");
-    if (v.empty()) throw std::logic_error("SampleSet::min on empty set");
-    return static_cast<double>(*std::min_element(v.begin(), v.end()));
-}
-
-double SampleSet::max() const {
-    const auto& v = samples("max");
-    if (v.empty()) throw std::logic_error("SampleSet::max on empty set");
-    return static_cast<double>(*std::max_element(v.begin(), v.end()));
-}
-
 namespace {
-
-/// Exact while the sum of |samples| stays below 2^53: the integer sum then
-/// converts without rounding, as every partial double sum would have.
-double mean_of(std::int64_t sum, std::size_t n) {
-    return static_cast<double>(sum) / static_cast<double>(n);
-}
 
 /// Linear-interpolation quantile of a non-empty set, by selection.  On
 /// entry v[0, limit) holds the `limit` smallest samples and, when limit <
@@ -85,7 +61,9 @@ SampleSet::Summary summarize_in(std::vector<std::int64_t>& v) {
     s.count = v.size();
     s.min = static_cast<double>(lo);
     s.max = static_cast<double>(hi);
-    s.mean = mean_of(sum, v.size());
+    // Exact while the sum of |samples| stays below 2^53: the integer sum
+    // converts without rounding, as every partial double sum would have.
+    s.mean = static_cast<double>(sum) / static_cast<double>(v.size());
     // Descending q: each selection narrows the range the next one searches.
     std::size_t limit = v.size();
     s.p99 = select_quantile(v, limit, 0.99);
@@ -95,20 +73,6 @@ SampleSet::Summary summarize_in(std::vector<std::int64_t>& v) {
 }
 
 }  // namespace
-
-double SampleSet::mean() const {
-    const auto& v = samples("mean");
-    if (v.empty()) throw std::logic_error("SampleSet::mean on empty set");
-    return mean_of(std::accumulate(v.begin(), v.end(), std::int64_t{0}), v.size());
-}
-
-double SampleSet::quantile(double q) const {
-    if (q < 0.0 || q > 1.0) throw std::invalid_argument("SampleSet::quantile: q outside [0,1]");
-    std::vector<std::int64_t> scratch = samples("quantile");
-    if (scratch.empty()) return 0.0;
-    std::size_t limit = scratch.size();
-    return select_quantile(scratch, limit, q);
-}
 
 SampleSet::Summary SampleSet::summary() const {
     if (digest_) return *digest_;

@@ -7,8 +7,8 @@
 
 namespace capbench::sim {
 
-/// Stores integer samples (nanoseconds) and answers quantile queries; the
-/// observability layer's packet-lifecycle latency sets.  Summaries select
+/// Stores integer samples (nanoseconds) and digests them into a Summary;
+/// the observability layer's packet-lifecycle latency sets.  Summaries select
 /// the order statistics they need instead of sorting, and sum in integers:
 /// while the sum of |samples| stays below 2^53 every result is bit for bit
 /// what a sort, an in-order double sum and linear interpolation would give.
@@ -40,33 +40,20 @@ public:
     }
     [[nodiscard]] bool empty() const { return size() == 0; }
 
-    // These read the samples: on a summarized set they throw
-    // std::logic_error.
-    [[nodiscard]] double min() const;
-    [[nodiscard]] double max() const;
-    [[nodiscard]] double mean() const;
-    /// Linear-interpolation quantile, q in [0, 1].  A single sample is
-    /// every quantile of itself; an empty set answers 0.0 (quantile of
-    /// nothing) so summary rows stay total.  q outside [0, 1] throws.
-    [[nodiscard]] double quantile(double q) const;
-    [[nodiscard]] double p50() const { return quantile(0.50); }
-    [[nodiscard]] double p95() const { return quantile(0.95); }
-    [[nodiscard]] double p99() const { return quantile(0.99); }
-
     /// Computes count/min/max/mean/p50/p95/p99 from one scratch copy:
-    /// an integer pass, then three selections over shrinking prefixes.
+    /// an integer pass, then three linear-interpolation selections over
+    /// shrinking prefixes.  A single sample is every quantile of itself.
     /// On a summarized set, returns the kept digest.
     [[nodiscard]] Summary summary() const;
 
     /// Runs summary()'s selection in the set's own storage, keeps the
     /// digest and releases the samples.  Afterwards size() and summary()
-    /// still answer, while add, append and the sample readers
-    /// throw std::logic_error.  A second call does nothing.
+    /// still answer, while add and append throw std::logic_error.  A
+    /// second call does nothing.
     void summarize();
 
 private:
     [[noreturn]] static void released(const char* what);
-    [[nodiscard]] const std::vector<std::int64_t>& samples(const char* what) const;
 
     std::vector<std::int64_t> samples_;
     std::optional<Summary> digest_;  // set by summarize(); samples_ is then empty

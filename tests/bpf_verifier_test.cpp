@@ -464,11 +464,21 @@ TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
 }
 
 TEST(AttachGate, AbortCounterReachesTheObsRegistry) {
+    // The registry views the endpoint's own count: no second tally.
+    Fixture f;
+    BsdBpfDev bsd{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
     obs::Observer observer;
-    obs::SutObserver& sut = observer.add_sut("swan", 1);
-    sut.app(0).filter_aborted();
-    sut.app(0).filter_aborted();
-    EXPECT_EQ(observer.registry().counter("capture.swan.app0.filter_aborts").value(), 2u);
+    (void)observer.add_sut("swan", {&bsd.stats()});
+    bsd.install_filter(always_aborting_program());
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+        const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
+        bsd.plan(p);
+        bsd.commit(CaptureRecord::of(p, false));
+    }
+    const auto snap = observer.registry().snapshot();
+    ASSERT_EQ(snap.size(), 1u);
+    EXPECT_EQ(snap[0].first, "capture.swan.app0.filter_aborts");
+    EXPECT_EQ(snap[0].second, 2u);
 }
 
 }  // namespace

@@ -365,7 +365,6 @@ TEST(Driver, CommitsOnlyAfterKernelWorkCompletes) {
     EXPECT_EQ(tap.committed, 0);  // cost not yet paid
     f.sim.run();
     EXPECT_EQ(tap.committed, 1);
-    EXPECT_EQ(driver.packets_processed(), 1u);
     EXPECT_GT(f.machine.cpu(0).in_state(CpuState::kInterrupt).ns(), 0);
 }
 

@@ -4,7 +4,6 @@
 
 #include "capbench/hostsim/arch.hpp"
 #include "capbench/hostsim/machine.hpp"
-#include "capbench/obs/registry.hpp"
 
 namespace capbench::hostsim {
 namespace {
@@ -336,8 +335,6 @@ TEST(Machine, MigratedChunkRunsItsContinuationOnce) {
     // re-executed work accounted.
     sim::Simulator sim;
     Machine m{sim, opteron_spec(2), {}};
-    obs::Registry registry;
-    m.register_metrics(registry, "m");
     auto t = std::make_shared<LoggedChunk>(Work{.cycles = 18'000'000}, nullptr);
     auto hog = std::make_shared<OneShot>(Work{.cycles = 36'000'000}, CpuState::kUser);
     m.spawn(t);
@@ -349,7 +346,7 @@ TEST(Machine, MigratedChunkRunsItsContinuationOnce) {
     // scheduled; the orphan pushed nothing.
     EXPECT_EQ(sim.queue().size(), 2u);
     sim.run();
-    EXPECT_EQ(registry.counter("m.sched.migrations").value(), 1u);
+    EXPECT_EQ(m.sched_counts().migrations, 1u);
     EXPECT_EQ(t->completions, 1);
     EXPECT_EQ(t->done_at, sim::SimTime{} + sim::microseconds(12'101));
     EXPECT_EQ(m.cpu(1).in_state(CpuState::kUser).ns(), 10'000'000);

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,17 +26,15 @@ namespace {
 
 // ---- registry -----------------------------------------------------------------
 
-TEST(ObsRegistry, CounterGetOrCreateAndSnapshotOrder) {
+TEST(ObsRegistry, ViewsSnapshotInRegistrationOrder) {
     obs::Registry reg;
-    obs::Counter& a = reg.counter("pktgen.packets");
-    obs::Counter& b = reg.counter("sched.dispatches");
-    a.inc();
-    a.inc(41);
-    b.inc(7);
-    // Same name returns the same counter.
-    EXPECT_EQ(&reg.counter("pktgen.packets"), &a);
+    std::uint64_t packets = 0;
+    std::uint64_t dispatches = 7;
+    reg.add("pktgen.packets", packets);
+    reg.add("sched.dispatches", dispatches);
     EXPECT_EQ(reg.size(), 2u);
-    EXPECT_EQ(a.value(), 42u);
+    // A view reads the component's count when the snapshot is taken.
+    packets += 42;
 
     const auto snap = reg.snapshot();
     ASSERT_EQ(snap.size(), 2u);
@@ -48,10 +47,30 @@ TEST(ObsRegistry, CounterGetOrCreateAndSnapshotOrder) {
 
 TEST(ObsRegistry, CounterAddressesSurviveGrowth) {
     obs::Registry reg;
-    obs::Counter& first = reg.counter("first");
-    for (int i = 0; i < 1000; ++i) reg.counter("c" + std::to_string(i));
-    first.inc();
-    EXPECT_EQ(reg.counter("first").value(), 1u);
+    std::uint64_t first = 0;
+    std::vector<std::uint64_t> others(1000);
+    reg.add("first", first);
+    for (std::size_t i = 0; i < others.size(); ++i)
+        reg.add("c" + std::to_string(i), others[i]);
+    ++first;
+    const auto snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), 1001u);
+    EXPECT_EQ(snap.front().first, "first");
+    EXPECT_EQ(snap.front().second, 1u);
+}
+
+TEST(ObsRegistry, RepeatedSutNameIsRejected) {
+    // A second SUT under a registered name would repeat every one of its
+    // counter names; add_sut refuses it before registering anything.
+    obs::Observer observer;
+    const capture::CaptureStats stats;
+    (void)observer.add_sut("swan", {&stats});
+    const std::size_t views = observer.registry().size();
+    EXPECT_THROW((void)observer.add_sut("swan", {&stats}), std::invalid_argument);
+    EXPECT_EQ(observer.sut_count(), 1u);
+    EXPECT_EQ(observer.registry().size(), views);
+    (void)observer.add_sut("snipe", {&stats});
+    EXPECT_EQ(observer.sut_count(), 2u);
 }
 
 // ---- trace sink ---------------------------------------------------------------
