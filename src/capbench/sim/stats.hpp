@@ -8,10 +8,12 @@
 namespace capbench::sim {
 
 /// Stores integer samples (nanoseconds) and digests them into a Summary;
-/// the observability layer's packet-lifecycle latency sets.  Summaries select
-/// the order statistics they need instead of sorting, and sum in integers:
-/// while the sum of |samples| stays below 2^53 every result is bit for bit
-/// what a sort, an in-order double sum and linear interpolation would give.
+/// the observability layer's packet-lifecycle latency sets.  One const
+/// kernel digests a set: it reads the samples without reordering or
+/// copying them, sums in integers and finds the order statistics by a radix
+/// multiselect instead of sorting.  While the sum of |samples| stays below
+/// 2^53 every result is bit for bit what a sort, an in-order double sum and
+/// linear interpolation would give.
 class SampleSet {
 public:
     /// One-pass digest of a sample set.  All fields are 0 when empty.
@@ -30,8 +32,9 @@ public:
         samples_.push_back(x);
     }
     void reserve(std::size_t n) { samples_.reserve(n); }
-    /// Appends every sample of `other` (merging repetitions of a run).
-    /// Throws std::logic_error when either set is summarized.
+    /// Appends every sample of `other` (merging repetitions of a run);
+    /// appending a set to itself doubles it.  Throws std::logic_error when
+    /// either set is summarized.
     void append(const SampleSet& other);
 
     /// The sample count, also after summarize().
@@ -40,16 +43,16 @@ public:
     }
     [[nodiscard]] bool empty() const { return size() == 0; }
 
-    /// Computes count/min/max/mean/p50/p95/p99 from one scratch copy:
-    /// an integer pass, then three linear-interpolation selections over
-    /// shrinking prefixes.  A single sample is every quantile of itself.
-    /// On a summarized set, returns the kept digest.
+    /// Computes count/min/max/mean/p50/p95/p99: an integer pass, then one
+    /// radix multiselect of the six ranks the three linearly interpolated
+    /// quantiles need.  Scratch memory holds only the samples of the
+    /// buckets those ranks fall in.  A single sample is every quantile of
+    /// itself.  On a summarized set, returns the kept digest.
     [[nodiscard]] Summary summary() const;
 
-    /// Runs summary()'s selection in the set's own storage, keeps the
-    /// digest and releases the samples.  Afterwards size() and summary()
-    /// still answer, while add and append throw std::logic_error.  A
-    /// second call does nothing.
+    /// Computes summary()'s digest, keeps it and releases the samples.
+    /// Afterwards size() and summary() still answer, while add and append
+    /// throw std::logic_error.  A second call does nothing.
     void summarize();
 
 private:

@@ -3,10 +3,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "capbench/obs/metrics.hpp"
@@ -282,6 +286,41 @@ struct SortedOracle {
 
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
+void expect_same_summary(const SampleSet::Summary& got, const SampleSet::Summary& want,
+                         bool check_mean, const std::string& where) {
+    EXPECT_EQ(got.count, want.count) << where;
+    EXPECT_EQ(bits(got.min), bits(want.min)) << where;
+    EXPECT_EQ(bits(got.max), bits(want.max)) << where;
+    if (check_mean) {
+        EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
+    }
+    EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
+    EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
+    EXPECT_EQ(bits(got.p99), bits(want.p99)) << where;
+}
+
+/// Digests `xs` through summary() and then summarize() and compares both
+/// with the sorted oracle bit for bit.  The mean is compared only while the
+/// sum of |samples| stays below 2^53, where every partial double sum of the
+/// oracle is an integer it can represent.
+void expect_matches_oracle(const std::vector<std::int64_t>& xs, const std::string& where) {
+    double abs_sum = 0.0;
+    for (const std::int64_t x : xs) abs_sum += std::abs(static_cast<double>(x));
+    const bool check_mean = abs_sum < 0x1p53;
+
+    SampleSet set;
+    for (const std::int64_t x : xs) set.add(x);
+    const SampleSet::Summary want = SortedOracle{xs}.summary();
+    expect_same_summary(set.summary(), want, check_mean, where);
+
+    // summarize() computes the same digest, then keeps only it; size() and
+    // summary() still answer from it.
+    set.summarize();
+    EXPECT_EQ(set.size(), xs.size()) << where;
+    EXPECT_EQ(set.empty(), xs.empty()) << where;
+    expect_same_summary(set.summary(), want, check_mean, where);
+}
+
 TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
     // 0..3 cover the small-set edges (at 3, p95 and p99 share a rank); at
     // 30 p95's upper neighbour is p99's rank; at 101 every q*(n-1) the
@@ -289,9 +328,8 @@ TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
     constexpr std::size_t kSizes[] = {0, 1, 2, 3, 30, 100, 101, 3000};
     constexpr std::size_t kNumSizes = std::size(kSizes);
     enum Shape { kRandom, kAllEqual, kHeavyTie, kAscending, kDescending, kShapes };
-    // The mean is exact only while the sum stays below 2^53, where every
-    // partial double sum of the oracle is an integer it can represent:
-    // here at most 3000 < 2^12 samples of at most 2^40 ns, so below 2^52.
+    // At most 3000 < 2^12 samples of at most 2^40 ns keep every sum below
+    // 2^52, so the mean is always compared.
     constexpr std::int64_t kMagnitudes[] = {1 << 10, 1 << 20, std::int64_t{1} << 40};
     constexpr int kSets = 1200;  // every size x shape x magnitude, 10 times
 
@@ -310,37 +348,70 @@ TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
         if (shape == kAscending) std::sort(xs.begin(), xs.end());
         if (shape == kDescending) std::sort(xs.rbegin(), xs.rend());
 
-        SampleSet set;
-        for (const std::int64_t x : xs) set.add(x);
-        const SortedOracle oracle{xs};
-        const std::string where = "set " + std::to_string(i) + " n=" +
-                                  std::to_string(n) + " shape=" +
-                                  std::to_string(shape) + " mag=" + std::to_string(mag);
-
-        const SampleSet::Summary got = set.summary();
-        const SampleSet::Summary want = oracle.summary();
-        EXPECT_EQ(got.count, want.count) << where;
-        EXPECT_EQ(bits(got.min), bits(want.min)) << where;
-        EXPECT_EQ(bits(got.max), bits(want.max)) << where;
-        EXPECT_EQ(bits(got.mean), bits(want.mean)) << where;
-        EXPECT_EQ(bits(got.p50), bits(want.p50)) << where;
-        EXPECT_EQ(bits(got.p95), bits(want.p95)) << where;
-        EXPECT_EQ(bits(got.p99), bits(want.p99)) << where;
-
-        // summarize() selects in the set's own storage, then keeps only
-        // the digest; size() and summary() still answer from it.
-        set.summarize();
-        const SampleSet::Summary kept = set.summary();
-        EXPECT_EQ(set.size(), n) << where;
-        EXPECT_EQ(set.empty(), n == 0) << where;
-        EXPECT_EQ(kept.count, want.count) << where;
-        EXPECT_EQ(bits(kept.min), bits(want.min)) << where;
-        EXPECT_EQ(bits(kept.max), bits(want.max)) << where;
-        EXPECT_EQ(bits(kept.mean), bits(want.mean)) << where;
-        EXPECT_EQ(bits(kept.p50), bits(want.p50)) << where;
-        EXPECT_EQ(bits(kept.p95), bits(want.p95)) << where;
-        EXPECT_EQ(bits(kept.p99), bits(want.p99)) << where;
+        expect_matches_oracle(xs, "set " + std::to_string(i) + " n=" + std::to_string(n) +
+                                      " shape=" + std::to_string(shape) +
+                                      " mag=" + std::to_string(mag));
     }
+}
+
+TEST(SampleSet, RadixSelectionMatchesTheSortedOracleOnEdgeShapes) {
+    // The shapes a radix multiselect is sensitive to: signs, the ends of
+    // the int64 range, one bucket holding almost everything, heavy
+    // duplication, every size around the small-set cutoff and one set
+    // large enough to recurse through several levels.
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    Rng rng{25};
+    const auto any = [&] { return static_cast<std::int64_t>(rng.next_u64()); };
+    const std::vector<std::pair<std::string, std::function<std::int64_t(std::size_t)>>> shapes = {
+        {"spanning zero", [&](std::size_t) { return rng.next_in(-5000, 5000); }},
+        {"near INT64_MIN", [&](std::size_t) { return kMin + rng.next_in(0, 1 << 20); }},
+        {"near INT64_MAX", [&](std::size_t) { return kMax - rng.next_in(0, 1 << 20); }},
+        {"both int64 ends",
+         [&](std::size_t) {
+             return rng.next_below(2) == 0 ? kMin + rng.next_in(0, 1000)
+                                           : kMax - rng.next_in(0, 1000);
+         }},
+        {"whole int64 range", [&](std::size_t) { return any(); }},
+        {"one far outlier",
+         [&](std::size_t i) {
+             return i == 0 ? std::int64_t{1} << 40 : rng.next_in(1000, 2000);
+         }},
+        {"few distinct values",
+         [&](std::size_t) { return 5000 + 133 * rng.next_in(0, 6); }},
+        {"seven percent distinct",
+         [&](std::size_t i) {
+             // Runs of equal values, as in fig 6.8's enqueue_ns sets.
+             return i % 14 == 0 ? rng.next_in(0, 1 << 30) : std::int64_t{5492};
+         }},
+    };
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 130; ++n) sizes.push_back(n);
+    sizes.push_back(1000);
+    sizes.push_back(100'000);
+    for (const auto& [name, sample] : shapes) {
+        for (const std::size_t n : sizes) {
+            std::vector<std::int64_t> xs(n);
+            for (std::size_t i = 0; i < n; ++i) xs[i] = sample(i);
+            expect_matches_oracle(xs, name + " n=" + std::to_string(n));
+        }
+    }
+}
+
+TEST(SampleSet, SelfAppendDoublesTheSet) {
+    SampleSet s;
+    for (int i = 1; i <= 5; ++i) s.add(i);
+    s.append(s);
+    EXPECT_EQ(s.size(), 10u);
+    const SampleSet::Summary sum = s.summary();
+    EXPECT_DOUBLE_EQ(sum.min, 1.0);
+    EXPECT_DOUBLE_EQ(sum.max, 5.0);
+    EXPECT_DOUBLE_EQ(sum.mean, 3.0);
+    EXPECT_EQ(bits(sum.p50), bits(SortedOracle{{1, 2, 3, 4, 5, 1, 2, 3, 4, 5}}.quantile(0.5)));
+
+    SampleSet empty;
+    empty.append(empty);
+    EXPECT_TRUE(empty.empty());
 }
 
 TEST(SampleSet, SummarizedSetRefusesSamplesAndMerges) {
