@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "capbench/core/capbench.hpp"
+#include "capbench/obs/timeseries.hpp"
 
 int main(int argc, char** argv) {
     using namespace capbench;
@@ -24,32 +25,27 @@ int main(int argc, char** argv) {
             rate = std::atof(argv[i]);
     }
 
-    TestbedConfig tb;
-    tb.gen.count = 300'000;
-    tb.gen.rate_mbps = rate;
-    tb.gen.size_dist.emplace(dist::mwn_trace_histogram());
-    tb.gen.use_dist = true;
     auto sut = standard_sut("moorhen");
     sut.buffer_bytes = 10ull << 20;
-    tb.suts.push_back(std::move(sut));
 
-    Testbed bed{std::move(tb)};
-    bed.start_suts();
-    profiling::CpuSage profiler{bed.suts()[0]->machine()};
-    profiler.start();
-
-    bool done = false;
-    // Idle lead-in and tail so trimusage has something to trim.
-    bed.generator().start(sim::SimTime{} + sim::seconds(1), [&] { done = true; });
-    while (!done) bed.sim().run(bed.sim().now() + sim::seconds(1));
-    bed.sim().run(bed.sim().now() + sim::seconds(1));
-    profiler.stop();
-    bed.sim().run(bed.sim().now() + sim::seconds(1));
+    // The run's interval sampler reads the CPU-state accounting every half
+    // second; a 1 s warmup and drain give trimusage an idle lead-in and
+    // tail to trim.
+    obs::TimeSeries ts;
+    RunConfig cfg;
+    cfg.packets = 300'000;
+    cfg.rate_mbps = rate;
+    cfg.warmup = sim::seconds(1);
+    cfg.drain = sim::seconds(1);
+    cfg.sample_interval = sim::milliseconds(500);
+    cfg.timeseries = &ts;
+    run_once({sut}, cfg);
+    const auto samples = profiling::cpusage(ts, 0, sim::milliseconds(500));
 
     std::printf("cpusage samples (0.5 s interval) for moorhen at %.0f Mbit/s:\n", rate);
-    profiler.print(std::cout, machine_readable);
+    profiling::print_usage(std::cout, samples, machine_readable);
 
-    const auto trimmed = profiling::trim_usage(profiler.samples(), 95.0);
+    const auto trimmed = profiling::trim_usage(samples, 95.0);
     if (trimmed) {
         std::printf("\ntrimusage (longest run with idle < 95%%): %zu samples from #%zu\n",
                     trimmed->run_length, trimmed->run_start);

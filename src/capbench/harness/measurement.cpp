@@ -11,9 +11,9 @@
 
 namespace capbench::harness {
 
-/// cpusage sampling interval while metrics are on.  The thesis tool samples
-/// every 500 ms; this is shorter so the short simulated windows of
-/// CI-scale runs still produce samples.
+/// cpusage window, and the sampling interval of an observed run that asked
+/// for no series.  The thesis tool samples every 500 ms; this is shorter so
+/// the short simulated windows of CI-scale runs still produce samples.
 constexpr sim::Duration kCpusageInterval = sim::milliseconds(10);
 
 RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) {
@@ -54,23 +54,17 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
     if (observer) observer->reserve(config.packets);
     bed.start_suts();
 
-    // Per-SUT cpusage profilers (step 1 also starts the profiling
-    // applications).  Sampling only reads the Machine's accounting, so the
-    // simulation's observable behaviour is unchanged.
-    std::vector<std::unique_ptr<profiling::CpuSage>> profilers;
-    if (observer) {
-        for (auto& sut : bed.suts()) {
-            profilers.push_back(std::make_unique<profiling::CpuSage>(
-                sut->machine(), kCpusageInterval));
-            profilers.back()->start();
-        }
-    }
-
-    // Interval time-series sampler (tentpole of ISSUE 10).  Like cpusage
-    // it only reads counters and gauges, so the simulation's observable
-    // behaviour — and every figure golden — is unchanged by sampling.
+    // The interval sampler is the run's one CPU sampler (step 1 also
+    // starts the profiling applications); cpusage is a window view over
+    // its per-CPU columns.  Every observed run has one, sampling into the
+    // caller's series or else into a run-local one at the cpusage cadence;
+    // only a requested series gets the trace sink.  It only reads counters
+    // and gauges, so the simulation's observable behaviour — and every
+    // figure golden — is unchanged by sampling.
+    obs::TimeSeries local_series;
+    obs::TimeSeries* const series = sampling ? config.timeseries : &local_series;
     std::unique_ptr<obs::IntervalSampler> sampler;
-    if (sampling) {
+    if (observer) {
         obs::SamplerSources sources;
         sources.generated = &bed.generator().stats().packets_sent;
         for (std::size_t i = 0; i < bed.suts().size(); ++i) {
@@ -89,8 +83,8 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
             sources.suts.push_back(std::move(src));
         }
         sampler = std::make_unique<obs::IntervalSampler>(
-            bed.sim(), config.sample_interval, std::move(sources), *config.timeseries,
-            config.trace);
+            bed.sim(), sampling ? config.sample_interval : kCpusageInterval,
+            std::move(sources), *series, sampling ? config.trace : nullptr);
         sampler->start();
     }
 
@@ -131,18 +125,16 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
                 }
                 snapshots.push_back(std::move(snap));
             }
-            // The sampler's final sample happens in this same event, so
-            // its delta columns telescope exactly to the snapshots above
-            // (the conservation invariant).
-            if (sampler) sampler->stop();
             if (observer) {
+                // The sampler's final sample happens in this same event, so
+                // its delta columns telescope exactly to the snapshots
+                // above (the conservation invariant).
+                sampler->stop();
                 // Later stamps no longer feed the sample sets, so the
                 // histograms match the frozen counters exactly.
                 observer->freeze();
-                for (std::size_t i = 0; i < profilers.size(); ++i) {
-                    profilers[i]->stop();
-                    snapshots[i].cpu_samples = profilers[i]->samples();
-                }
+                for (std::size_t i = 0; i < snapshots.size(); ++i)
+                    snapshots[i].cpu_samples = profiling::cpusage(*series, i, kCpusageInterval);
             }
             stopped = true;
         });
@@ -191,14 +183,16 @@ RunResult run_once(const std::vector<SutConfig>& suts, const RunConfig& config) 
         r.cpu_pct = std::min(
             100.0, 100.0 * busy.seconds() /
                        (window.seconds() * sut.machine().logical_cpus()));
-        r.nic_ring_drops = sut.nic().ring_drops();
-        r.backlog_drops = sut.nic().backlog_drops();
+        r.nic_ring_drops = snap.ring_drops;
+        r.backlog_drops = snap.backlog_drops;
         result.suts.push_back(std::move(r));
     }
-    if (observer) result.metrics = observer->finalize(snapshots, generated);
-    // Re-check the conservation invariant against the independently
-    // snapshotted aggregates and freeze the totals for the JSON writer.
-    if (sampler) config.timeseries->finalize_against(result.metrics);
+    if (observer) {
+        result.metrics = observer->finalize(snapshots, generated);
+        // Re-check the conservation invariant against the independently
+        // snapshotted aggregates and freeze the totals for the JSON writer.
+        series->finalize_against(result.metrics);
+    }
     return result;
 }
 

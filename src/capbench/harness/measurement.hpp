@@ -55,13 +55,16 @@ struct RunConfig {
     /// implies metrics collection.  The sink must outlive the run.
     obs::TraceSink* trace = nullptr;
     /// Interval time-series telemetry (obs/timeseries.hpp): with a
-    /// non-null sink AND a positive sample_interval, an IntervalSampler
-    /// snapshots gauges and counter deltas every tick and at the freeze
-    /// instant.  A sink without a positive interval throws
-    /// std::invalid_argument; an interval without a sink is inert, so the
-    /// default (off) keeps every result byte-identical.  Like `trace`,
-    /// a non-null sink implies metrics collection and must outlive the
-    /// run; run_repeated samples rep 0 only.
+    /// non-null sink AND a positive sample_interval, the run's
+    /// IntervalSampler snapshots gauges and counter deltas into the sink
+    /// every tick and at the freeze instant (an observed run without a sink
+    /// samples into a run-local series at the 10 ms cpusage cadence), and
+    /// the metrics' cpusage samples are a view over these columns.  A sink
+    /// without a positive interval throws std::invalid_argument; an
+    /// interval without a sink is inert, so the default (off) keeps every
+    /// result byte-identical.  Like `trace`, a non-null sink implies
+    /// metrics collection and must outlive the run; run_repeated samples
+    /// rep 0 only.
     sim::Duration sample_interval = sim::Duration::zero();
     obs::TimeSeries* timeseries = nullptr;
     /// Square-wave generator modulation (the ext_overload_pulse

@@ -12,11 +12,11 @@
 #include "capbench/capture/linux_socket.hpp"
 #include "capbench/capture/mmap_ring.hpp"
 #include "capbench/capture/nic.hpp"
+#include "capbench/hostsim/machine.hpp"
 #include "capbench/load/disk.hpp"
 #include "capbench/load/disk_writer.hpp"
 #include "capbench/load/loads.hpp"
 #include "capbench/pcap/session.hpp"
-#include "capbench/profiling/cpusage.hpp"
 
 namespace capbench::obs {
 class Observer;

@@ -1,6 +1,8 @@
 #include "capbench/obs/timeseries.hpp"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -13,30 +15,13 @@
 
 namespace capbench::obs {
 
-void Series::grow() {
-    chunks_.push_back(std::make_unique<Chunk>());
-    used_ = 0;
-}
-
 std::int64_t Series::sum() const {
-    std::int64_t total = 0;
-    std::size_t remaining = count_;
-    for (const auto& chunk : chunks_) {
-        const std::size_t n = std::min(remaining, kChunkValues);
-        for (std::size_t i = 0; i < n; ++i) total += (*chunk)[i];
-        remaining -= n;
-    }
-    return total;
+    return std::accumulate(values_.begin(), values_.end(), std::int64_t{0});
 }
 
 std::int64_t Series::max() const {
     std::int64_t best = 0;
-    std::size_t remaining = count_;
-    for (const auto& chunk : chunks_) {
-        const std::size_t n = std::min(remaining, kChunkValues);
-        for (std::size_t i = 0; i < n; ++i) best = std::max(best, (*chunk)[i]);
-        remaining -= n;
-    }
+    for (const std::int64_t v : values_) best = std::max(best, v);
     return best;
 }
 
@@ -47,37 +32,6 @@ std::int64_t SutSeries::overload_loss_at(std::size_t k) const {
 }
 
 namespace {
-
-/// Visits every column of a TimeSeries (shape walkers below stay in sync
-/// with the struct definitions by construction).
-template <typename Fn>
-void for_each_series(const TimeSeries& ts, Fn&& fn) {
-    fn(ts.time_ns);
-    fn(ts.generated);
-    for (const SutSeries& s : ts.suts) {
-        fn(s.drop_nic_ring);
-        fn(s.drop_backlog);
-        fn(s.classification);
-        for (const QueueSeries& q : s.queues) fn(q.ring_occupancy);
-        for (const CpuSeries& c : s.cpus) {
-            fn(c.backlog_len);
-            fn(c.user_ns);
-            fn(c.system_ns);
-            fn(c.interrupt_ns);
-            fn(c.idle_ns);
-        }
-        for (const AppSeries& a : s.apps) {
-            fn(a.delivered);
-            fn(a.drop_verdict);
-            fn(a.drop_bpf_store);
-            fn(a.drop_fanout);
-            fn(a.drop_disk_spill);
-            fn(a.drain);
-            fn(a.buffer_occupancy);
-            fn(a.disk_ring);
-        }
-    }
-}
 
 void check_sum(const char* what, std::int64_t sum, std::uint64_t aggregate) {
     if (sum < 0 || static_cast<std::uint64_t>(sum) != aggregate)
@@ -163,12 +117,6 @@ void run_overload_detector(TimeSeries& ts) {
 }
 
 }  // namespace
-
-std::size_t TimeSeries::chunk_count() const {
-    std::size_t chunks = 0;
-    for_each_series(*this, [&](const Series& s) { chunks += s.chunk_count(); });
-    return chunks;
-}
 
 void TimeSeries::finalize_against(const RunMetrics& metrics) {
     if (!metrics.enabled)

@@ -17,10 +17,13 @@
 // deliveries and drops pull it back, and its column sum is exactly the
 // finalize `drop_drain` residual.
 //
-// Storage is slab-chunked like TraceSink: each column is a `Series` of
-// 4096-value chunks, so steady-state sampling allocates only on chunk
-// growth (alloc-guard tested) and a run without a sampler allocates
-// nothing at all.
+// Each column is a `Series`, one growable int64 vector, so sampling
+// allocates only when a column's capacity doubles (alloc-guard tested) and
+// a run without a sampler allocates nothing at all.  Every observed run
+// (metrics, trace or time series) runs one sampler: into the caller's
+// series at its interval, or into a run-local one at the cpusage cadence.
+// It is the run's only CPU sampler; profiling::cpusage() is a window view
+// over its per-CPU columns.
 //
 // On top of the raw series an `OverloadDetector` pass classifies each
 // interval — dropping (any terminal overload loss: nic_ring, backlog,
@@ -32,9 +35,7 @@
 // never open an episode (they still participate in conservation).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,25 +63,13 @@ class TraceSink;
 /// Interval classification thresholds (see OverloadDetector above).
 inline constexpr std::int64_t kSaturatedOccupancyPct = 75;
 
-/// Slab-chunked append-only int64 column.  Pushing allocates only when
-/// the current chunk fills (one chunk + one pointer-vector growth), which
-/// is the whole enabled-mode alloc-guard budget.
+/// Append-only int64 column.
 class Series {
 public:
-    static constexpr std::size_t kChunkValues = 4096;
+    void push(std::int64_t v) { values_.push_back(v); }
 
-    void push(std::int64_t v) {
-        if (used_ == kChunkValues) grow();
-        (*chunks_.back())[used_++] = v;
-        ++count_;
-    }
-
-    [[nodiscard]] std::size_t size() const { return count_; }
-    [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-
-    [[nodiscard]] std::int64_t at(std::size_t i) const {
-        return (*chunks_[i / kChunkValues])[i % kChunkValues];
-    }
+    [[nodiscard]] std::size_t size() const { return values_.size(); }
+    [[nodiscard]] std::int64_t at(std::size_t i) const { return values_[i]; }
 
     /// Sum of all values (the telescoped aggregate of a delta column).
     [[nodiscard]] std::int64_t sum() const;
@@ -89,12 +78,7 @@ public:
     [[nodiscard]] std::int64_t max() const;
 
 private:
-    void grow();
-
-    using Chunk = std::array<std::int64_t, kChunkValues>;
-    std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::size_t used_ = kChunkValues;  // forces grow() on first push
-    std::size_t count_ = 0;
+    std::vector<std::int64_t> values_;
 };
 
 /// What the detector decided about one interval.
@@ -177,9 +161,6 @@ public:
     bool finalized = false;
 
     [[nodiscard]] std::size_t sample_count() const { return time_ns.size(); }
-
-    /// Chunks across every column — the alloc-guard growth bound.
-    [[nodiscard]] std::size_t chunk_count() const;
 
     /// Verifies the conservation invariant against the finalize
     /// aggregates and freezes the totals for downstream consumers.

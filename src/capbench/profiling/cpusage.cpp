@@ -1,51 +1,48 @@
 #include "capbench/profiling/cpusage.hpp"
 
+#include <cstdint>
 #include <ostream>
+#include <stdexcept>
+
+#include "capbench/obs/timeseries.hpp"
 
 namespace capbench::profiling {
 
-namespace {
-
-std::array<sim::Duration, hostsim::kCpuStateCount> totals(const hostsim::Machine& machine) {
-    std::array<sim::Duration, hostsim::kCpuStateCount> out{};
-    for (int c = 0; c < machine.logical_cpus(); ++c) {
-        out[0] += machine.cpu(c).in_state(hostsim::CpuState::kUser);
-        out[1] += machine.cpu(c).in_state(hostsim::CpuState::kSystem);
-        out[2] += machine.cpu(c).in_state(hostsim::CpuState::kInterrupt);
+std::vector<UsageSample> cpusage(const obs::TimeSeries& ts, std::size_t sut,
+                                 sim::Duration window) {
+    if (window.ns() <= 0) throw std::invalid_argument("cpusage: window must be positive");
+    const obs::SutSeries& s = ts.suts.at(sut);
+    const auto cpus = static_cast<double>(s.cpus.size());
+    std::vector<UsageSample> samples;
+    std::int64_t opened = 0;  // time the open window started
+    std::int64_t user = 0;
+    std::int64_t system = 0;
+    std::int64_t irq = 0;
+    for (std::size_t k = 0; k + 1 < ts.sample_count(); ++k) {
+        for (const obs::CpuSeries& c : s.cpus) {
+            user += c.user_ns.at(k);
+            system += c.system_ns.at(k);
+            irq += c.interrupt_ns.at(k);
+        }
+        const std::int64_t now = ts.time_ns.at(k);
+        if (now % window.ns() != 0) continue;
+        const double span = sim::Duration{now - opened}.seconds() * cpus;
+        UsageSample u;
+        u.user_pct = sim::Duration{user}.seconds() / span * 100.0;
+        u.system_pct = sim::Duration{system}.seconds() / span * 100.0;
+        u.interrupt_pct = sim::Duration{irq}.seconds() / span * 100.0;
+        u.idle_pct = 100.0 - u.user_pct - u.system_pct - u.interrupt_pct;
+        if (u.idle_pct < 0.0) u.idle_pct = 0.0;
+        samples.push_back(u);
+        opened = now;
+        user = system = irq = 0;
     }
-    return out;
+    return samples;
 }
 
-}  // namespace
-
-CpuSage::CpuSage(hostsim::Machine& machine, sim::Duration interval)
-    : machine_(&machine), interval_(interval) {}
-
-void CpuSage::start() {
-    if (running_) return;
-    running_ = true;
-    last_ = totals(*machine_);
-    machine_->sim().schedule_in(interval_, [this] { sample_now(); });
-}
-
-void CpuSage::sample_now() {
-    if (!running_) return;
-    const auto now = totals(*machine_);
-    const double window =
-        interval_.seconds() * static_cast<double>(machine_->logical_cpus());
-    UsageSample s;
-    s.user_pct = (now[0] - last_[0]).seconds() / window * 100.0;
-    s.system_pct = (now[1] - last_[1]).seconds() / window * 100.0;
-    s.interrupt_pct = (now[2] - last_[2]).seconds() / window * 100.0;
-    s.idle_pct = 100.0 - s.user_pct - s.system_pct - s.interrupt_pct;
-    if (s.idle_pct < 0.0) s.idle_pct = 0.0;
-    samples_.push_back(s);
-    last_ = now;
-    machine_->sim().schedule_in(interval_, [this] { sample_now(); });
-}
-
-void CpuSage::print(std::ostream& out, bool machine_readable) const {
-    for (const auto& s : samples_) {
+void print_usage(std::ostream& out, const std::vector<UsageSample>& samples,
+                 bool machine_readable) {
+    for (const auto& s : samples) {
         if (machine_readable) {
             out << s.user_pct << ':' << s.system_pct << ':' << s.interrupt_pct << ':'
                 << s.idle_pct << '\n';

@@ -2,16 +2,21 @@
 //
 // The original tool reads the kernel's CPU state tick counters every half
 // second and prints the percentage spent in each state.  The simulated
-// version reads the Machine's per-CPU accounting — with zero perturbation,
-// which trivially satisfies the "impact on the system load should be
-// small" requirement of Section 3.2.
+// version is a view over the per-CPU columns of the interval sampler
+// (obs/timeseries.hpp), which reads the Machine's accounting with zero
+// perturbation — trivially satisfying the "impact on the system load
+// should be small" requirement of Section 3.2.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
 #include <vector>
 
-#include "capbench/hostsim/machine.hpp"
+#include "capbench/sim/time.hpp"
+
+namespace capbench::obs {
+class TimeSeries;
+}
 
 namespace capbench::profiling {
 
@@ -25,31 +30,18 @@ struct UsageSample {
     [[nodiscard]] double busy_pct() const { return 100.0 - idle_pct; }
 };
 
-class CpuSage {
-public:
-    /// Samples `machine` every `interval` once start() is called.
-    CpuSage(hostsim::Machine& machine, sim::Duration interval = sim::milliseconds(500));
+/// cpusage over SUT `sut` of a stopped interval sampler's series: one
+/// sample per window.  A window closes at every sample whose time is a
+/// multiple of `window`, so a series whose interval divides `window`
+/// yields `window`-long samples, and any other series samples over the
+/// least common multiple of the two.  The last sample is the freeze instant
+/// (IntervalSampler::stop) and never closes a window.
+std::vector<UsageSample> cpusage(const obs::TimeSeries& ts, std::size_t sut,
+                                 sim::Duration window);
 
-    /// Begins sampling (schedules the recurring read).
-    void start();
-
-    /// Stops after the current interval.
-    void stop() { running_ = false; }
-
-    [[nodiscard]] const std::vector<UsageSample>& samples() const { return samples_; }
-
-    /// Writes the human-readable cpusage output; `machine_readable` is the
-    /// -o option (colon separated, no state names).
-    void print(std::ostream& out, bool machine_readable = false) const;
-
-private:
-    void sample_now();
-
-    hostsim::Machine* machine_;
-    sim::Duration interval_;
-    bool running_ = false;
-    std::array<sim::Duration, hostsim::kCpuStateCount> last_{};
-    std::vector<UsageSample> samples_;
-};
+/// Writes the human-readable cpusage output; `machine_readable` is the
+/// -o option (colon separated, no state names).
+void print_usage(std::ostream& out, const std::vector<UsageSample>& samples,
+                 bool machine_readable = false);
 
 }  // namespace capbench::profiling

@@ -71,9 +71,13 @@ private:
     void reserve_one() {
         if (count_ < buf_.size()) return;
         const std::size_t new_cap = buf_.empty() ? kInitialCapacity : buf_.size() * 2;
-        std::vector<T> grown(new_cap);
+        // Move-construct the live elements in order, then default-construct
+        // only the spare slots (emplace_back hands them out as they are).
+        std::vector<T> grown;
+        grown.reserve(new_cap);
         for (std::size_t i = 0; i < count_; ++i)
-            grown[i] = std::move(buf_[(head_ + i) & mask_]);
+            grown.emplace_back(std::move(buf_[(head_ + i) & mask_]));
+        grown.resize(new_cap);
         buf_ = std::move(grown);
         head_ = 0;
         mask_ = buf_.size() - 1;

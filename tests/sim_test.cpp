@@ -8,14 +8,17 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "capbench/net/packet.hpp"
 #include "capbench/obs/metrics.hpp"
 #include "capbench/sim/event_queue.hpp"
 #include "capbench/sim/random.hpp"
+#include "capbench/sim/ring_buffer.hpp"
 #include "capbench/sim/simulator.hpp"
 #include "capbench/sim/stats.hpp"
 #include "capbench/sim/time.hpp"
@@ -116,6 +119,92 @@ TEST(Simulator, StepExecutesSingleEvent) {
     EXPECT_EQ(fired, 1);
     EXPECT_TRUE(sim.step());
     EXPECT_FALSE(sim.step());
+}
+
+std::vector<int> drain(RingBuffer<int>& rb) {
+    std::vector<int> out;
+    while (!rb.empty()) {
+        out.push_back(rb.front());
+        rb.pop_front();
+    }
+    return out;
+}
+
+std::vector<int> iota_from(int first, int last) {
+    std::vector<int> out(static_cast<std::size_t>(last - first + 1));
+    std::iota(out.begin(), out.end(), first);
+    return out;
+}
+
+TEST(RingBuffer, FifoOrderAcrossDoublingsWithAWrappedHead) {
+    RingBuffer<int> rb;
+    for (int i = 0; i < 10; ++i) rb.push_back(i);
+    for (int i = 0; i < 6; ++i) rb.pop_front();  // head moves to slot 6
+    for (int i = 10; i < 50; ++i) rb.push_back(i);  // wraps, then 16 -> 32 -> 64
+    EXPECT_EQ(rb.capacity(), 64u);
+    EXPECT_EQ(rb.size(), 44u);
+    EXPECT_EQ(drain(rb), iota_from(6, 49));
+}
+
+TEST(RingBuffer, PushFrontAcrossGrowth) {
+    RingBuffer<int> rb;
+    for (int i = 0; i < 16; ++i) rb.push_back(i);  // full at the initial 16
+    for (int i = -1; i >= -20; --i) rb.push_front(i);
+    EXPECT_EQ(rb.capacity(), 64u);
+    EXPECT_EQ(drain(rb), iota_from(-20, 15));
+}
+
+/// Default-constructs to a marker, so a slot's origin is visible.
+struct Slot {
+    int value = -7;
+};
+
+TEST(RingBuffer, EmplaceBackHandsOutSpareSlotsAfterGrowthAndDropFront) {
+    RingBuffer<Slot> rb;
+    for (int i = 0; i < 16; ++i) rb.emplace_back().value = i;
+    // Growth moves the live slots and default-constructs the spare ones.
+    Slot& fresh = rb.emplace_back();
+    EXPECT_EQ(fresh.value, -7);
+    fresh.value = 16;
+    EXPECT_EQ(rb.capacity(), 32u);
+    for (int i = 0; i <= 16; ++i) {
+        EXPECT_EQ(rb.front().value, i);
+        rb.pop_front();
+    }
+
+    // drop_front() leaves its slot as it was; pop_front() resets it.
+    RingBuffer<Slot> wrap;
+    for (int i = 0; i < 16; ++i) wrap.emplace_back().value = 100 + i;
+    wrap.drop_front();  // vacates slot 0 without a reset
+    EXPECT_EQ(wrap.emplace_back().value, 100);  // the tail wraps onto slot 0
+    wrap.pop_front();  // resets slot 1
+    EXPECT_EQ(wrap.emplace_back().value, -7);
+    EXPECT_EQ(wrap.capacity(), 16u);
+    EXPECT_EQ(wrap.front().value, 102);
+}
+
+TEST(RingBuffer, ClearKeepsTheCapacity) {
+    RingBuffer<int> rb;
+    for (int i = 0; i < 40; ++i) rb.push_back(i);
+    rb.pop_front();
+    rb.clear();
+    EXPECT_TRUE(rb.empty());
+    EXPECT_EQ(rb.capacity(), 64u);
+    for (int i = 0; i < 64; ++i) rb.push_back(i);
+    EXPECT_EQ(rb.capacity(), 64u);
+    EXPECT_EQ(drain(rb), iota_from(0, 63));
+}
+
+TEST(RingBuffer, PopFrontReleasesAPacketAcrossGrowth) {
+    const auto packet = std::make_shared<const net::Packet>(1, 64, SimTime{});
+    RingBuffer<net::PacketPtr> rb;
+    for (int i = 0; i < 20; ++i) rb.push_back(packet);  // grows once
+    EXPECT_EQ(rb.capacity(), 32u);
+    EXPECT_EQ(packet.use_count(), 21);  // growth moved, never copied
+    for (int i = 19; i >= 0; --i) {
+        rb.pop_front();
+        EXPECT_EQ(packet.use_count(), i + 1);
+    }
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -27,9 +27,16 @@ Checks the documents `capbench_figures` writes with --json, --metrics,
         sample and its deltas sum to its total (conservation); every app
         of every SUT keeps delivered + app drops + the SUT's mirrored
         nic_ring and backlog == generated; one classification per sample;
-        every episode dropped packets over a non-empty span.  --episodes
-        requires at least one overload episode, and in METRICS (the
-        --metrics suite of the same run) a non-empty overload_episodes.
+        every episode dropped packets over a non-empty span.  With METRICS
+        (the --metrics suite of the same run), cpusage and trimusage are
+        recomputed from the per-CPU columns for the run the series
+        belongs to (its id, first variant, last point): 10 ms windows
+        that close at every sample on a multiple of 10 ms but the last
+        (the freeze instant), and the metrics' cpu.samples and
+        cpu.trimmed must match within 1e-9 (skipped when config.reps > 1,
+        where the metrics hold every rep's samples).  --episodes requires
+        at least one overload episode, and in METRICS a non-empty
+        overload_episodes.
     tools/check_docs.py diskwriter FIGURES METRICS
         The ext_disk_writer --json and --metrics documents: the inline,
         ring256, ring32-dropnew and ring32-dropold variants all have
@@ -70,6 +77,9 @@ TIMESERIES_SCHEMA = "capbench.timeseries.v1"
 SUT_DROP_SITES = frozenset({"nic_ring", "backlog"})
 DISK_WRITER_VARIANTS = frozenset({"-inline", "-ring256", "-ring32-dropnew", "-ring32-dropold"})
 METRICS_SCHEMA = "capbench.metrics.v1"
+CPUSAGE_WINDOW_NS = 10_000_000  # the harness's cpusage window
+TRIM_IDLE_LIMIT_PCT = 95.0  # trimusage's default limit
+TRIM_KEYS = ("user_pct", "system_pct", "interrupt_pct", "idle_pct")
 SUMMARY_KEYS = frozenset({"count", "min", "max", "mean", "p50", "p95", "p99"})
 TRACE_PHASES = frozenset({"M", "X", "i", "C"})
 
@@ -207,6 +217,71 @@ def check_timeseries(ts: dict, suite: dict | None = None, episodes_required: boo
         require(suite is not None and bool(suite.get("overload_episodes")),
                 "metrics suite lacks the overload episodes")
     return samples, apps, episodes
+
+
+def cpusage(time_ns: list[int], cpus: list[dict]) -> list[tuple[float, ...]]:
+    """(user, system, interrupt, idle) percentages per cpusage window.
+
+    Mirrors profiling::cpusage: integer nanosecond sums over every CPU,
+    then seconds / (window seconds * CPUs) * 100 with idle clamped at 0.
+    """
+    samples = []
+    opened = user = system = irq = 0
+    for k, now in enumerate(time_ns[:-1]):  # the freeze instant closes nothing
+        user += sum(c["user_ns"][k] for c in cpus)
+        system += sum(c["system_ns"][k] for c in cpus)
+        irq += sum(c["interrupt_ns"][k] for c in cpus)
+        if now % CPUSAGE_WINDOW_NS:
+            continue
+        span = (now - opened) * 1e-9 * len(cpus)
+        pct = [ns * 1e-9 / span * 100.0 for ns in (user, system, irq)]
+        idle = 100.0 - pct[0] - pct[1] - pct[2]
+        samples.append((*pct, max(idle, 0.0)))
+        opened, user, system, irq = now, 0, 0, 0
+    return samples
+
+
+def trim_usage(samples: list[tuple[float, ...]]) -> dict | None:
+    """The longest run with idle below the limit, averaged (trimusage)."""
+    best_start = best_len = run_start = run_len = 0
+    for i, sample in enumerate(samples):
+        if sample[3] >= TRIM_IDLE_LIMIT_PCT:
+            run_len = 0
+            continue
+        if run_len == 0:
+            run_start = i
+        run_len += 1
+        if run_len > best_len:
+            best_start, best_len = run_start, run_len
+    if best_len == 0:
+        return None
+    run = samples[best_start:best_start + best_len]
+    trimmed = {key: sum(s[j] for s in run) / best_len for j, key in enumerate(TRIM_KEYS)}
+    return {**trimmed, "run_length": best_len, "run_start": best_start}
+
+
+def check_cpusage(ts: dict, suite: dict) -> int:
+    """Returns the SUTs whose cpusage was recomputed (0 when reps > 1)."""
+    doc = next((d for d in suite["results"] if d["id"] == ts["id"]), None)
+    require(doc is not None, f"metrics suite has no result {ts['id']!r}")
+    if doc["config"]["reps"] > 1:
+        return 0
+    point = doc["variants"][0]["points"][-1]
+    require(len(point["suts"]) == len(ts["suts"]),
+            f"{len(point['suts'])} SUTs in the metrics, {len(ts['suts'])} in the series")
+    for series, sut in zip(ts["suts"], point["suts"]):
+        name = series["name"]
+        require(sut["name"] == name, f"metrics SUT {sut['name']!r}, series SUT {name!r}")
+        samples = cpusage(ts["time_ns"], series["cpus"])
+        cpu = sut["cpu"]
+        require(cpu["samples"] == len(samples),
+                f"{name}: {cpu['samples']} cpusage samples, {len(samples)} recomputed")
+        expected, got = trim_usage(samples), cpu["trimmed"]
+        require((got is None) == (expected is None), f"{name}: trimmed {got}, recomputed {expected}")
+        for key, value in (expected or {}).items():
+            require(abs(got[key] - value) <= 1e-9,
+                    f"{name}: trimmed {key} {got[key]}, recomputed {value}")
+    return len(ts["suts"])
 
 
 def check_disk_writer(figures: dict, suite: dict) -> tuple[int, int]:
@@ -368,6 +443,23 @@ def sample_timeseries() -> dict:
             "generated": counter(60, 40), "suts": [sut]}
 
 
+def sample_cpusage() -> tuple[dict, dict]:
+    ms = 1_000_000
+    # Two CPUs, 10 ms ticks, the freeze instant on a window boundary at
+    # 30 ms (closing it would add a third sample).
+    cpus = [{"user_ns": [0, 2 * ms, 0], "system_ns": [0, 0, 0],
+             "interrupt_ns": [5 * ms, 8 * ms, 9 * ms]},
+            {"user_ns": [0, 0, 0], "system_ns": [0, 0, 0], "interrupt_ns": [0, 0, 0]}]
+    ts = {"id": "fig", "time_ns": [10 * ms, 20 * ms, 30 * ms],
+          "suts": [{"name": "swan", "cpus": cpus}]}
+    # Samples: 25 % interrupt, then 10 % user + 40 % interrupt.
+    trimmed = {"user_pct": 5.0, "system_pct": 0.0, "interrupt_pct": 32.5, "idle_pct": 62.5,
+               "run_length": 2, "run_start": 0}
+    sut = {"name": "swan", "cpu": {"samples": 2, "trimmed": trimmed}}
+    doc = {"id": "fig", "config": {"reps": 1}, "variants": [{"points": [{"suts": [sut]}]}]}
+    return ts, {"results": [doc]}
+
+
 def sample_disk_writer() -> tuple[dict, dict]:
     figures = {"results": [{"id": "ext_disk_writer", "variants": [
         {"suffix": suffix, "points": [{"x": 1}]} for suffix in sorted(DISK_WRITER_VARIANTS)]}]}
@@ -456,6 +548,14 @@ def self_test() -> int:
     def no_episodes(ts, _):
         ts["suts"][0]["episodes"] = []
 
+    def cpusage_with(mutate):
+        ts, suite = sample_cpusage()
+        mutate(ts, suite["results"][0])
+        return lambda: check_cpusage(ts, suite)
+
+    def cpu_block(doc):
+        return doc["variants"][0]["points"][-1]["suts"][0]["cpu"]
+
     def disk_writer_with(mutate):
         figures, suite = sample_disk_writer()
         mutate(figures, suite)
@@ -500,6 +600,9 @@ def self_test() -> int:
     check_same_beyond_jobs([good, sample_suite(4)])
     check_trace(sample_trace())
     timeseries_with(lambda ts, suite: None, episodes_required=True)()
+    require(cpusage_with(lambda ts, doc: None)() == 1, "cpusage not recomputed")
+    require(cpusage_with(lambda ts, doc: doc["config"].update(reps=2))() == 0,
+            "cpusage recomputed over several reps")
     disk_writer_with(lambda figures, suite: None)()
     figures_with(lambda doc, ids: None)()
     multiqueue_with(lambda variants: None)()
@@ -539,6 +642,16 @@ def self_test() -> int:
         "no episode where one is required": timeseries_with(no_episodes, True),
         "metrics without the episodes": timeseries_with(
             lambda _, suite: suite.pop("overload_episodes"), True),
+        "cpusage sample count": cpusage_with(
+            lambda ts, doc: cpu_block(doc).update(samples=3)),
+        "cpusage trimmed interrupt off": cpusage_with(
+            lambda ts, doc: cpu_block(doc)["trimmed"].update(interrupt_pct=32.5 + 1e-6)),
+        "cpusage trimmed missing": cpusage_with(
+            lambda ts, doc: cpu_block(doc).update(trimmed=None)),
+        "series busier than the metrics": cpusage_with(
+            lambda ts, doc: ts["suts"][0]["cpus"][1].update(system_ns=[0, 1_000_000, 0])),
+        "cpusage without the series' result": cpusage_with(
+            lambda ts, doc: doc.update(id="fig_6_2")),
         "disk-writer result id": disk_writer_with(
             lambda figures, _: figures["results"][0].update(id="fig_6_2")),
         "disk-writer variant missing": disk_writer_with(
@@ -625,10 +738,15 @@ def main() -> int:
     try:
         if args.kind == "timeseries":
             suite = load(args.files[1]) if len(args.files) == 2 else None
-            samples, apps, episodes = check_timeseries(load(args.files[0]), suite,
-                                                       args.episodes)
+            ts = load(args.files[0])
+            samples, apps, episodes = check_timeseries(ts, suite, args.episodes)
             print(f"{args.files[0]}: time series OK, {samples} samples, conservation exact, "
                   f"drop identity holds for {apps} apps, {episodes} episodes")
+            if suite is not None:
+                suts = check_cpusage(ts, suite)
+                print(f"{args.files[1]}: cpusage and trimusage match the series for "
+                      f"{suts} SUTs" if suts else
+                      f"{args.files[1]}: cpusage not recomputed (config.reps > 1)")
         elif args.kind == "diskwriter":
             checked, spills = check_disk_writer(load(args.files[0]), load(args.files[1]))
             print(f"disk writer OK: drop identity holds for {checked} app records, "
