@@ -45,9 +45,9 @@ CachedFilter cache_filter(const Program& prog, bool want_jit) {
     std::shared_ptr<const DecodedProgram> decoded;
     {
         const std::lock_guard<std::mutex> lock(c.mu);
-        ++c.stats.lookups;
         if (const auto it = c.entries.find(prog); it != c.entries.end()) {
             if (!want_jit || it->second.jit != nullptr) {
+                ++c.stats.lookups;
                 ++c.stats.hits;
                 return it->second;
             }
@@ -59,7 +59,9 @@ CachedFilter cache_filter(const Program& prog, bool want_jit) {
     // Verify + decode + compile outside the lock: attach-time work, and the
     // verifier may throw.  A racing install of the same program does the
     // work twice but both sides agree; the first insert wins and fixes the
-    // id (and counts the miss/compile — losers count hits).
+    // id (and counts the miss/compile — losers count hits).  A lookup is
+    // counted with its hit or miss, so a rejected program counts none and
+    // lookups == hits + misses holds for the whole process.
     if (!have_decoded) {
         VerifyResult verdict = verify(prog);
         if (const analysis::Finding* err = verdict.first_error())
@@ -71,6 +73,7 @@ CachedFilter cache_filter(const Program& prog, bool want_jit) {
     if (want_jit) jitted = JitProgram::compile(*decoded);
 
     const std::lock_guard<std::mutex> lock(c.mu);
+    ++c.stats.lookups;
     const auto it = c.entries.find(prog);
     if (it == c.entries.end()) {
         auto owned = std::const_pointer_cast<DecodedProgram>(decoded);

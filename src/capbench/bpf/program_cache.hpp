@@ -57,7 +57,7 @@ std::size_t cached_program_count();
 /// so the totals depend only on the workload — not on scheduling — and
 /// stay byte-identical across --jobs in the metrics output.
 struct CacheStats {
-    std::uint64_t lookups = 0;       // cache_filter / cache_decoded calls
+    std::uint64_t lookups = 0;       // calls that returned a filter: hits + misses
     std::uint64_t hits = 0;          // served from an existing entry
     std::uint64_t misses = 0;        // created the entry == programs decoded
     std::uint64_t jit_compiles = 0;  // native compilations installed

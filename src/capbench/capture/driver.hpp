@@ -3,6 +3,7 @@
 // the fanout group (mirror = everyone, the classic model).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "capbench/capture/os.hpp"
@@ -23,17 +24,22 @@ public:
     /// Posts the kernel work for one received packet (driver + softirq +
     /// the targeted taps' filter/copy/clone) and commits delivery when it
     /// completes.  Runs in interrupt context on CPU 0.
-    void process(const net::PacketPtr& packet) { process(packet, 0, 0); }
+    void process(const net::PacketPtr& packet) { process(packet, 0, 0, 0, 0); }
 
     /// Multi-queue entry point: the packet arrived on RSS queue `queue`,
     /// whose IRQ line targets `cpu` — the kernel work runs there.
-    void process(const net::PacketPtr& packet, int queue, int cpu);
+    /// `arrival` and `handoff` are its NIC arrival and kernel hand-off
+    /// stamps (sim ns, 0 when unobserved), passed on to each tap's commit.
+    void process(const net::PacketPtr& packet, int queue, int cpu, std::int64_t arrival,
+                 std::int64_t handoff);
 
     [[nodiscard]] const FanoutGroup& fanout() const { return fanout_; }
 
 private:
-    /// Commits `record` to every tap that fanout targets for `queue`.
-    void commit(int queue, std::uint32_t hash, const CaptureRecord& record);
+    /// Commits `record` and its stamps to every tap that fanout targets
+    /// for `queue`.
+    void commit(int queue, std::uint32_t hash, const CaptureRecord& record,
+                std::int64_t arrival, std::int64_t handoff);
 
     hostsim::Machine* machine_;
     const OsSpec* os_;

@@ -69,8 +69,11 @@ public:
     void on_frame(const net::PacketPtr& packet) override;
 
     /// Installs lifecycle-tracing hooks (may be null; hooks are
-    /// branch-guarded so an untraced run pays one predictable branch).
-    void set_observer(obs::SutObserver* obs) { obs_ = obs; }
+    /// branch-guarded so an untraced run pays one predictable branch and
+    /// takes no stamps).  Install before traffic starts: an observer
+    /// installed while ring frames lack arrival stamps throws
+    /// std::logic_error.
+    void set_observer(obs::SutObserver* obs);
 
     /// Registers views of the per-queue counts `<prefix>.q<j>.{frames,
     /// ring_drops,backlog_drops}` in `registry`.
@@ -99,6 +102,10 @@ public:
     [[nodiscard]] std::size_t queue_ring_occupancy(int q) const {
         return queues_[static_cast<std::size_t>(q)].ring.size();
     }
+    /// Arrival stamps queue `q` holds: one per ring frame while observed.
+    [[nodiscard]] std::size_t queue_arrival_stamps(int q) const {
+        return queues_[static_cast<std::size_t>(q)].arrivals.size();
+    }
     /// Descriptor slots per receive queue (every queue is equally deep).
     [[nodiscard]] std::size_t ring_capacity() const { return model_.ring_slots; }
 
@@ -107,6 +114,10 @@ private:
     /// drop accounting.
     struct Queue {
         sim::RingBuffer<net::PacketPtr> ring;
+        /// NIC arrival time (sim ns) of each ring frame, in ring order;
+        /// kept only while observed, so the ring slot stays a plain
+        /// PacketPtr.
+        sim::RingBuffer<std::int64_t> arrivals;
         bool service_active = false;
         int cpu = 0;
         std::uint64_t frames = 0;

@@ -64,7 +64,8 @@ hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {
     return work.scaled(os_->kernel_cost_multiplier);
 }
 
-void StackEndpoint::commit(const CaptureRecord& record) {
+void StackEndpoint::commit(const CaptureRecord& record, std::int64_t arrival,
+                           std::int64_t handoff) {
     const FilterRunner::Verdict verdict = pending_.pop();
     if (!verdict.accept) {
         ++stats_.dropped_filter;
@@ -79,7 +80,7 @@ void StackEndpoint::commit(const CaptureRecord& record) {
         return;
     }
     if (app_obs_ != nullptr)
-        app_obs_->enqueued(record.id, machine_->sim().now(),
+        app_obs_->enqueued(arrival, handoff, machine_->sim().now(),
                            static_cast<std::int64_t>(traced_occupancy()));
 }
 
@@ -91,12 +92,9 @@ std::optional<StackEndpoint::Batch> StackEndpoint::fetch(std::size_t max_packets
         return std::nullopt;
     }
     stats_.delivered += batch.packets.size();
-    if (app_obs_ != nullptr) {
-        const sim::SimTime now = machine_->sim().now();
-        for (const CaptureRecord& r : batch.packets) app_obs_->delivered(r.id, now);
-        app_obs_->fetched(batch.packets.size(),
-                          static_cast<std::int64_t>(traced_occupancy()), now);
-    }
+    if (app_obs_ != nullptr)
+        app_obs_->fetched(batch.packets.size(), static_cast<std::int64_t>(traced_occupancy()),
+                          machine_->sim().now());
     return batch;
 }
 

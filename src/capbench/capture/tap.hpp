@@ -88,8 +88,11 @@ public:
 
     /// Applies the planned action: enqueue/copy the packet's record into
     /// the consumer's buffer or count a drop; wakes the reader when data
-    /// becomes available.
-    virtual void commit(const CaptureRecord& record) = 0;
+    /// becomes available.  `arrival` and `handoff` are the packet's NIC
+    /// arrival and kernel hand-off stamps (sim ns), read only when the tap
+    /// is observed.
+    virtual void commit(const CaptureRecord& record, std::int64_t arrival,
+                        std::int64_t handoff) = 0;
 
     /// The fanout group delivered this packet to another tap: account it
     /// (CaptureStats::fanout_skipped) without planning any kernel work.
@@ -245,7 +248,8 @@ public:
     [[nodiscard]] bool keeps_bytes() const final {
         return reader_ != nullptr && reader_->reads_bytes();
     }
-    void commit(const CaptureRecord& record) final;
+    void commit(const CaptureRecord& record, std::int64_t arrival,
+                std::int64_t handoff) final;
     void fanout_skip() final { ++stats_.fanout_skipped; }
 
     /// Non-blocking read of up to `max_packets`.  std::nullopt means "no

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/capture/nic.hpp"
 
 namespace capbench::obs {
 
@@ -35,11 +36,17 @@ void AppObserver::disk_writer_attached(const std::uint64_t& spilled) {
             tr->intern("diskring:" + sut_->name_ + "/app" + std::to_string(index_));
 }
 
+void AppObserver::unstamped_fetch(std::size_t n) const {
+    throw std::logic_error("AppObserver::fetched: " + std::to_string(n) +
+                           " records delivered but " + std::to_string(stored_.size()) +
+                           " stored under observation");
+}
+
 SutObserver::SutObserver(Observer& owner, std::string name, int pid,
                          const std::vector<const capture::CaptureStats*>& apps)
     : owner_(&owner), name_(std::move(name)), pid_(pid) {
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        apps_.emplace_back(*this, static_cast<int>(i));
+        apps_.emplace_back(*this, static_cast<int>(i), *apps[i]);
         owner.registry_.add("capture." + name_ + ".app" + std::to_string(i) + ".filter_aborts",
                             apps[i]->filter_aborts);
     }
@@ -56,6 +63,27 @@ SutObserver::SutObserver(Observer& owner, std::string name, int pid,
     }
 }
 
+void SutObserver::check_stamps() const {
+    // A FIFO that drifted from its buffer would pair every later sample
+    // with another packet's stamps.
+    const auto fail = [&](const std::string& where, std::size_t stamps, std::uint64_t held) {
+        throw std::logic_error("Observer::finalize: " + name_ + " " + where + " holds " +
+                               std::to_string(stamps) + " stamps for " +
+                               std::to_string(held) + " packets in flight");
+    };
+    for (const AppObserver& app : apps_) {
+        const capture::CaptureStats& c = *app.stats_;
+        const std::uint64_t held = c.accepted - c.dropped_buffer - c.delivered;
+        if (app.stored_.size() != held)
+            fail("app" + std::to_string(app.index_), app.stored_.size(), held);
+    }
+    if (nic_ == nullptr) return;
+    for (int q = 0; q < nic_->queue_count(); ++q)
+        if (nic_->queue_arrival_stamps(q) != nic_->queue_ring_occupancy(q))
+            fail("NIC queue " + std::to_string(q), nic_->queue_arrival_stamps(q),
+                 nic_->queue_ring_occupancy(q));
+}
+
 SutObserver& Observer::add_sut(const std::string& name,
                                const std::vector<const capture::CaptureStats*>& apps) {
     for (const SutObserver& sut : suts_)
@@ -69,11 +97,8 @@ SutObserver& Observer::add_sut(const std::string& name,
 
 void Observer::reserve(std::size_t packets) {
     for (SutObserver& sut : suts_) {
-        sut.arrival_at_.assign(packets, -1);
-        sut.handoff_at_.assign(packets, -1);
         sut.nic_to_kernel_ns_.reserve(packets);
         for (AppObserver& app : sut.apps_) {
-            app.enqueue_at_.assign(packets, -1);
             app.latency_ns_.reserve(packets);
             app.enqueue_ns_.reserve(packets);
             app.deliver_ns_.reserve(packets);
@@ -85,6 +110,7 @@ RunMetrics Observer::finalize(const std::vector<SutSnapshot>& snapshots,
                               std::uint64_t generated) {
     if (snapshots.size() != suts_.size())
         throw std::logic_error("Observer::finalize: snapshot count mismatch");
+    for (const SutObserver& sut : suts_) sut.check_stamps();
     RunMetrics out;
     out.enabled = true;
     out.generated = generated;

@@ -4,10 +4,15 @@
 // (`add_sut`), which hands the NIC a `SutObserver` and each capture
 // endpoint an `AppObserver`; the hot paths stamp packets with sim-time at
 // NIC arrival, kernel hand-off, capture-stack enqueue and user delivery.
-// Stamps are id-indexed flat arrays (packet ids are sequential per
-// generator), pre-sized by `reserve()`, so a stamp is a bounds check and a
-// store — and every hook call site is `if (obs_) obs_->...`, so a run
-// without an observer pays one predictable branch.
+// Stamps travel with the packet, so their memory is O(packets in flight):
+// each NIC receive queue keeps a FIFO of arrival times beside its
+// descriptor ring, the kernel-lane completion carries (arrival, hand-off)
+// to `PacketTap::commit`, and each `AppObserver` keeps a FIFO of
+// (arrival, enqueue) pairs for the records its endpoint buffers.  Every
+// stack delivers in store order and never discards a stored record, so the
+// FIFO's front is always the next record fetch() delivers.  Every hook call
+// site is `if (obs_) obs_->...`, so a run without an observer pays one
+// predictable branch and takes no stamps.
 //
 // At the end of the measurement window the harness freezes the observer
 // (later stamps no longer feed the sample sets), snapshots the capture
@@ -20,6 +25,7 @@
 #include "capbench/obs/registry.hpp"
 #include "capbench/obs/trace.hpp"
 #include "capbench/profiling/cpusage.hpp"
+#include "capbench/sim/ring_buffer.hpp"
 #include "capbench/sim/stats.hpp"
 #include "capbench/sim/time.hpp"
 
@@ -32,6 +38,10 @@ namespace capbench::bpf {
 struct DecodedProgram;
 }
 
+namespace capbench::capture {
+class Nic;
+}
+
 namespace capbench::obs {
 
 class Observer;
@@ -40,16 +50,18 @@ class SutObserver;
 /// Per-capture-app hooks, installed on a `StackEndpoint`.
 class AppObserver {
 public:
-    AppObserver(SutObserver& sut, int index) : sut_(&sut), index_(index) {}
+    AppObserver(SutObserver& sut, int index, const capture::CaptureStats& stats)
+        : sut_(&sut), index_(index), stats_(&stats) {}
 
-    /// Packet accepted into the capture buffer. `occupancy` is the
-    /// stack's post-enqueue buffer fill (bytes or slots, stack-specific).
-    void enqueued(std::uint64_t id, sim::SimTime t, std::int64_t occupancy);
+    /// Packet stored in the capture buffer at `t`; it arrived at the NIC at
+    /// `arrival` and was handed to the kernel at `handoff` (sim ns).
+    /// `occupancy` is the stack's post-enqueue buffer fill (bytes or slots,
+    /// stack-specific).
+    void enqueued(std::int64_t arrival, std::int64_t handoff, sim::SimTime t,
+                  std::int64_t occupancy);
 
-    /// Packet handed to the application by fetch().
-    void delivered(std::uint64_t id, sim::SimTime t);
-
-    /// A fetch() drained `n` packets; `occupancy` is the post-drain fill.
+    /// A fetch() delivered the `n` oldest stored packets to the
+    /// application; `occupancy` is the post-drain fill.
     void fetched(std::size_t n, std::int64_t occupancy, sim::SimTime t);
 
     /// A BPF filter was attached to this endpoint.  Attach time, not the
@@ -72,6 +84,16 @@ private:
     friend class Observer;
     friend class SutObserver;
 
+    /// Throws std::logic_error: a fetch delivered more records than were
+    /// stored while this observer watched.
+    [[noreturn]] void unstamped_fetch(std::size_t n) const;
+
+    /// A stored record's stamps, in sim ns.
+    struct Stored {
+        std::int64_t arrival = 0;
+        std::int64_t enqueue = 0;
+    };
+
     /// Attach-time filter counts behind the `bpf.*` views.
     struct BpfCounts {
         std::uint64_t filter_installs = 0;
@@ -82,11 +104,12 @@ private:
 
     SutObserver* sut_;
     int index_;
+    const capture::CaptureStats* stats_;  // the endpoint's; checked at finalize
     BpfCounts bpf_;
     bool decoded_registered_ = false;
     const char* occupancy_name_ = nullptr;  // interned; null when untraced
     const char* disk_ring_name_ = nullptr;  // interned; null when untraced
-    std::vector<std::int64_t> enqueue_at_;
+    sim::RingBuffer<Stored> stored_;        // one per buffered record, store order
     sim::SampleSet latency_ns_;  // NIC arrival -> delivery
     sim::SampleSet enqueue_ns_;  // kernel hand-off -> enqueue
     sim::SampleSet deliver_ns_;  // enqueue -> delivery
@@ -100,11 +123,13 @@ public:
     SutObserver(Observer& owner, std::string name, int pid,
                 const std::vector<const capture::CaptureStats*>& apps);
 
-    /// Frame arrived at the NIC (before any drop decision).
-    void nic_arrival(std::uint64_t id, sim::SimTime t);
+    /// The NIC this observer watches; finalize() checks that each of its
+    /// receive queues holds one arrival stamp per ring frame.
+    void attach_nic(const capture::Nic& nic) { nic_ = &nic; }
 
-    /// Frame leaves the NIC ring for driver/capture-stack processing.
-    void kernel_handoff(std::uint64_t id, sim::SimTime t);
+    /// A frame that arrived at the NIC at `arrival` (sim ns) leaves the
+    /// NIC ring for driver/capture-stack processing at `t`.
+    void kernel_handoff(std::int64_t arrival, sim::SimTime t);
 
     /// The NIC posted an interrupt.
     void irq_raised(sim::SimTime t);
@@ -121,13 +146,16 @@ private:
     friend class Observer;
     friend class AppObserver;
 
+    /// Throws std::logic_error unless every stamp FIFO of this SUT holds
+    /// one entry per packet in flight.
+    void check_stamps() const;
+
     Observer* owner_;
     std::string name_;
     int pid_;
     const char* irq_name_ = nullptr;
     const char* ring_name_ = nullptr;
-    std::vector<std::int64_t> arrival_at_;
-    std::vector<std::int64_t> handoff_at_;
+    const capture::Nic* nic_ = nullptr;
     sim::SampleSet nic_to_kernel_ns_;
     std::deque<AppObserver> apps_;  // deque: stable addresses
 };
@@ -161,12 +189,13 @@ public:
     SutObserver& add_sut(const std::string& name,
                          const std::vector<const capture::CaptureStats*>& apps);
 
-    /// Pre-sizes every stamp array and sample set for `packets` ids so the
-    /// steady state performs no allocation.
+    /// Pre-sizes every sample set for `packets` samples so the steady
+    /// state performs no allocation (the stamp FIFOs reach their size in
+    /// warm-up).
     void reserve(std::size_t packets);
 
-    /// Stops feeding the sample sets; stamps after this are ignored so the
-    /// histograms match the frozen counters exactly.
+    /// Stops feeding the sample sets; stamps after this make no samples so
+    /// the histograms match the frozen counters exactly.
     void freeze() { frozen_ = true; }
     [[nodiscard]] bool frozen() const { return frozen_; }
 
@@ -177,9 +206,12 @@ public:
     [[nodiscard]] std::size_t sut_count() const { return suts_.size(); }
     [[nodiscard]] SutObserver& sut(std::size_t i) { return suts_[i]; }
 
-    /// Folds stamps + frozen counter snapshots into the run's metrics.
-    /// `snapshots` must be in `add_sut` order; `generated` is the packet
-    /// count emitted by the generator.  Consumes the sample sets.
+    /// Folds the sample sets + frozen counter snapshots into the run's
+    /// metrics.  `snapshots` must be in `add_sut` order; `generated` is the
+    /// packet count emitted by the generator.  Consumes the sample sets.
+    /// Throws std::logic_error when a stamp FIFO does not hold one entry
+    /// per packet in flight: per app, accepted - dropped_buffer - delivered
+    /// (live counts), per NIC queue, the ring's occupancy.
     RunMetrics finalize(const std::vector<SutSnapshot>& snapshots,
                         std::uint64_t generated);
 
@@ -195,28 +227,8 @@ private:
 
 // ---- inline hot paths ----------------------------------------------------
 
-namespace detail {
-inline void stamp(std::vector<std::int64_t>& v, std::uint64_t id,
-                  sim::SimTime t) {
-    if (id >= v.size()) v.resize(id + 1, -1);
-    v[id] = t.ns();
-}
-
-inline std::int64_t stamp_at(const std::vector<std::int64_t>& v,
-                             std::uint64_t id) {
-    return id < v.size() ? v[id] : -1;
-}
-}  // namespace detail
-
-inline void SutObserver::nic_arrival(std::uint64_t id, sim::SimTime t) {
-    if (!owner_->frozen()) detail::stamp(arrival_at_, id, t);
-}
-
-inline void SutObserver::kernel_handoff(std::uint64_t id, sim::SimTime t) {
-    if (owner_->frozen()) return;
-    detail::stamp(handoff_at_, id, t);
-    if (const std::int64_t arr = detail::stamp_at(arrival_at_, id); arr >= 0)
-        nic_to_kernel_ns_.add(t.ns() - arr);
+inline void SutObserver::kernel_handoff(std::int64_t arrival, sim::SimTime t) {
+    if (!owner_->frozen()) nic_to_kernel_ns_.add(t.ns() - arrival);
 }
 
 inline void SutObserver::irq_raised(sim::SimTime t) {
@@ -230,26 +242,13 @@ inline void SutObserver::ring_occupancy(sim::SimTime t, std::size_t frames) {
                     static_cast<std::int64_t>(frames));
 }
 
-inline void AppObserver::enqueued(std::uint64_t id, sim::SimTime t,
+inline void AppObserver::enqueued(std::int64_t arrival, std::int64_t handoff, sim::SimTime t,
                                   std::int64_t occupancy) {
-    if (!sut_->owner_->frozen()) {
-        detail::stamp(enqueue_at_, id, t);
-        if (const std::int64_t ho = detail::stamp_at(sut_->handoff_at_, id);
-            ho >= 0)
-            enqueue_ns_.add(t.ns() - ho);
-    }
+    stored_.push_back(Stored{arrival, t.ns()});
+    if (!sut_->owner_->frozen()) enqueue_ns_.add(t.ns() - handoff);
     if (TraceSink* tr = sut_->owner_->trace_)
         tr->counter(sut_->pid_, kThreadTidBase + index_, occupancy_name_, t,
                     occupancy);
-}
-
-inline void AppObserver::delivered(std::uint64_t id, sim::SimTime t) {
-    if (sut_->owner_->frozen()) return;
-    if (const std::int64_t enq = detail::stamp_at(enqueue_at_, id); enq >= 0)
-        deliver_ns_.add(t.ns() - enq);
-    if (const std::int64_t arr = detail::stamp_at(sut_->arrival_at_, id);
-        arr >= 0)
-        latency_ns_.add(t.ns() - arr);
 }
 
 inline void AppObserver::disk_ring_occupancy(sim::SimTime t,
@@ -262,7 +261,16 @@ inline void AppObserver::disk_ring_occupancy(sim::SimTime t,
 
 inline void AppObserver::fetched(std::size_t n, std::int64_t occupancy,
                                  sim::SimTime t) {
-    (void)n;
+    if (n > stored_.size()) [[unlikely]] unstamped_fetch(n);
+    const bool sampling = !sut_->owner_->frozen();
+    for (std::size_t i = 0; i < n; ++i) {
+        const Stored s = stored_.front();
+        stored_.drop_front();
+        if (sampling) {
+            deliver_ns_.add(t.ns() - s.enqueue);
+            latency_ns_.add(t.ns() - s.arrival);
+        }
+    }
     if (TraceSink* tr = sut_->owner_->trace_)
         tr->counter(sut_->pid_, kThreadTidBase + index_, occupancy_name_, t,
                     occupancy);

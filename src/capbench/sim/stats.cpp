@@ -14,20 +14,16 @@ void SampleSet::released(const char* what) {
                            " on a summarized set: its samples are released");
 }
 
-void SampleSet::append(const SampleSet& other) {
-    if (digest_) released("append");
-    if (other.digest_) released("append (from)");
-    if (&other == this) {
-        // insert() may not read from the vector it grows: copy after resizing.
-        const std::size_t n = samples_.size();
-        samples_.resize(2 * n);
-        std::copy_n(samples_.begin(), n, samples_.begin() + static_cast<std::ptrdiff_t>(n));
-        return;
-    }
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-}
-
 namespace {
+
+/// Appends v to itself; insert() may not read from the vector it grows,
+/// so this copies after resizing.
+template <typename T>
+void double_in_place(std::vector<T>& v) {
+    const std::size_t n = v.size();
+    v.resize(2 * n);
+    std::copy_n(v.begin(), n, v.begin() + static_cast<std::ptrdiff_t>(n));
+}
 
 constexpr unsigned kRadixBits = 10;
 constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
@@ -38,13 +34,14 @@ constexpr std::size_t kMaxRanks = 6;
 
 /// Writes the rank[j]-th smallest of x[0, n) to value[j] for each of the
 /// `k` ranks, which ascend strictly and lie below n.  Reads x, never
-/// reorders it.
-void select_sorted(const std::int64_t* x, std::size_t n, const std::size_t* rank,
-                   std::int64_t* value, std::size_t k) {
-    std::array<std::int64_t, kSortMax> a;
+/// reorders it.  T is a store's element type: uint32_t or int64_t.
+template <typename T>
+void select_sorted(const T* x, std::size_t n, const std::size_t* rank, std::int64_t* value,
+                   std::size_t k) {
+    std::array<T, kSortMax> a;
     std::copy_n(x, n, a.begin());
     std::sort(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(n));
-    for (std::size_t j = 0; j < k; ++j) value[j] = a[rank[j]];
+    for (std::size_t j = 0; j < k; ++j) value[j] = static_cast<std::int64_t>(a[rank[j]]);
 }
 
 /// select_sorted's contract for any n, given x's exact min `lo` and max
@@ -53,7 +50,8 @@ void select_sorted(const std::int64_t* x, std::size_t n, const std::size_t* rank
 /// those buckets' samples into a buffer sized from their counts, and each
 /// bucket recurses on its own exact min and max.  A level divides the
 /// bucket width by 2^10, so a 64-bit range ends within seven levels.
-void select_ranks(const std::int64_t* x, std::size_t n, std::int64_t lo, std::int64_t hi,
+template <typename T>
+void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
                   const std::size_t* rank, std::int64_t* value, std::size_t k) {
     if (lo == hi) {
         std::fill_n(value, k, lo);
@@ -75,8 +73,9 @@ void select_ranks(const std::int64_t* x, std::size_t n, std::int64_t lo, std::in
     // 32-bit counts suffice: 2^32 samples would be 32 GiB of one set.
     std::array<std::array<std::uint32_t, kBuckets>, 4> part;
     for (auto& p : part) std::fill_n(p.begin(), buckets, 0U);
-    const auto bucket = [&](std::int64_t v) {
-        return static_cast<std::size_t>((static_cast<std::uint64_t>(v) - base) >> shift);
+    const auto bucket = [&](T v) {
+        return static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(static_cast<std::int64_t>(v)) - base) >> shift);
     };
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
@@ -125,16 +124,16 @@ void select_ranks(const std::int64_t* x, std::size_t n, std::int64_t lo, std::in
     // Gather without a branch: every sample is written and the cursor
     // steps past the kept ones (so one spare cell).  With several slots,
     // their samples are then split apart in slot order.
-    const auto kept = std::make_unique_for_overwrite<std::int64_t[]>(gathered + 1);
+    const auto kept = std::make_unique_for_overwrite<T[]>(gathered + 1);
     std::size_t m = 0;
     for (i = 0; i < n; ++i) {
         kept[m] = x[i];
         m += slot[bucket(x[i])] != kSkip;
     }
-    std::unique_ptr<std::int64_t[]> split;
-    const std::int64_t* buf = kept.get();
+    std::unique_ptr<T[]> split;
+    const T* buf = kept.get();
     if (slots > 1) {
-        split = std::make_unique_for_overwrite<std::int64_t[]>(gathered);
+        split = std::make_unique_for_overwrite<T[]>(gathered);
         for (i = 0; i < m; ++i) split[cursor[slot[bucket(kept[i])]]++] = kept[i];
         buf = split.get();
     }
@@ -144,7 +143,7 @@ void select_ranks(const std::int64_t* x, std::size_t n, std::int64_t lo, std::in
         std::size_t e = j + 1;
         while (e < k && bucket_of[e] == bucket_of[j]) ++e;
         const std::size_t s = slot[bucket_of[j]];
-        const std::int64_t* seg = buf + start[s];
+        const T* seg = buf + start[s];
         const std::size_t len = count[bucket_of[j]];
         if (len <= kSortMax) {
             select_sorted(seg, len, rank_in.data() + j, value + j, e - j);
@@ -159,13 +158,14 @@ void select_ranks(const std::int64_t* x, std::size_t n, std::int64_t lo, std::in
 /// The summary of `v`, which it only reads: an integer pass for min, max
 /// and the sum, then one multiselect of the six ranks p50/p95/p99
 /// interpolate between.
-SampleSet::Summary digest(const std::vector<std::int64_t>& v) {
+template <typename T>
+SampleSet::Summary digest(const std::vector<T>& v) {
     SampleSet::Summary s;
     if (v.empty()) return s;
-    std::int64_t lo = v.front();
-    std::int64_t hi = v.front();
+    T lo = v.front();
+    T hi = v.front();
     std::uint64_t sum = 0;  // wraps instead of overflowing; see the mean
-    for (const std::int64_t x : v) {
+    for (const T x : v) {
         lo = std::min(lo, x);
         hi = std::max(hi, x);
         sum += static_cast<std::uint64_t>(x);
@@ -213,14 +213,46 @@ SampleSet::Summary digest(const std::vector<std::int64_t>& v) {
 
 }  // namespace
 
+void SampleSet::add_wide(std::int64_t x) {
+    if (wide_.empty()) widen();
+    wide_.push_back(x);
+}
+
+void SampleSet::widen() {
+    // Keep the reserved room, so a pre-sized set allocates once here.
+    wide_.reserve(std::max(narrow_.capacity(), narrow_.size() + 1));
+    wide_.assign(narrow_.begin(), narrow_.end());
+    std::vector<std::uint32_t>{}.swap(narrow_);
+}
+
+void SampleSet::append(const SampleSet& other) {
+    if (digest_) released("append");
+    if (other.digest_) released("append (from)");
+    if (&other == this) {
+        if (wide()) double_in_place(wide_);
+        else double_in_place(narrow_);
+        return;
+    }
+    if (other.wide()) {
+        if (!wide()) widen();
+        wide_.insert(wide_.end(), other.wide_.begin(), other.wide_.end());
+    } else if (wide()) {
+        wide_.insert(wide_.end(), other.narrow_.begin(), other.narrow_.end());
+    } else {
+        narrow_.insert(narrow_.end(), other.narrow_.begin(), other.narrow_.end());
+    }
+}
+
 SampleSet::Summary SampleSet::summary() const {
-    return digest_ ? *digest_ : digest(samples_);
+    if (digest_) return *digest_;
+    return wide() ? digest(wide_) : digest(narrow_);
 }
 
 void SampleSet::summarize() {
     if (digest_) return;
-    digest_ = digest(samples_);
-    std::vector<std::int64_t>{}.swap(samples_);
+    digest_ = summary();
+    std::vector<std::uint32_t>{}.swap(narrow_);
+    std::vector<std::int64_t>{}.swap(wide_);
 }
 
 }  // namespace capbench::sim

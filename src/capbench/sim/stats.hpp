@@ -8,12 +8,15 @@
 namespace capbench::sim {
 
 /// Stores integer samples (nanoseconds) and digests them into a Summary;
-/// the observability layer's packet-lifecycle latency sets.  One const
-/// kernel digests a set: it reads the samples without reordering or
-/// copying them, sums in integers and finds the order statistics by a radix
-/// multiselect instead of sorting.  While the sum of |samples| stays below
-/// 2^53 every result is bit for bit what a sort, an in-order double sum and
-/// linear interpolation would give.
+/// the observability layer's packet-lifecycle latency sets.  A set keeps
+/// 32 bits a sample while every sample lies in [0, 2^32) (4.29 s); the
+/// first sample outside that range widens it to 64 bits once, keeping
+/// every value and the order.  One const kernel digests either form in
+/// place: it reads the samples without reordering or copying them, sums in
+/// integers and finds the order statistics by a radix multiselect instead
+/// of sorting.  While the sum of |samples| stays below 2^53 every result is
+/// bit for bit what a sort, an in-order double sum and linear interpolation
+/// would give.
 class SampleSet {
 public:
     /// One-pass digest of a sample set.  All fields are 0 when empty.
@@ -29,19 +32,36 @@ public:
 
     void add(std::int64_t x) {
         if (digest_) [[unlikely]] released("add");
-        samples_.push_back(x);
+        if (wide_.empty() && static_cast<std::uint64_t>(x) >> 32 == 0) [[likely]]
+            narrow_.push_back(static_cast<std::uint32_t>(x));
+        else
+            add_wide(x);
     }
-    void reserve(std::size_t n) { samples_.reserve(n); }
-    /// Appends every sample of `other` (merging repetitions of a run);
-    /// appending a set to itself doubles it.  Throws std::logic_error when
-    /// either set is summarized.
+    /// Reserves room for `n` samples in the set's current width.
+    void reserve(std::size_t n) {
+        if (wide_.empty()) narrow_.reserve(n);
+        else wide_.reserve(n);
+    }
+    /// Appends every sample of `other` (merging repetitions of a run) in
+    /// order, widening this set when `other` is wide; appending a set to
+    /// itself doubles it.  Throws std::logic_error when either set is
+    /// summarized.
     void append(const SampleSet& other);
 
     /// The sample count, also after summarize().
     [[nodiscard]] std::size_t size() const {
-        return digest_ ? static_cast<std::size_t>(digest_->count) : samples_.size();
+        return digest_ ? static_cast<std::size_t>(digest_->count)
+                       : narrow_.size() + wide_.size();
     }
     [[nodiscard]] bool empty() const { return size() == 0; }
+    /// True once a sample outside [0, 2^32) made the set store 64 bits a
+    /// sample.
+    [[nodiscard]] bool wide() const { return !wide_.empty(); }
+    /// Bytes the sample stores hold (their capacity); 0 after summarize().
+    [[nodiscard]] std::size_t storage_bytes() const {
+        return narrow_.capacity() * sizeof(std::uint32_t) +
+               wide_.capacity() * sizeof(std::int64_t);
+    }
 
     /// Computes count/min/max/mean/p50/p95/p99: an integer pass, then one
     /// radix multiselect of the six ranks the three linearly interpolated
@@ -57,9 +77,15 @@ public:
 
 private:
     [[noreturn]] static void released(const char* what);
+    void add_wide(std::int64_t x);
+    /// Moves every narrow sample into the wide store, in order.
+    void widen();
 
-    std::vector<std::int64_t> samples_;
-    std::optional<Summary> digest_;  // set by summarize(); samples_ is then empty
+    // Exactly one store holds the samples: narrow_ until the first sample
+    // outside [0, 2^32), wide_ from then on.
+    std::vector<std::uint32_t> narrow_;
+    std::vector<std::int64_t> wide_;
+    std::optional<Summary> digest_;  // set by summarize(); both stores are then empty
 };
 
 }  // namespace capbench::sim

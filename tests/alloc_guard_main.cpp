@@ -245,7 +245,7 @@ TEST(AllocGuard, BsdBpfFetchLoopDoesNotAllocate) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
             dev.plan(p);
-            dev.commit(capture::CaptureRecord::of(p, false));
+            dev.commit(capture::CaptureRecord::of(p, false), 0, 0);
             if (auto batch = dev.fetch(64)) dev.recycle(std::move(batch->packets));
         }
     };
@@ -270,7 +270,7 @@ TEST(AllocGuard, LinuxSocketFetchLoopDoesNotAllocate) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
             sock.plan(p);
-            sock.commit(capture::CaptureRecord::of(p, false));
+            sock.commit(capture::CaptureRecord::of(p, false), 0, 0);
             if ((i & 7) == 7) {
                 if (auto batch = sock.fetch(8)) sock.recycle(std::move(batch->packets));
             }
@@ -296,7 +296,7 @@ TEST(AllocGuard, MmapRingFetchLoopDoesNotAllocate) {
         for (std::uint64_t i = 0; i < iters; ++i) {
             const capbench::net::PacketPtr p = arena->make_full(i, 1000, sim::SimTime{});
             ring.plan(p);
-            ring.commit(capture::CaptureRecord::of(p, false));
+            ring.commit(capture::CaptureRecord::of(p, false), 0, 0);
             if ((i & 7) == 7) {
                 if (auto batch = ring.fetch(8)) ring.recycle(std::move(batch->packets));
             }
@@ -323,8 +323,9 @@ struct SteadyRun {
     bool done = false;
 
     SteadyRun(const capbench::harness::TestbedConfig& tb, int warmup_passes) : bed{tb} {
-        // Reserve for all passes: the lifecycle observer keys per-packet
-        // state by packet id, which keeps counting across restarts.
+        // Reserve the sample sets for all passes: each keeps a sample per
+        // packet of every pass.  The stamp FIFOs hold only packets in
+        // flight and reach their size in warm-up.
         if (tb.observer != nullptr)
             tb.observer->reserve((warmup_passes + 1) * kPassPackets);
         bed.start_suts();

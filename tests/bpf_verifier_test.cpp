@@ -350,6 +350,18 @@ TEST(ProgramCache, RejectsVerifierFailingPrograms) {
     EXPECT_THROW(cache_decoded({stmt(BPF_LD | BPF_IMM, 1)}), std::invalid_argument);
 }
 
+TEST(ProgramCache, RejectedProgramCountsNoLookup) {
+    // A rejected filter is neither a hit nor a miss, so it must not count
+    // a lookup either: the metrics suite reports lookups == hits + misses
+    // for the whole process.
+    const CacheStats before = cache_stats();
+    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 2)}, false), std::invalid_argument);
+    const CacheStats after = cache_stats();
+    EXPECT_EQ(after.lookups, before.lookups);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.lookups, after.hits + after.misses);
+}
+
 }  // namespace
 }  // namespace capbench::bpf
 
@@ -450,7 +462,7 @@ TEST(AttachGate, AbortingFilterCountsFilterAbortsInsideDroppedFilter) {
             for (std::uint64_t id = 1; id <= 3; ++id) {
                 const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
                 tap->plan(p);
-                tap->commit(CaptureRecord::of(p, false));
+                tap->commit(CaptureRecord::of(p, false), 0, 0);
             }
             // Aborts are counted inside dropped_filter, so the drop
             // identity still closes.
@@ -473,7 +485,7 @@ TEST(AttachGate, AbortCounterReachesTheObsRegistry) {
     for (std::uint64_t id = 1; id <= 2; ++id) {
         const auto p = std::make_shared<net::Packet>(id, 600, sim::SimTime{});
         bsd.plan(p);
-        bsd.commit(CaptureRecord::of(p, false));
+        bsd.commit(CaptureRecord::of(p, false), 0, 0);
     }
     const auto snap = observer.registry().snapshot();
     ASSERT_EQ(snap.size(), 1u);

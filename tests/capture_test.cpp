@@ -36,7 +36,7 @@ CaptureRecord record(const net::PacketPtr& p) { return CaptureRecord::of(p, fals
 /// testing of the buffer state machines.
 void deliver(PacketTap& tap, const net::PacketPtr& p) {
     tap.plan(p);
-    tap.commit(record(p));
+    tap.commit(record(p), 0, 0);
 }
 
 TEST(BsdBpf, StoresUntilFullThenRotatesOnOverflow) {
@@ -133,10 +133,10 @@ TEST(BsdBpf, PlanChargesCopyOnlyWhenAccepted) {
     Fixture f;
     BsdBpfDev dev{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
     const auto accepted = dev.plan(synthetic(1, 1000));
-    dev.commit(record(synthetic(1, 1000)));
+    dev.commit(record(synthetic(1, 1000)), 0, 0);
     dev.install_filter(bpf::reject_all());
     const auto rejected = dev.plan(synthetic(2, 1000));
-    dev.commit(record(synthetic(2, 1000)));
+    dev.commit(record(synthetic(2, 1000)), 0, 0);
     EXPECT_GT(accepted.copy_bytes, 900.0);
     EXPECT_EQ(rejected.copy_bytes, 0.0);
 }
@@ -227,13 +227,13 @@ TEST(Taps, CommitWithoutPlanFailsFast) {
     const auto p = synthetic(1, 500);
 
     BsdBpfDev bpf{f.machine, OsSpec::freebsd_5_4(), 1 << 20, 1515};
-    EXPECT_THROW(bpf.commit(record(p)), std::logic_error);
+    EXPECT_THROW(bpf.commit(record(p), 0, 0), std::logic_error);
 
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(sock.commit(record(p)), std::logic_error);
+    EXPECT_THROW(sock.commit(record(p), 0, 0), std::logic_error);
 
     MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
-    EXPECT_THROW(ring.commit(record(p)), std::logic_error);
+    EXPECT_THROW(ring.commit(record(p), 0, 0), std::logic_error);
 }
 
 TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
@@ -241,7 +241,7 @@ TEST(Taps, ExtraCommitAfterMatchedPairsFailsFast) {
     const auto p = synthetic(1, 500);
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 1 << 20, 1515};
     deliver(sock, p);                               // matched pair: fine
-    EXPECT_THROW(sock.commit(record(p)), std::logic_error);  // one commit too many
+    EXPECT_THROW(sock.commit(record(p), 0, 0), std::logic_error);  // one commit too many
     deliver(sock, p);                               // queue still usable
     EXPECT_EQ(sock.stats().accepted, 2u);
 }
@@ -351,7 +351,7 @@ struct CountingTap : PacketTap {
         ++planned;
         return Work{.cycles = 500};
     }
-    void commit(const CaptureRecord&) override { ++committed; }
+    void commit(const CaptureRecord&, std::int64_t, std::int64_t) override { ++committed; }
     void fanout_skip() override { ++skipped; }
 };
 

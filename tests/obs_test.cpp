@@ -13,6 +13,11 @@
 #include <vector>
 
 #include "capbench/bpf/decoded.hpp"
+#include "capbench/capture/bsd_bpf.hpp"
+#include "capbench/capture/driver.hpp"
+#include "capbench/capture/linux_socket.hpp"
+#include "capbench/capture/mmap_ring.hpp"
+#include "capbench/capture/nic.hpp"
 #include "capbench/harness/experiment.hpp"
 #include "capbench/harness/measurement.hpp"
 #include "capbench/obs/observer.hpp"
@@ -20,6 +25,7 @@
 #include "capbench/obs/trace.hpp"
 #include "capbench/report/json.hpp"
 #include "capbench/report/metrics_writer.hpp"
+#include "capbench/sim/simulator.hpp"
 
 namespace capbench {
 namespace {
@@ -448,6 +454,261 @@ TEST(ObsBpfCounters, MetricsSuiteCarriesProcessCacheStats) {
     const std::int64_t misses = cache.at("misses").as_int();
     EXPECT_EQ(lookups, hits + misses);  // every lookup is hit or miss
     EXPECT_GE(cache.at("jit_compiles").as_int(), 0);
+}
+
+// ---- lifecycle stamps ------------------------------------------------------------
+//
+// Each capture stack is driven through plan/commit with hand-picked
+// (arrival, hand-off) stamps at known sim times, then fetched at known
+// times; every latency set must hold exactly the hand-computed values.
+
+/// One observed endpoint on a two-CPU Opteron.  Times are sim ns.
+template <typename Endpoint>
+struct StampRig {
+    sim::Simulator sim;
+    hostsim::Machine machine{sim, hostsim::MachineSpec{hostsim::ArchSpec::amd_opteron(), 2, false},
+                             {}};
+    obs::Observer observer;
+    Endpoint endpoint;
+    std::uint64_t next_id = 1;
+
+    template <typename... Args>
+    explicit StampRig(Args&&... args) : endpoint(machine, std::forward<Args>(args)...) {
+        obs::SutObserver& sut = observer.add_sut("swan", {&endpoint.stats()});
+        endpoint.set_observer(&sut.app(0));
+    }
+
+    /// Runs `fn` at sim time `t`.
+    template <typename Fn>
+    void at(std::int64_t t, Fn fn) {
+        sim.schedule_at(sim::SimTime{} + sim::nanoseconds(t), std::move(fn));
+        sim.run(sim::SimTime{} + sim::nanoseconds(t));
+    }
+
+    /// Plans and commits a `frame_len`-byte frame at `t` with the given
+    /// NIC arrival and kernel hand-off stamps.
+    void commit(std::int64_t t, std::int64_t arrival, std::int64_t handoff,
+                std::uint32_t frame_len = 200) {
+        at(t, [this, arrival, handoff, frame_len] {
+            const auto p = std::make_shared<net::Packet>(next_id++, frame_len, sim.now());
+            endpoint.plan(p);
+            endpoint.commit(capture::CaptureRecord::of(p, false), arrival, handoff);
+        });
+    }
+
+    /// Fetches at `t`; returns the number of records delivered.
+    std::size_t fetch(std::int64_t t, std::size_t max = 1000) {
+        std::size_t n = 0;
+        at(t, [&] {
+            if (auto batch = endpoint.fetch(max)) n = batch->packets.size();
+        });
+        return n;
+    }
+
+    obs::RunMetrics finalize() {
+        obs::SutSnapshot snap;
+        snap.frames_seen = endpoint.stats().kernel_seen;
+        snap.apps = {endpoint.stats()};
+        snap.disk_spills = {0};
+        return observer.finalize({snap}, snap.frames_seen);
+    }
+};
+
+/// Expects `set` to hold exactly the multiset `want`: the digests of sets
+/// this small pin down every value.
+void expect_samples(const sim::SampleSet& set, const std::vector<std::int64_t>& want,
+                    const char* what) {
+    sim::SampleSet expected;
+    for (const std::int64_t x : want) expected.add(x);
+    const sim::SampleSet::Summary got = set.summary();
+    const sim::SampleSet::Summary exp = expected.summary();
+    EXPECT_EQ(got.count, exp.count) << what;
+    EXPECT_EQ(got.min, exp.min) << what;
+    EXPECT_EQ(got.max, exp.max) << what;
+    EXPECT_EQ(got.mean, exp.mean) << what;
+    EXPECT_EQ(got.p50, exp.p50) << what;
+    EXPECT_EQ(got.p95, exp.p95) << what;
+    EXPECT_EQ(got.p99, exp.p99) << what;
+}
+
+TEST(ObsStamps, BsdBpfPairsStampsAcrossRotationAndTimeout) {
+    // 1000-byte frames take 1020-byte slots: two fit in a 2048-byte half.
+    StampRig<capture::BsdBpfDev> rig{capture::OsSpec::freebsd_5_4(), 2048, 1515};
+    rig.endpoint.enable_read_timeout(sim::microseconds(20));
+    rig.commit(1'000, 100, 400, 1000);
+    rig.commit(2'000, 1'500, 1'900, 1000);
+    rig.commit(3'000, 2'300, 2'950, 1000);  // rotates: frames 1-2 go to HOLD
+    EXPECT_EQ(rig.fetch(5'000), 2u);
+    // Frame 3 sits in STORE; an empty HOLD arms the 20 us read timeout,
+    // whose rotation hands frame 3 over.
+    EXPECT_EQ(rig.fetch(6'000), 0u);
+    rig.at(30'000, [] {});
+    rig.commit(31'000, 30'100, 30'500, 1000);  // lands in the fresh STORE
+    EXPECT_EQ(rig.fetch(40'000), 1u);
+    const obs::RunMetrics m = rig.finalize();
+    const obs::AppMetrics& a = m.suts[0].apps[0];
+    expect_samples(a.enqueue_ns, {1'000 - 400, 2'000 - 1'900, 3'000 - 2'950, 31'000 - 30'500},
+                   "enqueue_ns");
+    expect_samples(a.deliver_ns, {5'000 - 1'000, 5'000 - 2'000, 40'000 - 3'000}, "deliver_ns");
+    expect_samples(a.latency_ns, {5'000 - 100, 5'000 - 1'500, 40'000 - 2'300}, "latency_ns");
+    EXPECT_TRUE(m.suts[0].nic_to_kernel_ns.empty());
+}
+
+TEST(ObsStamps, LinuxSocketPairsStampsInQueueOrder) {
+    StampRig<capture::LinuxPacketSocket> rig{capture::OsSpec::linux_2_6_11(), 1 << 20, 1515,
+                                             nullptr};
+    rig.commit(1'000, 10, 700);
+    rig.commit(1'100, 20, 1'050);
+    rig.commit(1'300, 30, 1'110);
+    EXPECT_EQ(rig.fetch(2'000, 2), 2u);  // the third record stays queued
+    rig.commit(2'500, 2'000, 2'400);
+    EXPECT_EQ(rig.fetch(4'000), 2u);
+    const obs::RunMetrics m = rig.finalize();
+    const obs::AppMetrics& a = m.suts[0].apps[0];
+    expect_samples(a.enqueue_ns, {300, 50, 190, 100}, "enqueue_ns");
+    expect_samples(a.deliver_ns, {1'000, 900, 4'000 - 1'300, 4'000 - 2'500}, "deliver_ns");
+    expect_samples(a.latency_ns, {1'990, 1'980, 3'970, 2'000}, "latency_ns");
+}
+
+TEST(ObsStamps, MmapRingPairsStampsAndSkipsDroppedRecords) {
+    // 16 slots (the minimum); the 17th frame finds no slot and leaves no stamp.
+    StampRig<capture::MmapRing> rig{capture::OsSpec::linux_2_6_11(), 4096, 1515, 2048};
+    ASSERT_EQ(rig.endpoint.slots(), 16u);
+    std::vector<std::int64_t> enqueue, deliver, latency;
+    for (std::int64_t i = 0; i < 17; ++i) {
+        const std::int64_t t = 1'000 + 100 * i;
+        rig.commit(t, 7 * i, t - 3 * i);
+        if (i < 16) {
+            enqueue.push_back(3 * i);
+            deliver.push_back(10'000 - t);
+            latency.push_back(10'000 - 7 * i);
+        }
+    }
+    EXPECT_EQ(rig.endpoint.stats().dropped_buffer, 1u);
+    EXPECT_EQ(rig.fetch(10'000, 16), 16u);
+    const obs::RunMetrics m = rig.finalize();
+    const obs::AppMetrics& a = m.suts[0].apps[0];
+    expect_samples(a.enqueue_ns, enqueue, "enqueue_ns");
+    expect_samples(a.deliver_ns, deliver, "deliver_ns");
+    expect_samples(a.latency_ns, latency, "latency_ns");
+}
+
+TEST(ObsStamps, FrozenObserverKeepsTheFifoButMakesNoSamples) {
+    StampRig<capture::MmapRing> rig{capture::OsSpec::linux_2_6_11(), 4096, 1515, 2048};
+    rig.commit(1'000, 100, 900);
+    rig.commit(2'000, 1'200, 1'800);
+    rig.observer.freeze();
+    rig.commit(3'000, 2'100, 2'900);
+    EXPECT_EQ(rig.fetch(4'000), 3u);
+    const obs::RunMetrics m = rig.finalize();  // the FIFO drained in step
+    const obs::AppMetrics& a = m.suts[0].apps[0];
+    expect_samples(a.enqueue_ns, {100, 200}, "enqueue_ns");
+    EXPECT_TRUE(a.deliver_ns.empty());
+    EXPECT_TRUE(a.latency_ns.empty());
+}
+
+TEST(ObsStamps, FinalizeThrowsWhenAnAppFifoDrifts) {
+    StampRig<capture::MmapRing> rig{capture::OsSpec::linux_2_6_11(), 4096, 1515, 2048};
+    rig.commit(1'000, 100, 900);
+    rig.commit(2'000, 1'200, 1'800);
+    // Delivered without the hooks: the FIFO keeps two stamps for packets
+    // no longer in flight.
+    rig.endpoint.set_observer(nullptr);
+    EXPECT_EQ(rig.fetch(3'000), 2u);
+    EXPECT_THROW(rig.finalize(), std::logic_error);
+}
+
+TEST(ObsStamps, FetchBeyondTheStampedRecordsThrows) {
+    StampRig<capture::MmapRing> rig{capture::OsSpec::linux_2_6_11(), 4096, 1515, 2048};
+    obs::AppObserver& app = rig.observer.sut(0).app(0);
+    rig.endpoint.set_observer(nullptr);
+    rig.commit(1'000, 100, 900);  // stored while unobserved: no stamp
+    rig.endpoint.set_observer(&app);
+    EXPECT_THROW((void)rig.endpoint.fetch(10), std::logic_error);
+}
+
+/// Records the stamps the driver hands each commit.
+struct StampTap : capture::PacketTap {
+    struct Commit {
+        std::uint64_t id;
+        std::int64_t arrival;
+        std::int64_t handoff;
+    };
+    std::vector<Commit> commits;
+    hostsim::Work plan(const net::PacketPtr&) override { return hostsim::Work{.cycles = 2000}; }
+    void commit(const capture::CaptureRecord& r, std::int64_t arrival,
+                std::int64_t handoff) override {
+        commits.push_back({r.id, arrival, handoff});
+    }
+    void fanout_skip() override {}
+};
+
+struct NicRig {
+    sim::Simulator sim;
+    hostsim::Machine machine{sim, hostsim::MachineSpec{hostsim::ArchSpec::amd_opteron(), 2, false},
+                             {}};
+    capture::Driver driver{machine, capture::OsSpec::freebsd_5_4()};
+    StampTap tap;
+    capture::NicModel model;
+    obs::Observer observer;
+    std::unique_ptr<capture::Nic> nic;
+
+    explicit NicRig(std::size_t ring_slots) {
+        driver.attach(tap);
+        model.ring_slots = ring_slots;
+        nic = std::make_unique<capture::Nic>(machine, capture::OsSpec::freebsd_5_4(), model,
+                                             driver);
+        nic->set_observer(&observer.add_sut("swan", {}));
+    }
+
+    /// Frame `id` arrives at sim time 100 * id.
+    void arrive(std::uint64_t first, std::uint64_t last) {
+        for (std::uint64_t id = first; id <= last; ++id) {
+            const auto t = sim::SimTime{} + sim::nanoseconds(static_cast<std::int64_t>(100 * id));
+            sim.schedule_at(t, [this, id] {
+                nic->on_frame(std::make_shared<net::Packet>(id, 500, sim.now()));
+            });
+        }
+    }
+};
+
+TEST(ObsStamps, NicArrivalStampsTravelToTheCommitThroughRingDrops) {
+    // Frames 100 ns apart overflow a four-slot ring; each committed record
+    // must still carry its own arrival time.
+    NicRig rig{4};
+    rig.arrive(1, 40);
+    rig.sim.run();
+    ASSERT_GT(rig.nic->ring_drops(), 0u);
+    ASSERT_EQ(rig.tap.commits.size() + rig.nic->ring_drops(), 40u);
+    for (const StampTap::Commit& c : rig.tap.commits) {
+        EXPECT_EQ(c.arrival, static_cast<std::int64_t>(100 * c.id)) << c.id;
+        EXPECT_GE(c.handoff, c.arrival) << c.id;
+    }
+    EXPECT_EQ(rig.nic->queue_arrival_stamps(0), 0u);
+    const obs::RunMetrics m = rig.observer.finalize({obs::SutSnapshot{}}, 40);
+    EXPECT_EQ(m.suts[0].nic_to_kernel_ns.size(), rig.tap.commits.size());
+}
+
+TEST(ObsStamps, FinalizeThrowsWhenANicQueueFifoDrifts) {
+    NicRig rig{64};
+    rig.arrive(1, 3);
+    rig.sim.run(sim::SimTime{} + sim::nanoseconds(300));
+    ASSERT_EQ(rig.nic->queue_ring_occupancy(0), 3u);
+    EXPECT_EQ(rig.nic->queue_arrival_stamps(0), 3u);
+    // Served without the hooks: the three stamps outlive their frames.
+    rig.nic->set_observer(nullptr);
+    rig.sim.run();
+    EXPECT_EQ(rig.nic->queue_ring_occupancy(0), 0u);
+    EXPECT_THROW((void)rig.observer.finalize({obs::SutSnapshot{}}, 3), std::logic_error);
+}
+
+TEST(ObsStamps, ObservingANicWithUnstampedRingFramesThrows) {
+    NicRig rig{64};
+    rig.nic->set_observer(nullptr);
+    rig.arrive(1, 3);
+    rig.sim.run(sim::SimTime{} + sim::nanoseconds(300));
+    ASSERT_EQ(rig.nic->queue_ring_occupancy(0), 3u);
+    EXPECT_THROW(rig.nic->set_observer(&rig.observer.sut(0)), std::logic_error);
 }
 
 }  // namespace

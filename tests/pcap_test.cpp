@@ -40,7 +40,7 @@ TEST(Session, InstallsCompiledFilter) {
     tcp_frame[23] = std::byte{6};  // TCP
     auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(capture::CaptureRecord::of(pkt, false));
+    f.sock.commit(capture::CaptureRecord::of(pkt, false), 0, 0);
     EXPECT_EQ(session.stats().ps_recv, 0u);
     EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
@@ -60,7 +60,7 @@ TEST(Session, BadFilterThrows) {
     tcp_frame[23] = std::byte{6};  // TCP
     auto pkt = std::make_shared<net::Packet>(1, std::move(tcp_frame), sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(capture::CaptureRecord::of(pkt, false));
+    f.sock.commit(capture::CaptureRecord::of(pkt, false), 0, 0);
     EXPECT_EQ(session.stats().ps_recv, 0u);
     EXPECT_EQ(f.sock.stats().dropped_filter, 1u);
 }
@@ -80,7 +80,7 @@ TEST(Session, StatsMapToPcapSemantics) {
     Session session{f.sock, "swan:if0", 1515, false};
     auto pkt = std::make_shared<net::Packet>(1, 500, sim::SimTime{});
     f.sock.plan(pkt);
-    f.sock.commit(capture::CaptureRecord::of(pkt, false));
+    f.sock.commit(capture::CaptureRecord::of(pkt, false), 0, 0);
     f.sock.fetch(99);
     EXPECT_EQ(session.stats().ps_recv, 1u);
     EXPECT_EQ(session.stats().ps_drop, 0u);
@@ -98,7 +98,7 @@ TEST(Session, StatsMapBufferDropsToPsDrop) {
     for (int i = 0; i < 10; ++i) {
         auto pkt = std::make_shared<net::Packet>(id++, 1500, sim::SimTime{});
         small.plan(pkt);
-        small.commit(capture::CaptureRecord::of(pkt, false));
+        small.commit(capture::CaptureRecord::of(pkt, false), 0, 0);
     }
     EXPECT_GT(small.stats().dropped_buffer, 0u);
     EXPECT_EQ(session.stats().ps_drop, small.stats().dropped_buffer);

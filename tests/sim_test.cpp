@@ -503,6 +503,128 @@ TEST(SampleSet, SelfAppendDoublesTheSet) {
     EXPECT_TRUE(empty.empty());
 }
 
+/// A set fed `xs` by add(), in order.
+SampleSet set_of(const std::vector<std::int64_t>& xs) {
+    SampleSet s;
+    for (const std::int64_t x : xs) s.add(x);
+    return s;
+}
+
+std::vector<std::int64_t> concat(std::vector<std::int64_t> a, const std::vector<std::int64_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+TEST(SampleSet, NarrowSetsTakeFourBytesASampleAndWidenAtTwoToThe32) {
+    constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+    SampleSet s;
+    s.reserve(1000);
+    EXPECT_GE(s.storage_bytes(), 1000 * sizeof(std::uint32_t));
+    EXPECT_LT(s.storage_bytes(), 1000 * sizeof(std::int64_t));
+
+    // Below 2^32 the set stays narrow; the first sample at 2^32 widens it
+    // once, keeping every earlier value and the reserved room.
+    Rng rng{32};
+    std::vector<std::int64_t> xs;
+    for (int i = 0; i < 500; ++i) xs.push_back(rng.next_in(0, k2to32 - 1));
+    xs.push_back(k2to32 - 1);
+    xs.push_back(0);
+    for (const std::int64_t x : xs) s.add(x);
+    EXPECT_FALSE(s.wide());
+    expect_same_summary(s.summary(), SortedOracle{xs}.summary(), true, "narrow");
+
+    xs.push_back(k2to32);
+    s.add(k2to32);
+    EXPECT_TRUE(s.wide());
+    EXPECT_GE(s.storage_bytes(), 1000 * sizeof(std::int64_t));
+    for (int i = 0; i < 300; ++i) {
+        xs.push_back(rng.next_in(0, 3 * k2to32));
+        s.add(xs.back());
+    }
+    EXPECT_EQ(s.size(), xs.size());
+    expect_same_summary(s.summary(), SortedOracle{xs}.summary(), true, "crossed 2^32");
+    // Large enough to recurse through the radix levels in both forms.
+    expect_matches_oracle(concat(std::vector<std::int64_t>(5000, 7), {k2to32 + 7}),
+                          "one wide outlier");
+}
+
+TEST(SampleSet, NegativeFirstSampleStartsWide) {
+    SampleSet s;
+    s.add(-1);
+    EXPECT_TRUE(s.wide());
+    Rng rng{33};
+    std::vector<std::int64_t> xs{-1};
+    for (int i = 0; i < 1000; ++i) {
+        xs.push_back(rng.next_in(-100, 1 << 20));
+        s.add(xs.back());
+    }
+    expect_same_summary(s.summary(), SortedOracle{xs}.summary(), true, "negative first");
+    expect_matches_oracle(xs, "negative first, via the helper");
+}
+
+TEST(SampleSet, AppendCoversEveryWidthPairAndSelfAppend) {
+    Rng rng{34};
+    const auto narrow = [&](std::size_t n) {
+        std::vector<std::int64_t> xs(n);
+        for (std::int64_t& x : xs) x = rng.next_in(0, 1 << 30);
+        return xs;
+    };
+    const auto wide = [&](std::size_t n) {
+        std::vector<std::int64_t> xs = narrow(n);
+        xs[n / 2] = -(std::int64_t{1} << 40);
+        return xs;
+    };
+    struct Case {
+        const char* name;
+        std::vector<std::int64_t> into;
+        std::vector<std::int64_t> from;
+    };
+    const std::vector<Case> cases = {
+        {"narrow += narrow", narrow(300), narrow(200)},
+        {"narrow += wide", narrow(300), wide(200)},
+        {"wide += narrow", wide(300), narrow(200)},
+        {"wide += wide", wide(300), wide(200)},
+        {"empty += wide", {}, wide(100)},
+        {"wide += empty", wide(100), {}},
+    };
+    for (const Case& c : cases) {
+        SampleSet into = set_of(c.into);
+        const SampleSet from = set_of(c.from);
+        into.append(from);
+        const std::vector<std::int64_t> all = concat(c.into, c.from);
+        EXPECT_EQ(into.size(), all.size()) << c.name;
+        EXPECT_EQ(into.wide(), from.wide() || set_of(c.into).wide()) << c.name;
+        expect_same_summary(into.summary(), SortedOracle{all}.summary(), true, c.name);
+        EXPECT_EQ(from.size(), c.from.size()) << c.name;  // the source is untouched
+    }
+    for (const auto& xs : {narrow(150), wide(150)}) {
+        SampleSet s = set_of(xs);
+        const bool was_wide = s.wide();
+        s.append(s);
+        EXPECT_EQ(s.wide(), was_wide);
+        EXPECT_EQ(s.size(), 2 * xs.size());
+        expect_same_summary(s.summary(), SortedOracle{concat(xs, xs)}.summary(), true,
+                            was_wide ? "wide self-append" : "narrow self-append");
+    }
+}
+
+TEST(SampleSet, SummarizeReleasesBothStores) {
+    for (const std::int64_t outlier : {std::int64_t{5}, std::int64_t{1} << 33}) {
+        SampleSet s;
+        s.reserve(64);
+        for (int i = 0; i < 40; ++i) s.add(i);
+        s.add(outlier);
+        EXPECT_EQ(s.wide(), outlier > 5);
+        EXPECT_GT(s.storage_bytes(), 0u);
+        const SampleSet::Summary before = s.summary();
+        s.summarize();
+        EXPECT_EQ(s.storage_bytes(), 0u);
+        EXPECT_FALSE(s.wide());
+        EXPECT_EQ(s.size(), 41u);
+        expect_same_summary(s.summary(), before, true, "summarized");
+    }
+}
+
 TEST(SampleSet, SummarizedSetRefusesSamplesAndMerges) {
     SampleSet done;
     for (int i = 1; i <= 10; ++i) done.add(i);
