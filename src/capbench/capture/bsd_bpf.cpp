@@ -33,7 +33,6 @@ bool BsdBpfDev::store(CaptureRecord record) {
         rotate();
     }
     store_.stored_bytes += need;
-    store_.caplen_bytes += record.caplen;
     store_.packets.push_back(std::move(record));
     return true;
 }
@@ -53,7 +52,6 @@ bool BsdBpfDev::read(std::size_t /*max_packets*/, Batch& batch) {
         return false;
     }
     std::swap(batch.packets, hold_.packets);
-    batch.bytes = hold_.caplen_bytes;
     // One read(): syscall + copyout of the whole HOLD buffer.
     batch.fetch_work = os_->syscall_overhead;
     batch.fetch_work.copy_bytes += static_cast<double>(hold_.stored_bytes);

@@ -35,17 +35,13 @@ public:
     /// waits and HOLD is empty, a non-empty STORE rotates after `timeout`.
     void enable_read_timeout(sim::Duration timeout);
 
-    [[nodiscard]] std::uint64_t buffer_bytes() const { return buffer_bytes_; }
-
 private:
     struct Buffer {
         std::vector<CaptureRecord> packets;
         std::uint64_t stored_bytes = 0;  // captured bytes incl. bpf headers
-        std::uint64_t caplen_bytes = 0;  // captured bytes excl. headers
         void clear() {
             packets.clear();  // keeps capacity: rotation reallocates nothing
             stored_bytes = 0;
-            caplen_bytes = 0;
         }
         [[nodiscard]] bool empty() const { return packets.empty(); }
     };

@@ -39,13 +39,11 @@ void Driver::process(const net::PacketPtr& packet, int queue, int cpu, std::int6
                 commit(queue, hash, record, arrival, handoff);
             });
     } else {
-        machine_->post_kernel_work_on(cpu, work, state,
-                                      [this, queue, hash, arrival, handoff, id = packet->id(),
-                                       frame_len = packet->frame_len()] {
-                                          commit(queue, hash,
-                                                 CaptureRecord{id, frame_len, 0, nullptr},
-                                                 arrival, handoff);
-                                      });
+        machine_->post_kernel_work_on(
+            cpu, work, state,
+            [this, queue, hash, arrival, handoff, frame_len = packet->frame_len()] {
+                commit(queue, hash, CaptureRecord{frame_len, 0, nullptr}, arrival, handoff);
+            });
     }
 }
 

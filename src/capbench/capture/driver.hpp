@@ -29,7 +29,7 @@ public:
     /// Multi-queue entry point: the packet arrived on RSS queue `queue`,
     /// whose IRQ line targets `cpu` — the kernel work runs there.
     /// `arrival` and `handoff` are its NIC arrival and kernel hand-off
-    /// stamps (sim ns, 0 when unobserved), passed on to each tap's commit.
+    /// stamps (sim ns), passed on to each tap's commit.
     void process(const net::PacketPtr& packet, int queue, int cpu, std::int64_t arrival,
                  std::int64_t handoff);
 

@@ -23,7 +23,7 @@ bool LinuxPacketSocket::store(CaptureRecord record) {
     if (queued_truesize_ + ts > rmem_bytes_ ||
         (pool_ != nullptr && pool_->used + ts > pool_->limit))
         return false;
-    queue_.push_back(Queued{std::move(record), ts});
+    queue_.push_back(std::move(record));
     queued_truesize_ += ts;
     if (pool_ != nullptr) pool_->used += ts;
     wake_reader();
@@ -35,15 +35,15 @@ bool LinuxPacketSocket::read(std::size_t max_packets, Batch& batch) {
     const std::size_t n = std::min(max_packets, queue_.size());
     batch.packets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        Queued& q = queue_.front();
-        batch.bytes += q.record.caplen;
-        queued_truesize_ -= q.truesize;
-        if (pool_ != nullptr) pool_->used -= q.truesize;
+        CaptureRecord& record = queue_.front();
+        const std::uint64_t ts = truesize(record.frame_len);
+        queued_truesize_ -= ts;
+        if (pool_ != nullptr) pool_->used -= ts;
         // Every packet costs one recvfrom(): syscall + copy_to_user.
         batch.fetch_work += os_->syscall_overhead;
         batch.fetch_work += os_->deliver_per_packet;
-        batch.fetch_work.copy_bytes += q.record.caplen;
-        batch.packets.push_back(std::move(q.record));
+        batch.fetch_work.copy_bytes += record.caplen;
+        batch.packets.push_back(std::move(record));
         queue_.pop_front();
     }
     return true;

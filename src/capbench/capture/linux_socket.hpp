@@ -38,22 +38,16 @@ public:
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return queued_truesize_; }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return rmem_bytes_; }
 
-    [[nodiscard]] std::uint64_t rmem_bytes() const { return rmem_bytes_; }
-    [[nodiscard]] std::uint64_t queued_truesize() const { return queued_truesize_; }
-
 private:
-    struct Queued {
-        CaptureRecord record;
-        std::uint64_t truesize = 0;
-    };
-
     bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
 
+    /// The skb truesize a queued packet charges: a function of its frame
+    /// length, so the queue keeps bare records and recomputes it on read.
     [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;
 
     std::uint64_t rmem_bytes_;
-    sim::RingBuffer<Queued> queue_;
+    sim::RingBuffer<CaptureRecord> queue_;
     std::uint64_t queued_truesize_ = 0;
     SkbPool* pool_ = nullptr;
 };

@@ -27,7 +27,6 @@ bool MmapRing::read(std::size_t max_packets, Batch& batch) {
     const std::size_t n = std::min(max_packets, ring_.size());
     batch.packets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        batch.bytes += ring_.front().caplen;
         batch.packets.push_back(std::move(ring_.front()));
         ring_.pop_front();
     }

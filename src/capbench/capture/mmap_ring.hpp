@@ -26,8 +26,6 @@ public:
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return ring_.size(); }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return slots_; }
 
-    [[nodiscard]] std::size_t slots() const { return slots_; }
-
 private:
     void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
     bool store(CaptureRecord record) override;

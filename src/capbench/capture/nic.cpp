@@ -32,14 +32,6 @@ Nic::Nic(hostsim::Machine& machine, const OsSpec& os, NicModel model, Driver& dr
     }
 }
 
-void Nic::set_observer(obs::SutObserver* obs) {
-    for (const Queue& q : queues_)
-        if (obs != nullptr && q.arrivals.size() != q.ring.size())
-            throw std::logic_error("Nic::set_observer: ring frames without arrival stamps");
-    obs_ = obs;
-    if (obs_) obs_->attach_nic(*this);
-}
-
 void Nic::register_metrics(obs::Registry& registry, const std::string& prefix) const {
     for (std::size_t i = 0; i < queues_.size(); ++i) {
         const std::string base = prefix + ".q" + std::to_string(i);
@@ -64,8 +56,7 @@ void Nic::on_frame(const net::PacketPtr& packet) {
         ++q.ring_drops;
         return;
     }
-    q.ring.push_back(packet);
-    if (obs_) q.arrivals.push_back(machine_->sim().now().ns());
+    q.ring.push_back(Slot{packet, machine_->sim().now().ns()});
     if (!q.service_active) {
         q.service_active = true;
         // First frame of a burst: pay the interrupt overhead on the
@@ -87,19 +78,12 @@ void Nic::serve(int qi) {
             // netdev backlog / ifqueue full on this CPU: drop before
             // protocol work.
             q.ring.pop_front();
-            if (obs_) q.arrivals.pop_front();
             ++q.backlog_drops;
             continue;
         }
-        std::int64_t arrival = 0;
-        std::int64_t handoff = 0;
-        if (obs_) {
-            arrival = q.arrivals.front();
-            q.arrivals.pop_front();
-            handoff = machine_->sim().now().ns();
-            obs_->kernel_handoff(arrival, machine_->sim().now());
-        }
-        driver_->process(q.ring.front(), qi, q.cpu, arrival, handoff);
+        const Slot& slot = q.ring.front();
+        if (obs_) obs_->kernel_handoff(slot.arrival, machine_->sim().now());
+        driver_->process(slot.packet, qi, q.cpu, slot.arrival, machine_->sim().now().ns());
         q.ring.pop_front();
         ++n;
     }

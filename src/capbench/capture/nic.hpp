@@ -13,7 +13,9 @@
 // pending — one interrupt per burst rather than per packet, which is the
 // receive-livelock avoidance of Section 2.2.1.  When the target CPU's
 // kernel work queue (netdev backlog / ifqueue) is at its limit, drained
-// frames are dropped before any protocol processing.
+// frames are dropped before any protocol processing.  Each ring slot
+// holds its frame's arrival time next to the frame; service hands both to
+// the driver, which carries the stamp on to the capture taps.
 //
 // With queues == 1 (the default) the hash is never computed and every
 // code path reduces to the historical single-ring model byte for byte.
@@ -69,11 +71,10 @@ public:
     void on_frame(const net::PacketPtr& packet) override;
 
     /// Installs lifecycle-tracing hooks (may be null; hooks are
-    /// branch-guarded so an untraced run pays one predictable branch and
-    /// takes no stamps).  Install before traffic starts: an observer
-    /// installed while ring frames lack arrival stamps throws
-    /// std::logic_error.
-    void set_observer(obs::SutObserver* obs);
+    /// branch-guarded so an untraced run pays one predictable branch).
+    /// Every ring slot carries its frame's arrival stamp, so an observer
+    /// may be installed at any time.
+    void set_observer(obs::SutObserver* obs) { obs_ = obs; }
 
     /// Registers views of the per-queue counts `<prefix>.q<j>.{frames,
     /// ring_drops,backlog_drops}` in `registry`.
@@ -102,22 +103,21 @@ public:
     [[nodiscard]] std::size_t queue_ring_occupancy(int q) const {
         return queues_[static_cast<std::size_t>(q)].ring.size();
     }
-    /// Arrival stamps queue `q` holds: one per ring frame while observed.
-    [[nodiscard]] std::size_t queue_arrival_stamps(int q) const {
-        return queues_[static_cast<std::size_t>(q)].arrivals.size();
-    }
     /// Descriptor slots per receive queue (every queue is equally deep).
     [[nodiscard]] std::size_t ring_capacity() const { return model_.ring_slots; }
 
 private:
+    /// A descriptor-ring slot: the frame and its NIC arrival time (sim ns),
+    /// which the driver hands on to each tap's commit.
+    struct Slot {
+        net::PacketPtr packet;
+        std::int64_t arrival = 0;
+    };
+
     /// One receive queue: descriptor ring, IRQ target, service state and
     /// drop accounting.
     struct Queue {
-        sim::RingBuffer<net::PacketPtr> ring;
-        /// NIC arrival time (sim ns) of each ring frame, in ring order;
-        /// kept only while observed, so the ring slot stays a plain
-        /// PacketPtr.
-        sim::RingBuffer<std::int64_t> arrivals;
+        sim::RingBuffer<Slot> ring;
         bool service_active = false;
         int cpu = 0;
         std::uint64_t frames = 0;

@@ -45,17 +45,17 @@ struct CaptureStats {
 };
 
 /// What a capture buffer holds of a packet: the kernel's record of it
-/// (Section 2.1.1: catchpacket() copies caplen bytes, the frame itself is
-/// freed).  Buffers hold records, so a buffered packet pins no arena
-/// payload; `packet` is set only when the reader reads bytes.
+/// (Section 2.1.1: catchpacket() stores caplen and wire length, the frame
+/// itself is freed).  Buffers hold records, so a buffered packet pins no
+/// arena payload; `packet` is set only when the reader reads bytes.  Every
+/// buffered packet costs one record, so it stays at 24 bytes.
 struct CaptureRecord {
-    std::uint64_t id = 0;
     std::uint32_t frame_len = 0;
-    std::uint32_t caplen = 0;  // set by the tap that buffers the record
+    std::uint32_t caplen = 0;  // the tap's filter verdict, set when buffered
     net::PacketPtr packet;     // null unless the reader reads bytes
 
     [[nodiscard]] static CaptureRecord of(const net::PacketPtr& packet, bool keep_bytes) {
-        return {packet->id(), packet->frame_len(), 0, keep_bytes ? packet : nullptr};
+        return {packet->frame_len(), 0, keep_bytes ? packet : nullptr};
     }
 };
 
@@ -216,8 +216,6 @@ public:
         return verdict;
     }
 
-    [[nodiscard]] std::size_t outstanding() const { return pending_.size() - head_; }
-
 private:
     std::vector<FilterRunner::Verdict> pending_;
     std::size_t head_ = 0;
@@ -234,8 +232,7 @@ class StackEndpoint : public PacketTap {
 public:
     struct Batch {
         std::vector<CaptureRecord> packets;
-        std::uint64_t bytes = 0;        // captured bytes (after snaplen)
-        hostsim::Work fetch_work;       // syscall + copy cost to charge
+        hostsim::Work fetch_work;  // syscall + copy cost to charge
     };
 
     ~StackEndpoint() override = default;
@@ -298,8 +295,8 @@ protected:
     virtual bool store(CaptureRecord record) = 0;
 
     /// Moves up to `max_packets` buffered records into `batch.packets`
-    /// (handed in empty, pooled capacity) and sets bytes and fetch_work;
-    /// false means no data yet.
+    /// (handed in empty, pooled capacity) and sets fetch_work; false
+    /// means no data yet.
     virtual bool read(std::size_t max_packets, Batch& batch) = 0;
 
     /// The buffer fill the lifecycle hooks trace at enqueue and fetch.

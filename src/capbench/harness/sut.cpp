@@ -125,7 +125,7 @@ void Sut::start() {
     for (std::size_t i = 0; i < endpoints_.size(); ++i) {
         auto app = std::make_shared<CaptureApp>(
             config_.name + "-app" + std::to_string(i), *endpoints_[i], *sessions_[i],
-            *config_.os, config_.app_load, config_.snaplen, disk_.get(), pipe_.get(),
+            *config_.os, config_.app_load, disk_.get(), pipe_.get(),
             i < disk_writers_.size() ? disk_writers_[i].get() : nullptr);
         apps_.push_back(app);
         machine_->spawn(app);
@@ -142,15 +142,13 @@ constexpr std::size_t kProcessChunk = 32;
 
 CaptureApp::CaptureApp(std::string name, capture::StackEndpoint& endpoint,
                        pcap::Session& session, const capture::OsSpec& os,
-                       const load::AppLoad& app_load, std::uint32_t snaplen,
-                       load::DiskModel* disk, load::FifoPipe* pipe,
-                       load::DiskWriterThread* disk_writer)
+                       const load::AppLoad& app_load, load::DiskModel* disk,
+                       load::FifoPipe* pipe, load::DiskWriterThread* disk_writer)
     : capture::Reader(std::move(name)),
       endpoint_(&endpoint),
       session_(&session),
       os_(&os),
       app_load_(app_load),
-      snaplen_(snaplen),
       disk_(disk),
       pipe_(pipe),
       disk_writer_(disk_writer) {
@@ -185,26 +183,25 @@ void CaptureApp::process(capture::StackEndpoint::Batch batch, std::size_t index)
     std::uint64_t pipe_bytes = 0;
     for (std::size_t i = index; i < end; ++i) {
         const capture::CaptureRecord& rec = batch.packets[i];
-        const std::uint32_t caplen = std::min(snaplen_, rec.frame_len);
         work += load::per_packet_app_base();
-        work += load::per_packet_load_work(app_load_, caplen);
+        work += load::per_packet_load_work(app_load_, rec.caplen);
         if (app_load_.disk_bytes_per_packet > 0) {
-            const std::uint32_t db = std::min(caplen, app_load_.disk_bytes_per_packet);
+            const std::uint32_t db = std::min(rec.caplen, app_load_.disk_bytes_per_packet);
             if (disk_writer_ != nullptr) {
                 // Pipeline mode: stage a record (stamped at handler time,
                 // like the inline write) for the bring-ring hand-off; the
                 // writer thread pays the disk cost.
                 pending_records_.push_back(load::RecordRef{
-                    rec.packet, caplen, db, machine().sim().now()});
+                    rec.packet, rec.caplen, db, machine().sim().now()});
             } else {
                 disk_bytes += db;
             }
         }
-        if (app_load_.pipe_to_gzip) pipe_bytes += caplen;
+        if (app_load_.pipe_to_gzip) pipe_bytes += rec.caplen;
         if (session_->handler()) {
             if (rec.packet == nullptr)
                 throw std::logic_error("CaptureApp: handler set after the packet was buffered");
-            session_->handler()(rec.packet, caplen);
+            session_->handler()(rec.packet, rec.caplen);
         }
     }
     if (disk_bytes > 0 && disk_ != nullptr) {

@@ -141,7 +141,7 @@ private:
 class CaptureApp final : public capture::Reader {
 public:
     CaptureApp(std::string name, capture::StackEndpoint& endpoint, pcap::Session& session,
-               const capture::OsSpec& os, const load::AppLoad& app_load, std::uint32_t snaplen,
+               const capture::OsSpec& os, const load::AppLoad& app_load,
                load::DiskModel* disk, load::FifoPipe* pipe,
                load::DiskWriterThread* disk_writer = nullptr);
 
@@ -162,7 +162,6 @@ private:
     pcap::Session* session_;
     const capture::OsSpec* os_;
     load::AppLoad app_load_;
-    std::uint32_t snaplen_;
     load::DiskModel* disk_;
     load::FifoPipe* pipe_;
     load::DiskWriterThread* disk_writer_;

@@ -65,7 +65,6 @@ bool DiskWriterThread::offer(RecordRef& rec, hostsim::Thread& producer) {
     }
     ring_.push(std::move(rec));
     ++enqueued_;
-    if (ring_.size() > max_occupancy_) max_occupancy_ = ring_.size();
     if (obs_ != nullptr)
         obs_->disk_ring_occupancy(machine().sim().now(),
                                   static_cast<std::int64_t>(ring_.size()));

@@ -116,7 +116,6 @@ public:
 
     [[nodiscard]] const DiskWriterConfig& config() const { return config_; }
     [[nodiscard]] std::size_t ring_occupancy() const { return ring_.size(); }
-    [[nodiscard]] std::size_t max_ring_occupancy() const { return max_occupancy_; }
     /// Records accepted into the ring so far.
     [[nodiscard]] std::uint64_t enqueued() const { return enqueued_; }
     /// Records rejected by a drop spill policy (the `disk_spill` bucket);
@@ -140,7 +139,6 @@ private:
     hostsim::Thread* blocked_producer_ = nullptr;
     bool waiting_for_ring_ = false;  // writer blocked on an empty ring
     std::vector<RecordRef> batch_;   // pooled drain batch
-    std::size_t max_occupancy_ = 0;
     std::uint64_t enqueued_ = 0;
     std::uint64_t spilled_ = 0;
     std::uint64_t records_written_ = 0;

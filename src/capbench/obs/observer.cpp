@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "capbench/bpf/decoded.hpp"
-#include "capbench/capture/nic.hpp"
 
 namespace capbench::obs {
 
@@ -66,22 +65,15 @@ SutObserver::SutObserver(Observer& owner, std::string name, int pid,
 void SutObserver::check_stamps() const {
     // A FIFO that drifted from its buffer would pair every later sample
     // with another packet's stamps.
-    const auto fail = [&](const std::string& where, std::size_t stamps, std::uint64_t held) {
-        throw std::logic_error("Observer::finalize: " + name_ + " " + where + " holds " +
-                               std::to_string(stamps) + " stamps for " +
-                               std::to_string(held) + " packets in flight");
-    };
     for (const AppObserver& app : apps_) {
         const capture::CaptureStats& c = *app.stats_;
         const std::uint64_t held = c.accepted - c.dropped_buffer - c.delivered;
         if (app.stored_.size() != held)
-            fail("app" + std::to_string(app.index_), app.stored_.size(), held);
+            throw std::logic_error("Observer::finalize: " + name_ + " app" +
+                                   std::to_string(app.index_) + " holds " +
+                                   std::to_string(app.stored_.size()) + " stamps for " +
+                                   std::to_string(held) + " packets in flight");
     }
-    if (nic_ == nullptr) return;
-    for (int q = 0; q < nic_->queue_count(); ++q)
-        if (nic_->queue_arrival_stamps(q) != nic_->queue_ring_occupancy(q))
-            fail("NIC queue " + std::to_string(q), nic_->queue_arrival_stamps(q),
-                 nic_->queue_ring_occupancy(q));
 }
 
 SutObserver& Observer::add_sut(const std::string& name,

@@ -5,14 +5,14 @@
 // endpoint an `AppObserver`; the hot paths stamp packets with sim-time at
 // NIC arrival, kernel hand-off, capture-stack enqueue and user delivery.
 // Stamps travel with the packet, so their memory is O(packets in flight):
-// each NIC receive queue keeps a FIFO of arrival times beside its
-// descriptor ring, the kernel-lane completion carries (arrival, hand-off)
-// to `PacketTap::commit`, and each `AppObserver` keeps a FIFO of
-// (arrival, enqueue) pairs for the records its endpoint buffers.  Every
-// stack delivers in store order and never discards a stored record, so the
+// each NIC descriptor-ring slot holds its frame's arrival time, the
+// kernel-lane completion carries (arrival, hand-off) to
+// `PacketTap::commit`, and each `AppObserver` keeps a FIFO of (arrival,
+// enqueue) pairs for the records its endpoint buffers.  Every stack
+// delivers in store order and never discards a stored record, so the
 // FIFO's front is always the next record fetch() delivers.  Every hook call
 // site is `if (obs_) obs_->...`, so a run without an observer pays one
-// predictable branch and takes no stamps.
+// predictable branch and makes no samples.
 //
 // At the end of the measurement window the harness freezes the observer
 // (later stamps no longer feed the sample sets), snapshots the capture
@@ -36,10 +36,6 @@
 
 namespace capbench::bpf {
 struct DecodedProgram;
-}
-
-namespace capbench::capture {
-class Nic;
 }
 
 namespace capbench::obs {
@@ -123,10 +119,6 @@ public:
     SutObserver(Observer& owner, std::string name, int pid,
                 const std::vector<const capture::CaptureStats*>& apps);
 
-    /// The NIC this observer watches; finalize() checks that each of its
-    /// receive queues holds one arrival stamp per ring frame.
-    void attach_nic(const capture::Nic& nic) { nic_ = &nic; }
-
     /// A frame that arrived at the NIC at `arrival` (sim ns) leaves the
     /// NIC ring for driver/capture-stack processing at `t`.
     void kernel_handoff(std::int64_t arrival, sim::SimTime t);
@@ -146,8 +138,8 @@ private:
     friend class Observer;
     friend class AppObserver;
 
-    /// Throws std::logic_error unless every stamp FIFO of this SUT holds
-    /// one entry per packet in flight.
+    /// Throws std::logic_error unless each app's stamp FIFO holds one
+    /// entry per packet in flight.
     void check_stamps() const;
 
     Observer* owner_;
@@ -155,7 +147,6 @@ private:
     int pid_;
     const char* irq_name_ = nullptr;
     const char* ring_name_ = nullptr;
-    const capture::Nic* nic_ = nullptr;
     sim::SampleSet nic_to_kernel_ns_;
     std::deque<AppObserver> apps_;  // deque: stable addresses
 };
@@ -209,9 +200,9 @@ public:
     /// Folds the sample sets + frozen counter snapshots into the run's
     /// metrics.  `snapshots` must be in `add_sut` order; `generated` is the
     /// packet count emitted by the generator.  Consumes the sample sets.
-    /// Throws std::logic_error when a stamp FIFO does not hold one entry
-    /// per packet in flight: per app, accepted - dropped_buffer - delivered
-    /// (live counts), per NIC queue, the ring's occupancy.
+    /// Throws std::logic_error when an app's stamp FIFO does not hold one
+    /// entry per packet in flight: accepted - dropped_buffer - delivered
+    /// (live counts).
     RunMetrics finalize(const std::vector<SutSnapshot>& snapshots,
                         std::uint64_t generated);
 

@@ -6,13 +6,16 @@
 
 #include <sstream>
 
+#include "capbench/bpf/insn.hpp"
 #include "capbench/capture/driver.hpp"
 #include "capbench/capture/linux_socket.hpp"
 #include "capbench/dist/builtin.hpp"
 #include "capbench/harness/experiment.hpp"
 #include "capbench/harness/testbed.hpp"
+#include "capbench/load/disk.hpp"
 #include "capbench/net/headers.hpp"
 #include "capbench/pcap/file.hpp"
+#include "capbench/pcap/session.hpp"
 
 namespace capbench {
 namespace {
@@ -37,6 +40,13 @@ std::unique_ptr<harness::Testbed> run_bed(
     while (!done) bed->sim().run(bed->sim().now() + sim::seconds(1));
     bed->sim().run(bed->sim().now() + sim::seconds(3));
     return bed;
+}
+
+TEST(CaptureRecord, FitsInTwentyFourBytes) {
+    // Every buffered packet costs one record: at the thesis's 1 000 000
+    // packets, with 128 MB buffers holding most of them, each byte here is
+    // about a megabyte of peak memory per running point.
+    EXPECT_LE(sizeof(capture::CaptureRecord), 24u);
 }
 
 TEST(CaptureRecord, BufferedPacketsDoNotPinPayloads) {
@@ -81,13 +91,53 @@ TEST(CaptureRecord, DriverKeepsThePacketOnlyForAByteReader) {
         ASSERT_TRUE(batch.has_value());
         ASSERT_EQ(batch->packets.size(), 1u);
         const capture::CaptureRecord& rec = batch->packets.front();
-        EXPECT_EQ(rec.id, 7u);
         EXPECT_EQ(rec.frame_len, 600u);
         EXPECT_EQ(rec.caplen, 600u);
         EXPECT_EQ(rec.packet != nullptr, bytes);
         // Without a byte reader the payload is already back in the arena.
         const auto next = arena->make_full(8, 600, sim::SimTime{});
         EXPECT_EQ(arena->stats().payload_reuses, bytes ? 0u : 1u);
+    }
+}
+
+TEST(CaptureRecord, AppTakesTheFiltersCaplen) {
+    // `ret #64` keeps 64 bytes of every 600-byte frame, below the 1515-byte
+    // snaplen: the handler and the app's per-packet load (here its disk
+    // bytes) must see the tap's caplen, on the BPF and PF_PACKET stacks.
+    constexpr std::uint64_t kPackets = 500;
+    harness::TestbedConfig tb;
+    tb.gen.count = kPackets;
+    tb.gen.rate_mbps = 100.0;
+    tb.gen.full_bytes = true;
+    tb.gen.packet_size = 600 - net::kEthernetHeaderLen;
+    for (const char* name : {"moorhen", "snipe"}) {
+        auto sut = harness::standard_sut(name);
+        sut.buffer_bytes = 10u << 20;
+        sut.app_load.disk_bytes_per_packet = 200;
+        tb.suts.push_back(sut);
+    }
+    harness::Testbed bed{std::move(tb)};
+    bed.start_suts();
+    std::vector<std::uint64_t> handled(2, 0);
+    std::vector<std::uint64_t> wrong(2, 0);
+    for (std::size_t s = 0; s < 2; ++s) {
+        pcap::Session& session = *bed.suts()[s]->sessions()[0];
+        session.endpoint().install_filter({bpf::stmt(bpf::BPF_RET | bpf::BPF_K, 64)});
+        session.set_handler([&, s](const net::PacketPtr& p, std::uint32_t caplen) {
+            ++handled[s];
+            if (p->frame_len() != 600 || caplen != 64) ++wrong[s];
+        });
+    }
+    bool done = false;
+    bed.generator().start(sim::SimTime{}, [&] { done = true; });
+    while (!done) bed.sim().run(bed.sim().now() + sim::seconds(1));
+    bed.sim().run(bed.sim().now() + sim::seconds(3));
+    for (std::size_t s = 0; s < 2; ++s) {
+        SCOPED_TRACE(bed.suts()[s]->config().name);
+        EXPECT_EQ(handled[s], kPackets);
+        EXPECT_EQ(wrong[s], 0u);
+        const load::DiskModel& disk = *bed.suts()[s]->disk();
+        EXPECT_EQ(disk.bytes_written() + disk.queued(), kPackets * 64);
     }
 }
 

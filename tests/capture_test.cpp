@@ -39,6 +39,13 @@ void deliver(PacketTap& tap, const net::PacketPtr& p) {
     tap.commit(record(p), 0, 0);
 }
 
+/// Captured bytes of a fetched batch (after snaplen and filter).
+std::uint64_t caplen_sum(const StackEndpoint::Batch& batch) {
+    std::uint64_t sum = 0;
+    for (const CaptureRecord& r : batch.packets) sum += r.caplen;
+    return sum;
+}
+
 TEST(BsdBpf, StoresUntilFullThenRotatesOnOverflow) {
     Fixture f;
     // Each 1000-byte packet occupies 1000 + 18 header, word aligned = 1020.
@@ -52,7 +59,7 @@ TEST(BsdBpf, StoresUntilFullThenRotatesOnOverflow) {
     const auto batch = dev.fetch(999);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->packets.size(), 2u);
-    EXPECT_EQ(batch->bytes, 2000u);
+    EXPECT_EQ(caplen_sum(*batch), 2000u);
     // The third packet sits in the fresh STORE half.
     EXPECT_EQ(dev.stats().accepted, 3u);
     EXPECT_EQ(dev.stats().dropped_buffer, 0u);
@@ -90,7 +97,7 @@ TEST(BsdBpf, SnaplenTruncatesCaptureLength) {
     f.sim.run(f.sim.now() + sim::milliseconds(25));
     const auto batch = dev.fetch(999);
     ASSERT_TRUE(batch.has_value());
-    EXPECT_EQ(batch->bytes, 2u * 76u);
+    EXPECT_EQ(caplen_sum(*batch), 2u * 76u);
 }
 
 TEST(BsdBpf, OversizedPacketIsDroppedNotStored) {
@@ -116,7 +123,7 @@ TEST(BsdBpf, OversizedPacketIsDroppedNotStored) {
     const auto batch = dev.fetch(999);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->packets.size(), 1u);
-    EXPECT_EQ(batch->packets.front().id, 2u);
+    EXPECT_EQ(batch->packets.front().frame_len, 100u);
 }
 
 TEST(BsdBpf, FilterRejectsAndCountsSeparately) {
@@ -146,7 +153,7 @@ TEST(LinuxSocket, TruesizeChargesSlabRounded) {
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 64 * 1024, 1515};
     // 645-byte packet -> 2048 slab + 256 overhead = 2304 charged.
     deliver(sock, synthetic(1, 645));
-    EXPECT_EQ(sock.queued_truesize(), 2304u);
+    EXPECT_EQ(sock.buffer_occupancy(), 2304u);
 }
 
 TEST(LinuxSocket, DropsWhenRmemExhausted) {
@@ -159,7 +166,7 @@ TEST(LinuxSocket, DropsWhenRmemExhausted) {
     auto batch = sock.fetch(999);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(batch->packets.size(), 3u);
-    EXPECT_EQ(sock.queued_truesize(), 0u);
+    EXPECT_EQ(sock.buffer_occupancy(), 0u);
 }
 
 TEST(LinuxSocket, FetchChargesPerPacketSyscalls) {
@@ -188,7 +195,7 @@ TEST(LinuxSocket, FetchRespectsMaxPackets) {
 TEST(MmapRing, BoundedBySlots) {
     Fixture f;
     MmapRing ring{f.machine, OsSpec::linux_2_6_11(), 16 * 2048, 1515};
-    EXPECT_EQ(ring.slots(), 16u);
+    EXPECT_EQ(ring.buffer_capacity(), 16u);
     for (int i = 0; i < 20; ++i) deliver(ring, synthetic(i, 500));
     EXPECT_EQ(ring.stats().dropped_buffer, 4u);
     EXPECT_EQ(ring.fetch(999)->packets.size(), 16u);
@@ -297,12 +304,12 @@ TEST(BsdBpf, NoReArmAfterHoldReadyUntilNextFetch) {
 
     // HOLD is ready; the timer must NOT have re-armed.  A second packet
     // sits in STORE and stays there however long we wait...
-    deliver(dev, synthetic(2, 400));
+    deliver(dev, synthetic(2, 500));
     f.sim.run(sim::SimTime{} + sim::milliseconds(150));
     const auto first = dev.fetch(999);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->packets.size(), 1u);
-    EXPECT_EQ(first->packets.front().id, 1u);
+    EXPECT_EQ(first->packets.front().frame_len, 400u);
 
     // ...until the NEXT empty fetch arms a fresh timeout that rotates it.
     EXPECT_EQ(dev.fetch(999), std::nullopt);
@@ -310,7 +317,7 @@ TEST(BsdBpf, NoReArmAfterHoldReadyUntilNextFetch) {
     const auto second = dev.fetch(999);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->packets.size(), 1u);
-    EXPECT_EQ(second->packets.front().id, 2u);
+    EXPECT_EQ(second->packets.front().frame_len, 500u);
 }
 
 // ---- batch vector pooling -----------------------------------------------------
