@@ -717,5 +717,25 @@ TEST(ObsStamps, ObserverAttachedMidRunSeesRingFramesTrueArrivals) {
     expect_true_nic_stamps(rig, rig.observer.finalize({obs::SutSnapshot{}}, 5));
 }
 
+TEST(ObsStamps, ObserverDetachedBeforeServiceLeavesNoStaleNicStamps) {
+    // Frames enter the ring observed, then are served without the hooks.
+    // Their stamps left with the ring slots, so finalize finds nothing
+    // outstanding and the commits still carry the true arrivals.
+    NicRig rig{64};
+    rig.arrive(1, 3);
+    rig.sim.run(sim::SimTime{} + sim::nanoseconds(300));
+    ASSERT_EQ(rig.nic->queue_ring_occupancy(0), 3u);
+    rig.nic->set_observer(nullptr);
+    rig.sim.run();
+    EXPECT_EQ(rig.nic->queue_ring_occupancy(0), 0u);
+    ASSERT_EQ(rig.tap.commits.size(), 3u);
+    for (const StampTap::Commit& c : rig.tap.commits) {
+        EXPECT_EQ(c.arrival, static_cast<std::int64_t>(100 * c.id)) << c.id;
+    }
+    obs::RunMetrics m;
+    ASSERT_NO_THROW(m = rig.observer.finalize({obs::SutSnapshot{}}, 3));
+    EXPECT_EQ(m.suts[0].nic_to_kernel_ns.size(), 0u);
+}
+
 }  // namespace
 }  // namespace capbench
