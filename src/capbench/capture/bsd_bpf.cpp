@@ -6,20 +6,18 @@ namespace capbench::capture {
 
 BsdBpfDev::BsdBpfDev(hostsim::Machine& machine, const OsSpec& os, std::uint64_t buffer_bytes,
                      std::uint32_t snaplen)
-    : StackEndpoint(machine, os, snaplen), buffer_bytes_(buffer_bytes) {}
+    // catchpacket(): copy into the STORE half.  The working set is the
+    // double buffer itself — huge buffers spill the cache.
+    : StackEndpoint(machine, os, snaplen,
+                    {.copies_caplen = true,
+                     .working_set_bytes = static_cast<double>(2 * buffer_bytes)}),
+      buffer_bytes_(buffer_bytes) {}
 
 std::uint64_t BsdBpfDev::slot_bytes(std::uint32_t caplen) const {
     // Each packet occupies its capture length plus the bpf header, padded
     // to word alignment (BPF_WORDALIGN).
     const std::uint64_t raw = caplen + os_->bpf_hdr_bytes;
     return (raw + 3) & ~std::uint64_t{3};
-}
-
-void BsdBpfDev::plan_copy(hostsim::Work& work, std::uint32_t caplen) const {
-    // catchpacket(): copy into the STORE half.  The working set is the
-    // double buffer itself — huge buffers spill the cache.
-    work.copy_bytes += caplen;
-    work.working_set_bytes = static_cast<double>(2 * buffer_bytes_);
 }
 
 bool BsdBpfDev::store(CaptureRecord record) {

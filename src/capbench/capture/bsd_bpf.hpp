@@ -46,7 +46,6 @@ private:
         [[nodiscard]] bool empty() const { return packets.empty(); }
     };
 
-    void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
     bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
     /// The traced fill is STORE's, the half the kernel copies into.

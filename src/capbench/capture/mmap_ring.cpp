@@ -7,13 +7,9 @@ namespace capbench::capture {
 
 MmapRing::MmapRing(hostsim::Machine& machine, const OsSpec& os, std::uint64_t ring_bytes,
                    std::uint32_t snaplen, std::uint32_t frame_bytes)
-    : StackEndpoint(machine, os, snaplen),
-      slots_(std::max<std::size_t>(16, ring_bytes / std::max(frame_bytes, 256u))) {}
-
-void MmapRing::plan_copy(hostsim::Work& work, std::uint32_t caplen) const {
     // The kernel still copies the packet once, into the mapped ring.
-    work.copy_bytes += caplen;
-}
+    : StackEndpoint(machine, os, snaplen, {.copies_caplen = true}),
+      slots_(std::max<std::size_t>(16, ring_bytes / std::max(frame_bytes, 256u))) {}
 
 bool MmapRing::store(CaptureRecord record) {
     if (ring_.size() >= slots_) return false;

@@ -27,7 +27,6 @@ public:
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return slots_; }
 
 private:
-    void plan_copy(hostsim::Work& work, std::uint32_t caplen) const override;
     bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
 

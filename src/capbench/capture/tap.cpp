@@ -57,11 +57,21 @@ void StackEndpoint::install_filter(bpf::Program program) {
 hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {
     ++stats_.kernel_seen;
     const FilterRunner::Verdict verdict = filter_.run(*packet, snaplen_);
-    hostsim::Work work = os_->tap_per_packet;
-    work.cycles += verdict.insns * os_->filter_cycles_per_insn;
-    if (verdict.accept) plan_copy(work, verdict.caplen);
     pending_.push(verdict);
-    return work.scaled(os_->kernel_cost_multiplier);
+    // The tap's work plus the filter and the copy, scaled, with the
+    // operations of Work::scaled() in its order; built from scalars, as a
+    // Work updated in memory and reloaded whole stalls store forwarding.
+    const hostsim::Work& tap = os_->tap_per_packet;
+    const double cycles = tap.cycles + verdict.insns * os_->filter_cycles_per_insn;
+    double copy_bytes = tap.copy_bytes;
+    double working_set = tap.working_set_bytes;
+    if (verdict.accept && copy_.copies_caplen) {
+        copy_bytes += verdict.caplen;
+        if (copy_.working_set_bytes >= 0.0) working_set = copy_.working_set_bytes;
+    }
+    const double factor = os_->kernel_cost_multiplier;
+    return hostsim::Work{cycles * factor, tap.mem_misses * factor, copy_bytes * factor,
+                         working_set};
 }
 
 void StackEndpoint::commit(const CaptureRecord& record, std::int64_t arrival,
@@ -81,7 +91,7 @@ void StackEndpoint::commit(const CaptureRecord& record, std::int64_t arrival,
     }
     if (app_obs_ != nullptr)
         app_obs_->enqueued(arrival, handoff, machine_->sim().now(),
-                           static_cast<std::int64_t>(traced_occupancy()));
+                           [this] { return traced_occupancy(); });
 }
 
 std::optional<StackEndpoint::Batch> StackEndpoint::fetch(std::size_t max_packets) {
@@ -93,7 +103,7 @@ std::optional<StackEndpoint::Batch> StackEndpoint::fetch(std::size_t max_packets
     }
     stats_.delivered += batch.packets.size();
     if (app_obs_ != nullptr)
-        app_obs_->fetched(batch.packets.size(), static_cast<std::int64_t>(traced_occupancy()),
+        app_obs_->fetched(batch.packets.size(), [this] { return traced_occupancy(); },
                           machine_->sim().now());
     return batch;
 }

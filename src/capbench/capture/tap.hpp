@@ -282,12 +282,19 @@ public:
     void set_observer(obs::AppObserver* obs) { app_obs_ = obs; }
 
 protected:
-    StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen)
-        : machine_(&machine), os_(&os), snaplen_(snaplen) {}
+    /// The kernel's copy of an accepted packet into the stack's buffer,
+    /// planned on top of the tap's per-packet work.  PF_PACKET only clones
+    /// the skb, so by default nothing is copied.
+    struct KernelCopy {
+        bool copies_caplen = false;
+        double working_set_bytes = -1.0;  // the copy's working set; < 0 keeps the tap's
+    };
 
-    /// Adds the kernel's copy of an accepted packet to its planned work.
-    /// PF_PACKET only clones the skb, so the default adds nothing.
-    virtual void plan_copy(hostsim::Work& /*work*/, std::uint32_t /*caplen*/) const {}
+    StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen,
+                  KernelCopy copy)
+        : machine_(&machine), os_(&os), snaplen_(snaplen), copy_(copy) {}
+    StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen)
+        : StackEndpoint(machine, os, snaplen, KernelCopy{}) {}
 
     /// Buffers an accepted packet's record, its caplen set (waking the
     /// reader when the stack does); false means no buffer space — the
@@ -312,6 +319,7 @@ protected:
 
 private:
     std::uint32_t snaplen_;
+    KernelCopy copy_;
     FilterRunner filter_;
     PendingVerdicts pending_;  // FIFO plan->commit handoff
     CaptureStats stats_;

@@ -3,9 +3,9 @@
 namespace capbench::net {
 
 PacketArena::~PacketArena() {
-    // All packets are gone by now (each one's control block holds a
-    // shared_ptr to this arena), so every node and payload is back on its
-    // freelist and can be returned to the system.
+    // All packets are gone by now (the arena is destroyed only with no live
+    // node), so every node and payload is back on its freelist and can be
+    // returned to the system.
     while (free_nodes_ != nullptr) {
         FreeNode* next = free_nodes_->next;
         ::operator delete(static_cast<void*>(free_nodes_));
@@ -16,7 +16,7 @@ PacketArena::~PacketArena() {
 
 std::shared_ptr<Packet> PacketArena::make_synthetic(std::uint64_t id, std::uint32_t frame_len,
                                                     sim::SimTime sent_at) {
-    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
+    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(this), id,
                                         frame_len, sent_at);
 }
 
@@ -25,12 +25,20 @@ std::shared_ptr<Packet> PacketArena::make_full(std::uint64_t id, std::uint32_t f
     if (frame_len > kPayloadCapacity) {
         // Oversized frame: fall back to a packet-owned payload vector.
         ++stats_.oversize_payloads;
-        return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
+        return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(this), id,
                                             std::vector<std::byte>(frame_len), sent_at);
     }
     std::byte* payload = acquire_payload();
-    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(shared_from_this()), id,
+    return std::allocate_shared<Packet>(ArenaNodeAlloc<Packet>(this), id,
                                         frame_len, sent_at, payload, this);
+}
+
+void PacketArena::release_owners(PacketArena* arena) noexcept {
+    if (arena->live_nodes_ == 0) {
+        delete arena;
+        return;
+    }
+    arena->owned_ = false;
 }
 
 void* PacketArena::acquire_node(std::size_t bytes) {
@@ -39,23 +47,27 @@ void* PacketArena::acquire_node(std::size_t bytes) {
         // First allocation, growth, or (never in practice) a foreign node
         // size: take it from the system.  Foreign sizes are also released
         // back to the system in release_node.
+        void* fresh = ::operator new(bytes);
         ++stats_.node_allocs;
-        return ::operator new(bytes);
+        ++live_nodes_;
+        return fresh;
     }
     FreeNode* node = free_nodes_;
     free_nodes_ = node->next;
     ++stats_.node_reuses;
+    ++live_nodes_;
     return static_cast<void*>(node);
 }
 
 void PacketArena::release_node(void* p, std::size_t bytes) noexcept {
     if (bytes != node_size_ || bytes < sizeof(FreeNode)) {
         ::operator delete(p);
-        return;
+    } else {
+        auto* node = static_cast<FreeNode*>(p);
+        node->next = free_nodes_;
+        free_nodes_ = node;
     }
-    auto* node = static_cast<FreeNode*>(p);
-    node->next = free_nodes_;
-    free_nodes_ = node;
+    if (--live_nodes_ == 0 && !owned_) delete this;
 }
 
 std::byte* PacketArena::acquire_payload() {

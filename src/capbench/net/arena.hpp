@@ -11,16 +11,20 @@
 //
 //  * control blocks: packets are created with std::allocate_shared using a
 //    NodeAlloc that recycles the single combined (control block + Packet)
-//    node size through a freelist.  The allocator holds a
-//    shared_ptr<PacketArena>, so the arena stays alive until the last
-//    control block referencing it is destroyed — which is why PacketArena
-//    is always handled through PacketArena::create().
+//    node size through a freelist.  The allocator holds a plain pointer to
+//    the arena, so building and dropping a packet touches no atomic
+//    reference count.  The arena counts its live nodes instead: its owners
+//    hold the shared_ptr that PacketArena::create() returns, and when the
+//    last of them lets go while packets are still alive, the arena frees
+//    itself with the last of those packets.
 //  * payloads: full-mode packets draw a fixed 2 KiB buffer (enough for any
 //    standard Ethernet frame) from a second freelist and return it from
 //    ~Packet.  Oversized frames fall back to the packet-owned vector.
 //
 // Single-threaded by design, like everything inside one Testbed; parallel
 // sweeps give each replication its own Testbed and therefore its own arena.
+// A packet must be dropped on its arena's thread: the freelists and the
+// live-node count are plain.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +38,7 @@
 
 namespace capbench::net {
 
-class PacketArena : public std::enable_shared_from_this<PacketArena> {
+class PacketArena {
 public:
     /// Payload buffer size.  Covers every legal Ethernet frame (1518 B
     /// without FCS, plus slack for VLAN tags / jumbo-ish test frames).
@@ -48,10 +52,11 @@ public:
         std::uint64_t oversize_payloads = 0; // frames > kPayloadCapacity
     };
 
-    /// Arenas must be shared_ptr-managed (packet control blocks keep the
-    /// arena alive through the allocator they embed).
+    /// The arena's owners share the returned handle.  Dropping the last one
+    /// frees the arena at once when no packet of it is alive, else with the
+    /// last such packet.
     static std::shared_ptr<PacketArena> create() {
-        return std::shared_ptr<PacketArena>(new PacketArena());
+        return std::shared_ptr<PacketArena>(new PacketArena(), &PacketArena::release_owners);
     }
 
     PacketArena(const PacketArena&) = delete;
@@ -80,7 +85,12 @@ private:
 
     PacketArena() = default;
 
+    /// The owners' handle is gone: frees the arena unless packets remain.
+    static void release_owners(PacketArena* arena) noexcept;
+
     // ---- control-block nodes (single size, discovered at first alloc) ----
+    // Each acquired node is a live packet; releasing the last one of an
+    // arena without owners frees the arena.
     void* acquire_node(std::size_t bytes);
     void release_node(void* p, std::size_t bytes) noexcept;
 
@@ -93,20 +103,23 @@ private:
     };
 
     std::size_t node_size_ = 0;      // combined control block + Packet size
+    std::size_t live_nodes_ = 0;     // nodes acquired and not yet released
+    bool owned_ = true;              // create()'s handle is still held
     FreeNode* free_nodes_ = nullptr;
     std::vector<std::byte*> free_payloads_;
     Stats stats_;
 };
 
 /// Allocator used with std::allocate_shared: funnels the combined
-/// (control block + Packet) node through the arena's freelist and keeps the
-/// arena alive for as long as any control block it produced exists.
+/// (control block + Packet) node through the arena's freelist, whose
+/// live-node count keeps the arena alive for as long as any control block
+/// it produced exists.
 template <typename T>
 class ArenaNodeAlloc {
 public:
     using value_type = T;
 
-    explicit ArenaNodeAlloc(std::shared_ptr<PacketArena> arena) : arena_(std::move(arena)) {}
+    explicit ArenaNodeAlloc(PacketArena* arena) : arena_(arena) {}
 
     template <typename U>
     ArenaNodeAlloc(const ArenaNodeAlloc<U>& other) : arena_(other.arena_) {}
@@ -133,7 +146,7 @@ private:
     template <typename U>
     friend class ArenaNodeAlloc;
 
-    std::shared_ptr<PacketArena> arena_;
+    PacketArena* arena_;
 };
 
 }  // namespace capbench::net

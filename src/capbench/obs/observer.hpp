@@ -51,14 +51,16 @@ public:
 
     /// Packet stored in the capture buffer at `t`; it arrived at the NIC at
     /// `arrival` and was handed to the kernel at `handoff` (sim ns).
-    /// `occupancy` is the stack's post-enqueue buffer fill (bytes or slots,
-    /// stack-specific).
+    /// `occupancy()` gives the stack's post-enqueue buffer fill (bytes or
+    /// slots, stack-specific); it is called only when the run is traced.
+    template <typename Occupancy>
     void enqueued(std::int64_t arrival, std::int64_t handoff, sim::SimTime t,
-                  std::int64_t occupancy);
+                  Occupancy occupancy);
 
     /// A fetch() delivered the `n` oldest stored packets to the
-    /// application; `occupancy` is the post-drain fill.
-    void fetched(std::size_t n, std::int64_t occupancy, sim::SimTime t);
+    /// application; `occupancy()` gives the post-drain fill, as above.
+    template <typename Occupancy>
+    void fetched(std::size_t n, Occupancy occupancy, sim::SimTime t);
 
     /// A BPF filter was attached to this endpoint.  Attach time, not the
     /// hot path: bumps the per-SUT `bpf.*` counts (installs, decoded
@@ -84,10 +86,11 @@ private:
     /// stored while this observer watched.
     [[noreturn]] void unstamped_fetch(std::size_t n) const;
 
-    /// A stored record's stamps, in sim ns.
+    /// A stored record's stamps, in sim ns.  Trivial, so the FIFO grows by
+    /// block copies and leaves its spare slots uninitialised.
     struct Stored {
-        std::int64_t arrival = 0;
-        std::int64_t enqueue = 0;
+        std::int64_t arrival;
+        std::int64_t enqueue;
     };
 
     /// Attach-time filter counts behind the `bpf.*` views.
@@ -233,13 +236,14 @@ inline void SutObserver::ring_occupancy(sim::SimTime t, std::size_t frames) {
                     static_cast<std::int64_t>(frames));
 }
 
-inline void AppObserver::enqueued(std::int64_t arrival, std::int64_t handoff, sim::SimTime t,
-                                  std::int64_t occupancy) {
+template <typename Occupancy>
+void AppObserver::enqueued(std::int64_t arrival, std::int64_t handoff, sim::SimTime t,
+                           Occupancy occupancy) {
     stored_.push_back(Stored{arrival, t.ns()});
     if (!sut_->owner_->frozen()) enqueue_ns_.add(t.ns() - handoff);
     if (TraceSink* tr = sut_->owner_->trace_)
         tr->counter(sut_->pid_, kThreadTidBase + index_, occupancy_name_, t,
-                    occupancy);
+                    static_cast<std::int64_t>(occupancy()));
 }
 
 inline void AppObserver::disk_ring_occupancy(sim::SimTime t,
@@ -250,21 +254,18 @@ inline void AppObserver::disk_ring_occupancy(sim::SimTime t,
                     occupancy);
 }
 
-inline void AppObserver::fetched(std::size_t n, std::int64_t occupancy,
-                                 sim::SimTime t) {
+template <typename Occupancy>
+void AppObserver::fetched(std::size_t n, Occupancy occupancy, sim::SimTime t) {
     if (n > stored_.size()) [[unlikely]] unstamped_fetch(n);
-    const bool sampling = !sut_->owner_->frozen();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Stored s = stored_.front();
-        stored_.drop_front();
-        if (sampling) {
-            deliver_ns_.add(t.ns() - s.enqueue);
-            latency_ns_.add(t.ns() - s.arrival);
-        }
+    if (!sut_->owner_->frozen()) {
+        const std::int64_t now = t.ns();
+        deliver_ns_.add_n(n, [&](std::size_t i) { return now - stored_[i].enqueue; });
+        latency_ns_.add_n(n, [&](std::size_t i) { return now - stored_[i].arrival; });
     }
+    stored_.drop_front(n);
     if (TraceSink* tr = sut_->owner_->trace_)
         tr->counter(sut_->pid_, kThreadTidBase + index_, occupancy_name_, t,
-                    occupancy);
+                    static_cast<std::int64_t>(occupancy()));
 }
 
 }  // namespace capbench::obs

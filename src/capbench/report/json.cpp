@@ -1,8 +1,8 @@
 #include "capbench/report/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace capbench::report {
@@ -13,9 +13,25 @@ namespace {
     throw std::runtime_error(std::string("json: value is not ") + wanted);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
+/// The bytes the escape of byte c adds to it: 0 when c is written as is.
+std::size_t escape_extra(unsigned char c) {
+    if (c >= 0x20) return c == '"' || c == '\\' ? 1 : 0;
+    switch (c) {
+        case '\n': case '\r': case '\t': case '\b': case '\f': return 1;
+        default: return 5;  // \u00XX
+    }
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
-    for (const char c : s) {
+    // Characters that need no escape are appended in runs.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') [[likely]] continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -24,17 +40,20 @@ void append_escaped(std::string& out, const std::string& s) {
             case '\t': out += "\\t"; break;
             case '\b': out += "\\b"; break;
             case '\f': out += "\\f"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
+            default: {
+                const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+                out.append(esc, sizeof esc);
+            }
         }
     }
+    out.append(s, run, s.size() - run);
     out += '"';
+}
+
+void append_int(std::string& out, std::int64_t i) {
+    char buf[24];  // INT64_MIN takes 20
+    const auto res = std::to_chars(buf, buf + sizeof buf, i);
+    out.append(buf, res.ptr);
 }
 
 void append_double(std::string& out, double d) {
@@ -45,61 +64,113 @@ void append_double(std::string& out, double d) {
     }
     char buf[64];
     const auto res = std::to_chars(buf, buf + sizeof buf, d);
-    out.append(buf, res.ptr);
+    const std::string_view text(buf, static_cast<std::size_t>(res.ptr - buf));
+    out += text;
     // Keep doubles distinguishable from integers on re-parse.
-    if (out.find_first_of(".eE", out.size() - static_cast<std::size_t>(res.ptr - buf)) ==
-        std::string::npos)
-        out += ".0";
+    if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
-void dump_value(std::string& out, const JsonValue& v, int indent, int depth) {
-    const auto newline = [&](int level) {
-        if (indent <= 0) return;
-        out += '\n';
-        out.append(static_cast<std::size_t>(level * indent), ' ');
-    };
-    if (v.is_null()) {
-        out += "null";
-    } else if (v.is_bool()) {
-        out += v.as_bool() ? "true" : "false";
-    } else if (v.is_int()) {
-        out += std::to_string(v.as_int());
-    } else if (v.is_double()) {
-        append_double(out, v.as_double());
-    } else if (v.is_string()) {
-        append_escaped(out, v.as_string());
-    } else if (v.is_array()) {
-        const auto& a = v.as_array();
-        if (a.empty()) {
-            out += "[]";
-            return;
-        }
-        out += '[';
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            if (i > 0) out += ',';
-            newline(depth + 1);
-            dump_value(out, a[i], indent, depth + 1);
-        }
-        newline(depth);
-        out += ']';
-    } else {
-        const auto& o = v.as_object();
-        if (o.empty()) {
-            out += "{}";
-            return;
-        }
-        out += '{';
-        for (std::size_t i = 0; i < o.size(); ++i) {
-            if (i > 0) out += ',';
-            newline(depth + 1);
-            append_escaped(out, o[i].first);
-            out += indent > 0 ? ": " : ":";
-            dump_value(out, o[i].second, indent, depth + 1);
-        }
-        newline(depth);
-        out += '}';
+/// Serializes one document into `out`.  A first walk bounds its length
+/// (exact but for doubles, bounded by their longest form), so the output
+/// is allocated once; the second writes it, each newline with its
+/// indentation in one append.
+class Dumper {
+public:
+    Dumper(std::string& out, int indent) : out_(out), indent_(std::max(indent, 0)) {}
+
+    void dump(const JsonValue& v) {
+        out_.reserve(out_.size() + bound(v, 0));
+        value(v, 0);
     }
-}
+
+private:
+    /// A double's shortest round-trip form takes at most 24 bytes
+    /// ("-2.2250738585072014e-308"), and ".0" is added only to shorter ones.
+    static constexpr std::size_t kDoubleBound = 26;
+
+    [[nodiscard]] std::size_t newline_size(int level) const {
+        return indent_ > 0 ? 1 + static_cast<std::size_t>(level * indent_) : 0;
+    }
+
+    [[nodiscard]] static std::size_t string_size(std::string_view s) {
+        std::size_t n = s.size() + 2;
+        for (const char c : s) n += escape_extra(static_cast<unsigned char>(c));
+        return n;
+    }
+
+    [[nodiscard]] std::size_t bound(const JsonValue& v, int depth) const {
+        if (v.is_null()) return 4;
+        if (v.is_bool()) return 5;
+        if (v.is_int()) return 20;
+        if (v.is_double()) return kDoubleBound;
+        if (v.is_string()) return string_size(v.as_string());
+        const std::size_t separators = newline_size(depth + 1) + 1;  // newline and comma
+        std::size_t n = 2 + newline_size(depth);
+        if (v.is_array()) {
+            for (const JsonValue& e : v.as_array()) n += separators + bound(e, depth + 1);
+        } else {
+            const std::size_t colon = indent_ > 0 ? 2 : 1;
+            for (const auto& [key, e] : v.as_object())
+                n += separators + string_size(key) + colon + bound(e, depth + 1);
+        }
+        return n;
+    }
+
+    void newline(int level) {
+        if (indent_ <= 0) return;
+        const std::size_t n = newline_size(level);
+        if (pad_.size() < n) pad_.resize(n, ' ');
+        out_.append(pad_, 0, n);
+    }
+
+    void value(const JsonValue& v, int depth) {
+        if (v.is_null()) {
+            out_ += "null";
+        } else if (v.is_bool()) {
+            out_ += v.as_bool() ? "true" : "false";
+        } else if (v.is_int()) {
+            append_int(out_, v.as_int());
+        } else if (v.is_double()) {
+            append_double(out_, v.as_double());
+        } else if (v.is_string()) {
+            append_escaped(out_, v.as_string());
+        } else if (v.is_array()) {
+            const auto& a = v.as_array();
+            if (a.empty()) {
+                out_ += "[]";
+                return;
+            }
+            out_ += '[';
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                if (i > 0) out_ += ',';
+                newline(depth + 1);
+                value(a[i], depth + 1);
+            }
+            newline(depth);
+            out_ += ']';
+        } else {
+            const auto& o = v.as_object();
+            if (o.empty()) {
+                out_ += "{}";
+                return;
+            }
+            out_ += '{';
+            for (std::size_t i = 0; i < o.size(); ++i) {
+                if (i > 0) out_ += ',';
+                newline(depth + 1);
+                append_escaped(out_, o[i].first);
+                out_ += indent_ > 0 ? ": " : ":";
+                value(o[i].second, depth + 1);
+            }
+            newline(depth);
+            out_ += '}';
+        }
+    }
+
+    std::string& out_;
+    int indent_;
+    std::string pad_ = "\n";  // a newline and the deepest indentation so far
+};
 
 class Parser {
 public:
@@ -376,7 +447,7 @@ void JsonValue::push_back(JsonValue value) {
 
 std::string dump_json(const JsonValue& value, int indent) {
     std::string out;
-    dump_value(out, value, indent, 0);
+    Dumper{out, indent}.dump(value);
     return out;
 }
 

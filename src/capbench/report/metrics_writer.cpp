@@ -7,27 +7,23 @@
 namespace capbench::report {
 
 JsonValue MetricsWriter::summary(const sim::SampleSet::Summary& s) {
-    JsonValue out = JsonValue::object();
-    out.set("count", s.count);
-    out.set("min", s.min);
-    out.set("max", s.max);
-    out.set("mean", s.mean);
-    out.set("p50", s.p50);
-    out.set("p95", s.p95);
-    out.set("p99", s.p99);
-    return out;
+    return JsonValue::Object{{"count", s.count}, {"min", s.min}, {"max", s.max},
+                             {"mean", s.mean},   {"p50", s.p50}, {"p95", s.p95},
+                             {"p99", s.p99}};
 }
 
 JsonValue MetricsWriter::app(const obs::AppMetrics& a) {
-    JsonValue out = JsonValue::object();
-    out.set("delivered", a.delivered);
-    JsonValue drops = JsonValue::object();
-    for (const obs::DropSite& site : obs::kDropSites) drops.set(site.name, a.*site.member);
-    out.set("drops", std::move(drops));
-    out.set("latency_ns", summary(a.latency_ns.summary()));
-    out.set("enqueue_ns", summary(a.enqueue_ns.summary()));
-    out.set("deliver_ns", summary(a.deliver_ns.summary()));
-    return out;
+    JsonValue::Object drops;
+    drops.reserve(obs::kDropSites.size());
+    for (const obs::DropSite& site : obs::kDropSites) drops.emplace_back(site.name, a.*site.member);
+    JsonValue::Object out;
+    out.reserve(5);
+    out.emplace_back("delivered", a.delivered);
+    out.emplace_back("drops", std::move(drops));
+    out.emplace_back("latency_ns", summary(a.latency_ns.summary()));
+    out.emplace_back("enqueue_ns", summary(a.enqueue_ns.summary()));
+    out.emplace_back("deliver_ns", summary(a.deliver_ns.summary()));
+    return JsonValue{std::move(out)};
 }
 
 JsonValue MetricsWriter::sut(const obs::SutMetrics& s) {
@@ -56,7 +52,8 @@ JsonValue MetricsWriter::sut(const obs::SutMetrics& s) {
     }
     out.set("cpu", std::move(cpu));
 
-    JsonValue apps = JsonValue::array();
+    JsonValue::Array apps;
+    apps.reserve(s.apps.size());
     for (const auto& a : s.apps) apps.push_back(app(a));
     out.set("apps", std::move(apps));
     return out;
@@ -66,11 +63,13 @@ JsonValue MetricsWriter::point(double x, const obs::RunMetrics& m) {
     JsonValue out = JsonValue::object();
     out.set("x", x);
     out.set("generated", m.generated);
-    JsonValue suts = JsonValue::array();
+    JsonValue::Array suts;
+    suts.reserve(m.suts.size());
     for (const auto& s : m.suts) suts.push_back(sut(s));
     out.set("suts", std::move(suts));
-    JsonValue counters = JsonValue::object();
-    for (const auto& [name, value] : m.counters) counters.set(name, value);
+    JsonValue::Object counters;
+    counters.reserve(m.counters.size());
+    for (const auto& [name, value] : m.counters) counters.emplace_back(name, value);
     out.set("counters", std::move(counters));
     return out;
 }

@@ -12,17 +12,19 @@ namespace capbench::report {
 namespace {
 
 JsonValue series_array(const obs::Series& s) {
-    JsonValue out = JsonValue::array();
-    for (std::size_t i = 0; i < s.size(); ++i) out.push_back(s.at(i));
-    return out;
+    JsonValue::Array out;
+    out.reserve(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) out.emplace_back(s.at(i));
+    return JsonValue{std::move(out)};
 }
 
 /// A monotone counter column: the frozen aggregate plus its deltas.
 JsonValue counter(std::uint64_t total, const obs::Series& deltas) {
-    JsonValue out = JsonValue::object();
-    out.set("total", total);
-    out.set("deltas", series_array(deltas));
-    return out;
+    JsonValue::Object out;
+    out.reserve(2);
+    out.emplace_back("total", total);
+    out.emplace_back("deltas", series_array(deltas));
+    return JsonValue{std::move(out)};
 }
 
 const char* class_name(std::int64_t cls) {

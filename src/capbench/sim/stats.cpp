@@ -25,10 +25,24 @@ void double_in_place(std::vector<T>& v) {
     std::copy_n(v.begin(), n, v.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
-constexpr unsigned kRadixBits = 10;
-constexpr std::size_t kBuckets = std::size_t{1} << kRadixBits;
+/// A level counts into 2^b buckets, b from bit_width(n) - 2 clamped to
+/// [kMinRadixBits, kMaxRadixBits]: about n/4 to n/2 buckets, so a level's
+/// fixed work (clearing the counters, finding the ranks' buckets) stays
+/// below its per-sample work, and a kept bucket averages 2-4 samples.
+constexpr int kMinRadixBits = 6;
+constexpr int kMaxRadixBits = 10;
+constexpr std::size_t kMaxBuckets = std::size_t{1} << kMaxRadixBits;
 /// Sets no larger than this are sorted instead of counted.
 constexpr std::size_t kSortMax = 64;
+/// Sets of at least this many samples count into four interleaved
+/// histograms; smaller ones into one (clearing and merging four would
+/// cost more than it saves).
+constexpr std::size_t kInterleaveMin = 1024;
+/// The gather takes a branch per sample when the kept buckets hold under
+/// 1/kSparseRatio of the samples, so the branch is predicted.
+constexpr std::size_t kSparseRatio = 16;
+/// Gathers up to this many samples into a buffer on the stack.
+constexpr std::size_t kLocalGather = 512;
 /// p50, p95 and p99 each interpolate between two ranks.
 constexpr std::size_t kMaxRanks = 6;
 
@@ -45,11 +59,12 @@ void select_sorted(const T* x, std::size_t n, const std::size_t* rank, std::int6
 }
 
 /// select_sorted's contract for any n, given x's exact min `lo` and max
-/// `hi`: a radix multiselect.  One counting pass over 2^10 buckets of
+/// `hi`: a radix multiselect.  One counting pass over the buckets of
 /// (x - lo) >> shift finds each rank's bucket; one more pass copies only
-/// those buckets' samples into a buffer sized from their counts, and each
-/// bucket recurses on its own exact min and max.  A level divides the
-/// bucket width by 2^10, so a 64-bit range ends within seven levels.
+/// those buckets' samples, grouped by bucket, into a buffer sized from
+/// their counts, and each bucket recurses on its own exact min and max.
+/// A level divides the bucket width by at least 2^6, so a 64-bit range
+/// ends within eleven levels.
 template <typename T>
 void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
                   const std::size_t* rank, std::int64_t* value, std::size_t k) {
@@ -64,29 +79,37 @@ void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
     // Offsets from lo in unsigned arithmetic: hi - lo may exceed INT64_MAX.
     const auto base = static_cast<std::uint64_t>(lo);
     const std::uint64_t range = static_cast<std::uint64_t>(hi) - base;
-    const int width = std::bit_width(range);
-    const int shift = width > static_cast<int>(kRadixBits) ? width - static_cast<int>(kRadixBits) : 0;
+    const int bits =
+        std::clamp(static_cast<int>(std::bit_width(n)) - 2, kMinRadixBits, kMaxRadixBits);
+    const int width = static_cast<int>(std::bit_width(range));
+    const int shift = width > bits ? width - bits : 0;
     const std::size_t buckets = static_cast<std::size_t>(range >> shift) + 1;
-
-    // Four interleaved histograms: runs of equal samples would otherwise
-    // make every increment wait on the previous store to the same counter.
-    // 32-bit counts suffice: 2^32 samples would be 32 GiB of one set.
-    std::array<std::array<std::uint32_t, kBuckets>, 4> part;
-    for (auto& p : part) std::fill_n(p.begin(), buckets, 0U);
     const auto bucket = [&](T v) {
         return static_cast<std::size_t>(
             (static_cast<std::uint64_t>(static_cast<std::int64_t>(v)) - base) >> shift);
     };
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        ++part[0][bucket(x[i])];
-        ++part[1][bucket(x[i + 1])];
-        ++part[2][bucket(x[i + 2])];
-        ++part[3][bucket(x[i + 3])];
+
+    // 32-bit counts suffice: 2^32 samples would be 32 GiB of one set.
+    std::array<std::uint32_t, kMaxBuckets> count;
+    std::fill_n(count.begin(), buckets, 0U);
+    if (n < kInterleaveMin) {
+        for (std::size_t i = 0; i < n; ++i) ++count[bucket(x[i])];
+    } else {
+        // Four interleaved histograms: runs of equal samples would otherwise
+        // make every increment wait on the previous store to the same
+        // counter.
+        std::array<std::array<std::uint32_t, kMaxBuckets>, 3> part;
+        for (auto& p : part) std::fill_n(p.begin(), buckets, 0U);
+        std::size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            ++count[bucket(x[i])];
+            ++part[0][bucket(x[i + 1])];
+            ++part[1][bucket(x[i + 2])];
+            ++part[2][bucket(x[i + 3])];
+        }
+        for (; i < n; ++i) ++count[bucket(x[i])];
+        for (std::size_t c = 0; c < buckets; ++c) count[c] += part[0][c] + part[1][c] + part[2][c];
     }
-    for (; i < n; ++i) ++part[0][bucket(x[i])];
-    std::array<std::uint32_t, kBuckets>& count = part[0];
-    for (std::size_t c = 0; c < buckets; ++c) count[c] += part[1][c] + part[2][c] + part[3][c];
 
     // Each rank's bucket and its rank inside it; the ranks ascend, so do
     // their buckets, and equal buckets are adjacent.
@@ -108,7 +131,7 @@ void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
     // The distinct buckets, their slots, and where each slot starts in the
     // gathered samples.
     constexpr std::uint8_t kSkip = 0xFF;
-    std::array<std::uint8_t, kBuckets> slot;
+    std::array<std::uint8_t, kMaxBuckets> slot;
     std::fill_n(slot.begin(), buckets, kSkip);
     std::array<std::size_t, kMaxRanks> start;
     std::array<std::size_t, kMaxRanks> cursor;
@@ -121,21 +144,35 @@ void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
         gathered += count[bucket_of[j]];
         ++slots;
     }
-    // Gather without a branch: every sample is written and the cursor
-    // steps past the kept ones (so one spare cell).  With several slots,
-    // their samples are then split apart in slot order.
-    const auto kept = std::make_unique_for_overwrite<T[]>(gathered + 1);
-    std::size_t m = 0;
-    for (i = 0; i < n; ++i) {
-        kept[m] = x[i];
-        m += slot[bucket(x[i])] != kSkip;
-    }
-    std::unique_ptr<T[]> split;
-    const T* buf = kept.get();
-    if (slots > 1) {
-        split = std::make_unique_for_overwrite<T[]>(gathered);
-        for (i = 0; i < m; ++i) split[cursor[slot[bucket(kept[i])]]++] = kept[i];
-        buf = split.get();
+    // One spare cell for the branchless gather below.
+    std::array<T, kLocalGather + 1> local;
+    std::unique_ptr<T[]> heap;
+    T* const buf = gathered < local.size()
+                       ? local.data()
+                       : (heap = std::make_unique_for_overwrite<T[]>(gathered + 1)).get();
+    if (gathered * kSparseRatio < n) {
+        // Few kept samples: a rarely taken, well predicted branch writes
+        // each straight into its slot.
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint8_t s = slot[bucket(x[i])];
+            if (s != kSkip) [[unlikely]] buf[cursor[s]++] = x[i];
+        }
+    } else {
+        // Many (a bucket of ties): that branch would mispredict, so every
+        // sample is written and the cursor steps past the kept ones.  With
+        // several slots, the kept samples are then split apart in slot
+        // order.
+        std::unique_ptr<T[]> kept;
+        T* const dst = slots == 1
+                           ? buf
+                           : (kept = std::make_unique_for_overwrite<T[]>(gathered + 1)).get();
+        std::size_t m = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            dst[m] = x[i];
+            m += slot[bucket(x[i])] != kSkip;
+        }
+        if (slots > 1)
+            for (std::size_t i = 0; i < m; ++i) buf[cursor[slot[bucket(dst[i])]]++] = dst[i];
     }
 
     for (std::size_t j = 0; j < k;) {
@@ -155,21 +192,14 @@ void select_ranks(const T* x, std::size_t n, std::int64_t lo, std::int64_t hi,
     }
 }
 
-/// The summary of `v`, which it only reads: an integer pass for min, max
-/// and the sum, then one multiselect of the six ranks p50/p95/p99
-/// interpolate between.
+/// The summary of `v`, which it only reads, given its exact min `lo`, max
+/// `hi` and wrapping integer sum: one multiselect of the six ranks
+/// p50/p95/p99 interpolate between.
 template <typename T>
-SampleSet::Summary digest(const std::vector<T>& v) {
+SampleSet::Summary digest(const std::vector<T>& v, std::int64_t lo, std::int64_t hi,
+                          std::uint64_t sum) {
     SampleSet::Summary s;
     if (v.empty()) return s;
-    T lo = v.front();
-    T hi = v.front();
-    std::uint64_t sum = 0;  // wraps instead of overflowing; see the mean
-    for (const T x : v) {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-        sum += static_cast<std::uint64_t>(x);
-    }
     const std::size_t n = v.size();
     s.count = n;
     s.min = static_cast<double>(lo);
@@ -225,9 +255,22 @@ void SampleSet::widen() {
     std::vector<std::uint32_t>{}.swap(narrow_);
 }
 
+SampleSet& SampleSet::operator=(SampleSet&& other) noexcept {
+    narrow_ = std::exchange(other.narrow_, {});
+    wide_ = std::exchange(other.wide_, {});
+    digest_ = std::exchange(other.digest_, std::nullopt);
+    lo_ = std::exchange(other.lo_, std::numeric_limits<std::int64_t>::max());
+    hi_ = std::exchange(other.hi_, std::numeric_limits<std::int64_t>::min());
+    sum_ = std::exchange(other.sum_, 0);
+    return *this;
+}
+
 void SampleSet::append(const SampleSet& other) {
     if (digest_) released("append");
     if (other.digest_) released("append (from)");
+    lo_ = std::min(lo_, other.lo_);
+    hi_ = std::max(hi_, other.hi_);
+    sum_ += other.sum_;  // a self-append doubles it, as it doubles the set
     if (&other == this) {
         if (wide()) double_in_place(wide_);
         else double_in_place(narrow_);
@@ -245,14 +288,33 @@ void SampleSet::append(const SampleSet& other) {
 
 SampleSet::Summary SampleSet::summary() const {
     if (digest_) return *digest_;
-    return wide() ? digest(wide_) : digest(narrow_);
+    return wide() ? digest(wide_, lo_, hi_, sum_) : digest(narrow_, lo_, hi_, sum_);
+}
+
+void SampleSet::keep(const Summary& digest) {
+    digest_ = digest;
+    std::vector<std::uint32_t>{}.swap(narrow_);
+    std::vector<std::int64_t>{}.swap(wide_);
 }
 
 void SampleSet::summarize() {
-    if (digest_) return;
-    digest_ = summary();
-    std::vector<std::uint32_t>{}.swap(narrow_);
-    std::vector<std::int64_t>{}.swap(wide_);
+    if (!digest_) keep(summary());
+}
+
+void SampleSet::summarize_all(std::span<SampleSet* const> sets) {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        SampleSet& s = *sets[i];
+        if (s.digest_) continue;
+        const Summary digest = s.summary();
+        // The carried count, min, max and sum rule out most other sets
+        // before their samples are compared.
+        for (SampleSet* t : sets.subspan(i + 1)) {
+            if (!t->digest_ && t->size() == s.size() && t->lo_ == s.lo_ && t->hi_ == s.hi_ &&
+                t->sum_ == s.sum_ && t->narrow_ == s.narrow_ && t->wide_ == s.wide_)
+                t->keep(digest);
+        }
+        s.keep(digest);
+    }
 }
 
 }  // namespace capbench::sim

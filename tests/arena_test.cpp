@@ -1,6 +1,8 @@
 // PacketArena unit tests: recycling behaviour, payload ownership, arena
-// lifetime via the control-block reference, and the oversize fallback.
+// lifetime via the live-node count, and the oversize fallback.
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,13 +65,66 @@ TEST(PacketArena, PacketsKeepTheArenaAlive) {
         auto arena = net::PacketArena::create();
         raw = arena.get();
         survivor = arena->make_full(0, 128, sim::SimTime{});
-        // Arena handle dropped here; the packet's control block still
-        // holds a reference.
+        // Arena handle dropped here; the packet's node is still live.
     }
     ASSERT_TRUE(survivor->has_bytes());
     EXPECT_EQ(survivor->bytes().size(), 128u);
     EXPECT_NE(raw, nullptr);
     survivor.reset();  // last reference: packet, then payload, then arena die
+}
+
+TEST(PacketArena, PacketsOutliveTheArenasLastOwner) {
+    // As a generator's packets kept after its Testbed is gone: the arena
+    // must free itself with the last of them, whatever their kind and the
+    // order they go in (AddressSanitizer reports a leak or a use after
+    // free otherwise).
+    std::vector<net::PacketPtr> kept;
+    std::weak_ptr<net::PacketArena> owner;
+    {
+        auto arena = net::PacketArena::create();
+        owner = arena;
+        auto second_owner = arena;  // handles are shared among owners
+        for (std::uint64_t i = 0; i < 64; ++i) {
+            if (i % 3 == 0) {
+                kept.push_back(arena->make_synthetic(i, 60, sim::SimTime{}));
+                continue;
+            }
+            const std::uint32_t len =
+                i % 3 == 1 ? 64 : net::PacketArena::kPayloadCapacity + 1;  // oversize
+            std::shared_ptr<net::Packet> p = arena->make_full(i, len, sim::SimTime{});
+            for (std::byte& b : p->mutable_bytes()) b = static_cast<std::byte>(i);
+            kept.push_back(std::move(p));
+        }
+        // Recycled nodes and payloads count as live again.
+        for (std::size_t i = 0; i < kept.size(); i += 4) kept[i].reset();
+        for (std::uint64_t i = 0; i < 16; ++i)
+            kept.push_back(arena->make_full(100 + i, 128, sim::SimTime{}));
+    }
+    EXPECT_TRUE(owner.expired());  // the handle is gone, the packets are not
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+        if (kept[i] == nullptr || !kept[i]->has_bytes()) continue;
+        const auto want = static_cast<std::byte>(kept[i]->id());
+        for (const std::byte b : kept[i]->bytes())
+            if (kept[i]->id() < 100) ASSERT_EQ(b, want) << "packet " << kept[i]->id();
+    }
+    // Drop from both ends toward the middle; the last one frees the arena.
+    std::size_t lo = 0;
+    std::size_t hi = kept.size();
+    while (lo < hi) {
+        kept[lo++].reset();
+        if (lo < hi) kept[--hi].reset();
+    }
+}
+
+TEST(PacketArena, DroppingTheLastOwnerWithNoPacketsFreesTheArena) {
+    std::weak_ptr<net::PacketArena> owner;
+    {
+        auto arena = net::PacketArena::create();
+        owner = arena;
+        { auto p = arena->make_full(0, 64, sim::SimTime{}); }
+        EXPECT_EQ(arena->stats().node_allocs, 1u);
+    }
+    EXPECT_TRUE(owner.expired());  // AddressSanitizer reports a leak otherwise
 }
 
 }  // namespace

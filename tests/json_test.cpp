@@ -3,6 +3,11 @@
 // determinism tests build on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "capbench/report/json.hpp"
 
 namespace capbench::report {
@@ -35,6 +40,52 @@ TEST(JsonDump, EscapesStrings) {
     JsonValue v{"a\"b\\c\nd\te\x01"};
     // Control characters escape as \uXXXX.
     EXPECT_EQ(dump_json(v, 0), R"("a\"b\\c\nd\te\u0001")");
+}
+
+TEST(JsonDump, EscapesInsideLongStringsExactly) {
+    // Escapes at the start, in the middle and at the end of runs longer
+    // than any small-string buffer, an embedded NUL, and DEL and UTF-8
+    // bytes, which pass through.
+    const std::string run(40, 'a');
+    std::string s = "\"" + run + '\\' + run + std::string(1, '\0') + "\x1f" + run + "\x7f" +
+                    "\xc3\xa9" + "\b\f\n\r\t" + run + "\\\"";
+    const std::string want = "\"\\\"" + run + "\\\\" + run + "\\u0000\\u001f" + run + "\x7f" +
+                             "\xc3\xa9" + "\\b\\f\\n\\r\\t" + run + "\\\\\\\"\"";
+    EXPECT_EQ(dump_json(JsonValue{s}, 0), want);
+    EXPECT_EQ(parse_json(want).as_string(), s);
+    // Keys escape the same way.
+    JsonValue obj = JsonValue::object();
+    obj.set(run + "\x01\"", 1);
+    EXPECT_EQ(dump_json(obj, 0), "{\"" + run + "\\u0001\\\"\":1}");
+}
+
+TEST(JsonDump, IntegersAtTheEndsOfInt64) {
+    JsonValue a = JsonValue::array();
+    a.push_back(std::numeric_limits<std::int64_t>::min());
+    a.push_back(std::numeric_limits<std::int64_t>::max());
+    a.push_back(std::int64_t{0});
+    a.push_back(std::int64_t{-1});
+    a.push_back(std::numeric_limits<std::uint64_t>::max());  // stored as int64 -1
+    EXPECT_EQ(dump_json(a, 0), "[-9223372036854775808,9223372036854775807,0,-1,-1]");
+    EXPECT_EQ(dump_json(a, 2),
+              "[\n  -9223372036854775808,\n  9223372036854775807,\n  0,\n  -1,\n  -1\n]");
+    EXPECT_EQ(parse_json(dump_json(a, 0)), a);
+}
+
+TEST(JsonDump, DoublesWithoutAFractionGainDotZero) {
+    const std::pair<double, const char*> cases[] = {
+        {0.0, "0.0"},
+        {-0.0, "-0.0"},
+        {-5.0, "-5.0"},
+        {123456789.0, "123456789.0"},
+        {9007199254740992.0, "9007199254740992.0"},  // 2^53
+        {1e16, "1e+16"},                              // shorter in exponent form
+        {1e21, "1e+21"},
+        {2.5e-7, "2.5e-07"},
+        {0.5, "0.5"},
+        {std::numeric_limits<double>::infinity(), "null"},
+    };
+    for (const auto& [d, want] : cases) EXPECT_EQ(dump_json(JsonValue{d}, 0), want) << d;
 }
 
 TEST(JsonDump, DoublesKeepTypeOnReparse) {

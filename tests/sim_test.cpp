@@ -11,6 +11,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -181,6 +182,43 @@ TEST(RingBuffer, EmplaceBackHandsOutSpareSlotsAfterGrowthAndDropFront) {
     EXPECT_EQ(wrap.emplace_back().value, -7);
     EXPECT_EQ(wrap.capacity(), 16u);
     EXPECT_EQ(wrap.front().value, 102);
+}
+
+/// Trivially copyable with no default member initialisers, like the
+/// observer's stamp FIFO entries: it grows by block copies.
+struct Stamp {
+    std::int64_t id;
+    std::int64_t at;
+};
+static_assert(std::is_trivially_copyable_v<Stamp>);
+
+TEST(RingBuffer, TriviallyCopyableElementsGrowAcrossAWrappedHead) {
+    RingBuffer<Stamp> rb;
+    for (std::int64_t i = 0; i < 16; ++i) rb.push_back(Stamp{i, 10 * i});
+    for (int i = 0; i < 5; ++i) rb.drop_front();
+    // Wrap the tail onto slots 0..4, filling the ring with head at slot 5.
+    for (std::int64_t i = 16; i < 21; ++i) rb.push_back(Stamp{i, 10 * i});
+    EXPECT_EQ(rb.capacity(), 16u);
+    // Growth copies [5, 16) and then [0, 5) to the front of the new array.
+    rb.push_back(Stamp{21, 210});
+    EXPECT_EQ(rb.capacity(), 32u);
+    // The spare slots past the copied ones are usable in place.
+    for (std::int64_t i = 22; i < 32; ++i) {
+        Stamp& slot = rb.emplace_back();
+        slot.id = i;
+        slot.at = 10 * i;
+    }
+    EXPECT_EQ(rb.capacity(), 32u);
+    rb.push_front(Stamp{4, 40});  // wraps the head onto the last slot
+    for (std::int64_t i = 32; i < 40; ++i) rb.push_back(Stamp{i, 10 * i});  // grows again
+    EXPECT_EQ(rb.capacity(), 64u);
+    for (std::int64_t i = 4; i < 40; ++i) {
+        ASSERT_FALSE(rb.empty());
+        EXPECT_EQ(rb.front().id, i);
+        EXPECT_EQ(rb.front().at, 10 * i);
+        rb.drop_front();
+    }
+    EXPECT_TRUE(rb.empty());
 }
 
 TEST(RingBuffer, ClearKeepsTheCapacity) {
@@ -410,23 +448,39 @@ void expect_matches_oracle(const std::vector<std::int64_t>& xs, const std::strin
     expect_same_summary(set.summary(), want, check_mean, where);
 }
 
+/// Set sizes 2^k - 1, 2^k and 2^k + 1 at every size where the digest's
+/// layout changes: sorting gives way to counting above 2^6, the radix grows
+/// by a bit at 2^8, 2^9, 2^10 and 2^11, and the four interleaved
+/// histograms start at 2^10.
+std::vector<std::size_t> layout_boundary_sizes() {
+    std::vector<std::size_t> sizes;
+    for (const int k : {6, 8, 9, 10, 11}) {
+        const std::size_t p = std::size_t{1} << k;
+        sizes.insert(sizes.end(), {p - 1, p, p + 1});
+    }
+    return sizes;
+}
+
 TEST(SampleSet, SelectionSummaryMatchesTheSortedOracleBitForBit) {
     // 0..3 cover the small-set edges (at 3, p95 and p99 share a rank); at
     // 30 p95's upper neighbour is p99's rank; at 101 every q*(n-1) the
     // summary asks for is integral, so frac is 0.
-    constexpr std::size_t kSizes[] = {0, 1, 2, 3, 30, 100, 101, 3000};
-    constexpr std::size_t kNumSizes = std::size(kSizes);
+    std::vector<std::size_t> sizes = {0, 1, 2, 3, 30, 100, 101, 3000};
+    for (const std::size_t n : layout_boundary_sizes()) sizes.push_back(n);
+    const std::size_t num_sizes = sizes.size();
     enum Shape { kRandom, kAllEqual, kHeavyTie, kAscending, kDescending, kShapes };
     // At most 3000 < 2^12 samples of at most 2^40 ns keep every sum below
     // 2^52, so the mean is always compared.
     constexpr std::int64_t kMagnitudes[] = {1 << 10, 1 << 20, std::int64_t{1} << 40};
-    constexpr int kSets = 1200;  // every size x shape x magnitude, 10 times
+    // Every size x shape x magnitude, 10 times.
+    const int sets = static_cast<int>(num_sizes) * kShapes * 3 * 10;
 
     Rng rng{2026};
-    for (int i = 0; i < kSets; ++i) {
-        const std::size_t n = kSizes[i % kNumSizes];
-        const auto shape = static_cast<Shape>(i / kNumSizes % kShapes);
-        const std::int64_t mag = kMagnitudes[i / (kNumSizes * kShapes) % 3];
+    for (int i = 0; i < sets; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        const std::size_t n = sizes[u % num_sizes];
+        const auto shape = static_cast<Shape>(u / num_sizes % kShapes);
+        const std::int64_t mag = kMagnitudes[u / (num_sizes * kShapes) % 3];
         std::vector<std::int64_t> xs(n);
         const std::int64_t constant = rng.next_in(0, mag);
         for (std::int64_t& x : xs) {
@@ -476,6 +530,8 @@ TEST(SampleSet, RadixSelectionMatchesTheSortedOracleOnEdgeShapes) {
     };
     std::vector<std::size_t> sizes;
     for (std::size_t n = 1; n <= 130; ++n) sizes.push_back(n);
+    for (const std::size_t n : layout_boundary_sizes())
+        if (n > 130) sizes.push_back(n);
     sizes.push_back(1000);
     sizes.push_back(100'000);
     for (const auto& [name, sample] : shapes) {
@@ -605,6 +661,75 @@ TEST(SampleSet, AppendCoversEveryWidthPairAndSelfAppend) {
         EXPECT_EQ(s.size(), 2 * xs.size());
         expect_same_summary(s.summary(), SortedOracle{concat(xs, xs)}.summary(), true,
                             was_wide ? "wide self-append" : "narrow self-append");
+    }
+}
+
+TEST(SampleSet, AddNMatchesAddOneByOne) {
+    // Batches that stay narrow, cross 2^32 in the middle, land on a wide
+    // set, and are empty; each set must keep the values, order and width
+    // of add() one by one, and digest as the sorted oracle says.
+    constexpr std::int64_t k2to32 = std::int64_t{1} << 32;
+    Rng rng{34};
+    std::vector<std::vector<std::int64_t>> batches;
+    for (const std::size_t n : {0, 1, 7, 300}) {
+        batches.emplace_back(n);
+        for (std::int64_t& x : batches.back()) x = rng.next_in(0, k2to32 - 1);
+    }
+    batches.push_back({5, 9, k2to32, 3, -2, 8});  // widens at index 2
+    batches.push_back({11, 2, 40});              // onto the wide set
+    SampleSet batched;
+    SampleSet single;
+    std::vector<std::int64_t> all;
+    for (const auto& batch : batches) {
+        std::size_t calls = 0;
+        batched.add_n(batch.size(), [&](std::size_t i) {
+            ++calls;
+            return batch[i];
+        });
+        EXPECT_GE(calls, batch.size());
+        for (const std::int64_t x : batch) single.add(x);
+        all.insert(all.end(), batch.begin(), batch.end());
+        EXPECT_EQ(batched.wide(), single.wide());
+        EXPECT_EQ(batched.size(), all.size());
+        expect_same_summary(batched.summary(), SortedOracle{all}.summary(), true,
+                            "after " + std::to_string(all.size()));
+    }
+    EXPECT_TRUE(batched.wide());
+    batched.summarize();
+    EXPECT_THROW(batched.add_n(1, [](std::size_t) { return std::int64_t{1}; }),
+                 std::logic_error);
+}
+
+TEST(SampleSet, MovedFromSetsStartEmpty) {
+    SampleSet a;
+    for (const std::int64_t x : {4, 9, 2}) a.add(x);
+    SampleSet b = std::move(a);
+    a.add(100);  // NOLINT(bugprone-use-after-move): a moved-from set is empty
+    EXPECT_EQ(a.size(), 1u);
+    expect_same_summary(a.summary(), SortedOracle{{100}}.summary(), true, "moved-from");
+    expect_same_summary(b.summary(), SortedOracle{{4, 9, 2}}.summary(), true, "moved-to");
+}
+
+TEST(SampleSet, SummarizeAllDigestsEqualSetsOnceAndEachSetExactly) {
+    // Equal sets, a permutation and a set with the same count, min, max
+    // and sum but other values; each must end with its own oracle digest.
+    const std::vector<std::vector<std::int64_t>> samples = {
+        {5, 1, 9, 3, 7},  {5, 1, 9, 3, 7}, {1, 3, 5, 7, 9},
+        {5, 1, 9, 4, 6},  {5, 1, 9, 3, 7}, {std::int64_t{1} << 33, -4, 2},
+        {std::int64_t{1} << 33, -4, 2},   {},
+    };
+    std::vector<SampleSet> sets;
+    for (const auto& xs : samples) sets.push_back(set_of(xs));
+    sets[4].summarize();  // already summarized: kept as it is
+    std::vector<SampleSet*> ptrs;
+    for (SampleSet& s : sets) ptrs.push_back(&s);
+    SampleSet::summarize_all(ptrs);
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+        EXPECT_EQ(sets[i].storage_bytes(), 0u) << i;
+        EXPECT_EQ(sets[i].size(), samples[i].size()) << i;
+        expect_same_summary(sets[i].summary(), SortedOracle{samples[i]}.summary(), true,
+                            "set " + std::to_string(i));
+        EXPECT_THROW(sets[i].add(1), std::logic_error) << i;
     }
 }
 
