@@ -8,7 +8,8 @@ namespace capbench::capture {
 MmapRing::MmapRing(hostsim::Machine& machine, const OsSpec& os, std::uint64_t ring_bytes,
                    std::uint32_t snaplen, std::uint32_t frame_bytes)
     // The kernel still copies the packet once, into the mapped ring.
-    : StackEndpoint(machine, os, snaplen, {.copies_caplen = true}),
+    : StackEndpoint(machine, os, snaplen,
+                    {.copies_caplen = true, .working_set_bytes = std::nullopt}),
       slots_(std::max<std::size_t>(16, ring_bytes / std::max(frame_bytes, 256u))) {}
 
 bool MmapRing::store(CaptureRecord record) {

@@ -67,7 +67,7 @@ hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {
     double working_set = tap.working_set_bytes;
     if (verdict.accept && copy_.copies_caplen) {
         copy_bytes += verdict.caplen;
-        if (copy_.working_set_bytes >= 0.0) working_set = copy_.working_set_bytes;
+        working_set = copy_.working_set_bytes.value_or(working_set);
     }
     const double factor = os_->kernel_cost_multiplier;
     return hostsim::Work{cycles * factor, tap.mem_misses * factor, copy_bytes * factor,

@@ -286,15 +286,13 @@ protected:
     /// planned on top of the tap's per-packet work.  PF_PACKET only clones
     /// the skb, so by default nothing is copied.
     struct KernelCopy {
-        bool copies_caplen = false;
-        double working_set_bytes = -1.0;  // the copy's working set; < 0 keeps the tap's
+        bool copies_caplen;
+        std::optional<double> working_set_bytes;  // the copy's; none keeps the tap's
     };
 
     StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen,
-                  KernelCopy copy)
+                  KernelCopy copy = {})
         : machine_(&machine), os_(&os), snaplen_(snaplen), copy_(copy) {}
-    StackEndpoint(hostsim::Machine& machine, const OsSpec& os, std::uint32_t snaplen)
-        : StackEndpoint(machine, os, snaplen, KernelCopy{}) {}
 
     /// Buffers an accepted packet's record, its caplen set (waking the
     /// reader when the stack does); false means no buffer space — the

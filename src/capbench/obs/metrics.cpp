@@ -1,7 +1,6 @@
 #include "capbench/obs/metrics.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "capbench/capture/tap.hpp"
 
@@ -75,16 +74,14 @@ void RunMetrics::merge(const RunMetrics& other) {
 }
 
 void RunMetrics::summarize() {
-    // One digest per distinct set: apps of one SUT that all store every
-    // packet see the same enqueue delays (fig 6.8: about a quarter of the
-    // sets).
-    std::vector<sim::SampleSet*> sets;
     for (SutMetrics& sut : suts) {
-        sets.push_back(&sut.nic_to_kernel_ns);
-        for (AppMetrics& app : sut.apps)
-            sets.insert(sets.end(), {&app.latency_ns, &app.enqueue_ns, &app.deliver_ns});
+        sut.nic_to_kernel_ns.summarize();
+        for (AppMetrics& app : sut.apps) {
+            app.latency_ns.summarize();
+            app.enqueue_ns.summarize();
+            app.deliver_ns.summarize();
+        }
     }
-    sim::SampleSet::summarize_all(sets);
 }
 
 }  // namespace capbench::obs

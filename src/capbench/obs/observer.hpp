@@ -86,8 +86,8 @@ private:
     /// stored while this observer watched.
     [[noreturn]] void unstamped_fetch(std::size_t n) const;
 
-    /// A stored record's stamps, in sim ns.  Trivial, so the FIFO grows by
-    /// block copies and leaves its spare slots uninitialised.
+    /// A stored record's stamps, in sim ns.  Trivial, so the FIFO's growth
+    /// leaves its spare slots uninitialised.
     struct Stored {
         std::int64_t arrival;
         std::int64_t enqueue;

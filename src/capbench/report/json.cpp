@@ -13,15 +13,6 @@ namespace {
     throw std::runtime_error(std::string("json: value is not ") + wanted);
 }
 
-/// The bytes the escape of byte c adds to it: 0 when c is written as is.
-std::size_t escape_extra(unsigned char c) {
-    if (c >= 0x20) return c == '"' || c == '\\' ? 1 : 0;
-    switch (c) {
-        case '\n': case '\r': case '\t': case '\b': case '\f': return 1;
-        default: return 5;  // \u00XX
-    }
-}
-
 void append_escaped(std::string& out, std::string_view s) {
     static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
@@ -70,55 +61,18 @@ void append_double(std::string& out, double d) {
     if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
-/// Serializes one document into `out`.  A first walk bounds its length
-/// (exact but for doubles, bounded by their longest form), so the output
-/// is allocated once; the second writes it, each newline with its
-/// indentation in one append.
+/// Serializes one document into `out`, each newline with its indentation
+/// in one append.
 class Dumper {
 public:
     Dumper(std::string& out, int indent) : out_(out), indent_(std::max(indent, 0)) {}
 
-    void dump(const JsonValue& v) {
-        out_.reserve(out_.size() + bound(v, 0));
-        value(v, 0);
-    }
+    void dump(const JsonValue& v) { value(v, 0); }
 
 private:
-    /// A double's shortest round-trip form takes at most 24 bytes
-    /// ("-2.2250738585072014e-308"), and ".0" is added only to shorter ones.
-    static constexpr std::size_t kDoubleBound = 26;
-
-    [[nodiscard]] std::size_t newline_size(int level) const {
-        return indent_ > 0 ? 1 + static_cast<std::size_t>(level * indent_) : 0;
-    }
-
-    [[nodiscard]] static std::size_t string_size(std::string_view s) {
-        std::size_t n = s.size() + 2;
-        for (const char c : s) n += escape_extra(static_cast<unsigned char>(c));
-        return n;
-    }
-
-    [[nodiscard]] std::size_t bound(const JsonValue& v, int depth) const {
-        if (v.is_null()) return 4;
-        if (v.is_bool()) return 5;
-        if (v.is_int()) return 20;
-        if (v.is_double()) return kDoubleBound;
-        if (v.is_string()) return string_size(v.as_string());
-        const std::size_t separators = newline_size(depth + 1) + 1;  // newline and comma
-        std::size_t n = 2 + newline_size(depth);
-        if (v.is_array()) {
-            for (const JsonValue& e : v.as_array()) n += separators + bound(e, depth + 1);
-        } else {
-            const std::size_t colon = indent_ > 0 ? 2 : 1;
-            for (const auto& [key, e] : v.as_object())
-                n += separators + string_size(key) + colon + bound(e, depth + 1);
-        }
-        return n;
-    }
-
     void newline(int level) {
         if (indent_ <= 0) return;
-        const std::size_t n = newline_size(level);
+        const std::size_t n = 1 + static_cast<std::size_t>(level * indent_);
         if (pad_.size() < n) pad_.resize(n, ' ');
         out_.append(pad_, 0, n);
     }

@@ -7,15 +7,14 @@
 // steady state.  Elements must be default-constructible and movable;
 // popped slots are overwritten with a default-constructed value so held
 // resources (PacketPtr, callbacks) are released eagerly.  Pushes are inline
-// and test one count; growth is out of line.  A trivially copyable element
-// type grows by two block copies, and its spare slots are default-
-// initialised only (left indeterminate when that is trivial).
+// and test one count; growth is out of line: it allocates the doubled array
+// for overwrite (spare slots default-initialised only, indeterminate when
+// that is trivial) and moves the two live runs into it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <type_traits>
 #include <utility>
 
 namespace capbench::sim {
@@ -85,13 +84,8 @@ private:
         // The live elements are [head_, capacity_) then [0, rest).
         const std::size_t first = std::min(count_, capacity_ - head_);
         const std::size_t rest = count_ - first;
-        if constexpr (std::is_trivially_copyable_v<T>) {
-            std::copy_n(buf_.get() + head_, first, grown.get());
-            std::copy_n(buf_.get(), rest, grown.get() + first);
-        } else {
-            std::move(buf_.get() + head_, buf_.get() + head_ + first, grown.get());
-            std::move(buf_.get(), buf_.get() + rest, grown.get() + first);
-        }
+        std::move(buf_.get() + head_, buf_.get() + head_ + first, grown.get());
+        std::move(buf_.get(), buf_.get() + rest, grown.get() + first);
         buf_ = std::move(grown);
         capacity_ = new_cap;
         head_ = 0;

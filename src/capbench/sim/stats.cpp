@@ -291,30 +291,11 @@ SampleSet::Summary SampleSet::summary() const {
     return wide() ? digest(wide_, lo_, hi_, sum_) : digest(narrow_, lo_, hi_, sum_);
 }
 
-void SampleSet::keep(const Summary& digest) {
-    digest_ = digest;
+void SampleSet::summarize() {
+    if (digest_) return;
+    digest_ = summary();
     std::vector<std::uint32_t>{}.swap(narrow_);
     std::vector<std::int64_t>{}.swap(wide_);
-}
-
-void SampleSet::summarize() {
-    if (!digest_) keep(summary());
-}
-
-void SampleSet::summarize_all(std::span<SampleSet* const> sets) {
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-        SampleSet& s = *sets[i];
-        if (s.digest_) continue;
-        const Summary digest = s.summary();
-        // The carried count, min, max and sum rule out most other sets
-        // before their samples are compared.
-        for (SampleSet* t : sets.subspan(i + 1)) {
-            if (!t->digest_ && t->size() == s.size() && t->lo_ == s.lo_ && t->hi_ == s.hi_ &&
-                t->sum_ == s.sum_ && t->narrow_ == s.narrow_ && t->wide_ == s.wide_)
-                t->keep(digest);
-        }
-        s.keep(digest);
-    }
 }
 
 }  // namespace capbench::sim

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -122,11 +121,6 @@ public:
     /// throw std::logic_error.  A second call does nothing.
     void summarize();
 
-    /// summarize() on every set, computing each distinct digest once: a
-    /// set whose samples equal an earlier set's, value for value, takes
-    /// that set's digest.
-    static void summarize_all(std::span<SampleSet* const> sets);
-
 private:
     [[noreturn]] static void released(const char* what);
     /// Folds x into the carried min, max and sum; returns it.
@@ -139,8 +133,6 @@ private:
     void add_wide(std::int64_t x);
     /// Moves every narrow sample into the wide store, in order.
     void widen();
-    /// Keeps `digest` and releases the samples.
-    void keep(const Summary& digest);
 
     // Exactly one store holds the samples: narrow_ until the first sample
     // outside [0, 2^32), wide_ from then on.
