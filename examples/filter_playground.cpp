@@ -72,7 +72,7 @@ int run_default(const bpf::Program& prog) {
 
 int run_lint(const bpf::Program& prog) {
     // Full verifier pipeline: validation, reachability/return structure,
-    // abstract-interpretation findings and the fact-table summary.  Exits
+    // abstract-interpretation findings, dead stores and return ranges.  Exits
     // nonzero on any error-severity finding so CI can gate on it.
     const auto result = bpf::verify(prog);
     std::printf("compiled to %zu instructions (unoptimized):\n%s\n", prog.size(),

@@ -12,8 +12,8 @@ namespace capbench::bpf::analysis {
 namespace {
 
 // Liveness (live-out masks, static dead-store flags, insn_uses/insn_defs)
-// comes from the shared analysis module — the same computation the fact
-// table feeds to the decode/jit tiers.  Only live-in is derived here,
+// comes from the shared analysis module — the same computation behind
+// verify()'s dead-store findings.  Only live-in is derived here,
 // because edge retargeting is the one consumer that needs it:
 // in[i] = uses(i) | (out[i] & ~defs(i)).
 

@@ -8,19 +8,19 @@ namespace capbench::bpf {
 
 namespace {
 
-Tok abs_tok(std::uint16_t code, bool unchecked) {
+Tok abs_tok(std::uint16_t code) {
     switch (bpf_size(code)) {
-        case BPF_W: return unchecked ? Tok::kLdAbsWU : Tok::kLdAbsW;
-        case BPF_H: return unchecked ? Tok::kLdAbsHU : Tok::kLdAbsH;
-        default: return unchecked ? Tok::kLdAbsBU : Tok::kLdAbsB;
+        case BPF_W: return Tok::kLdAbsW;
+        case BPF_H: return Tok::kLdAbsH;
+        default: return Tok::kLdAbsB;
     }
 }
 
-Tok ind_tok(std::uint16_t code, bool unchecked) {
+Tok ind_tok(std::uint16_t code) {
     switch (bpf_size(code)) {
-        case BPF_W: return unchecked ? Tok::kLdIndWU : Tok::kLdIndW;
-        case BPF_H: return unchecked ? Tok::kLdIndHU : Tok::kLdIndH;
-        default: return unchecked ? Tok::kLdIndBU : Tok::kLdIndB;
+        case BPF_W: return Tok::kLdIndW;
+        case BPF_H: return Tok::kLdIndH;
+        default: return Tok::kLdIndB;
     }
 }
 
@@ -51,91 +51,36 @@ Tok jmp_tok(std::uint16_t code) {
 
 }  // namespace
 
-DecodedProgram decode(const Program& prog, const analysis::FactTable& facts) {
+DecodedProgram decode(const Program& prog) {
     DecodedProgram out;
     out.insns.resize(prog.size());
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         const Insn& insn = prog[pc];
         const std::uint16_t code = insn.code;
-        const analysis::InsnFacts& f = facts[pc];
         DecodedInsn& d = out.insns[pc];
         d.k = insn.k;
         switch (bpf_class(code)) {
             case BPF_LD:
                 switch (bpf_mode(code)) {
-                    case BPF_IMM:
-                        d.tok = Tok::kLdImm;
-                        break;
-                    case BPF_LEN:
-                    case BPF_MEM:
-                        if (f.const_result) {
-                            d.tok = Tok::kLdImm;
-                            d.k = f.const_value;
-                            ++out.stats.folded_loads;
-                        } else {
-                            d.tok = bpf_mode(code) == BPF_LEN ? Tok::kLdLen : Tok::kLdMem;
-                        }
-                        break;
-                    case BPF_ABS:
-                    case BPF_IND:
-                        ++out.stats.packet_loads;
-                        // Fold only proven-safe packet loads: a constant
-                        // value always comes with a dominating successful
-                        // load, but require the proof explicitly.
-                        if (f.safe_load && f.const_result) {
-                            d.tok = Tok::kLdImm;
-                            d.k = f.const_value;
-                            ++out.stats.folded_loads;
-                        } else {
-                            d.tok = bpf_mode(code) == BPF_ABS
-                                        ? abs_tok(code, f.safe_load)
-                                        : ind_tok(code, f.safe_load);
-                            if (f.safe_load) ++out.stats.unchecked_loads;
-                        }
-                        break;
-                    default:
-                        break;
+                    case BPF_IMM: d.tok = Tok::kLdImm; break;
+                    case BPF_LEN: d.tok = Tok::kLdLen; break;
+                    case BPF_MEM: d.tok = Tok::kLdMem; break;
+                    case BPF_ABS: d.tok = abs_tok(code); break;
+                    case BPF_IND: d.tok = ind_tok(code); break;
+                    default: break;
                 }
                 break;
             case BPF_LDX:
                 switch (bpf_mode(code)) {
-                    case BPF_IMM:
-                        d.tok = Tok::kLdxImm;
-                        break;
-                    case BPF_LEN:
-                    case BPF_MEM:
-                        if (f.const_result) {
-                            d.tok = Tok::kLdxImm;
-                            d.k = f.const_value;
-                            ++out.stats.folded_loads;
-                        } else {
-                            d.tok =
-                                bpf_mode(code) == BPF_LEN ? Tok::kLdxLen : Tok::kLdxMem;
-                        }
-                        break;
-                    case BPF_MSH:
-                        ++out.stats.packet_loads;
-                        if (f.safe_load && f.const_result) {
-                            d.tok = Tok::kLdxImm;
-                            d.k = f.const_value;
-                            ++out.stats.folded_loads;
-                        } else {
-                            d.tok = f.safe_load ? Tok::kLdxMshU : Tok::kLdxMsh;
-                            if (f.safe_load) ++out.stats.unchecked_loads;
-                        }
-                        break;
-                    default:
-                        break;
+                    case BPF_IMM: d.tok = Tok::kLdxImm; break;
+                    case BPF_LEN: d.tok = Tok::kLdxLen; break;
+                    case BPF_MEM: d.tok = Tok::kLdxMem; break;
+                    case BPF_MSH: d.tok = Tok::kLdxMsh; break;
+                    default: break;
                 }
                 break;
-            case BPF_ST:
-            case BPF_STX:
-                d.tok = bpf_class(code) == BPF_ST ? Tok::kSt : Tok::kStx;
-                if (f.dead_store) {
-                    d.flags |= kDecodedDeadStore;
-                    ++out.stats.dead_stores;
-                }
-                break;
+            case BPF_ST: d.tok = Tok::kSt; break;
+            case BPF_STX: d.tok = Tok::kStx; break;
             case BPF_ALU:
                 // A constant over-shift always yields 0; decode it as the
                 // immediate so kLshK/kRshK never need the < 32 branch.

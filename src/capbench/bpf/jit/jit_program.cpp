@@ -137,32 +137,7 @@ struct Emitter {
         }
     }
 
-    // Unchecked indirect load: address [data + X + k] for the decoder's
-    // *U tokens (the fact table proved it in bounds).
-    void load_ind_unchecked(std::uint32_t k, std::uint32_t size) {
-        if (k <= static_cast<std::uint32_t>(kMaxDisp)) {
-            const auto disp = static_cast<std::int32_t>(k);
-            switch (size) {
-                case 4:
-                    a.load32_bi(kA, kData, kX, disp);
-                    a.bswap32(kA);
-                    break;
-                case 2:
-                    a.movzx16_bi(kA, kData, kX, disp);
-                    a.bswap32(kA);
-                    a.shr32_ri(kA, 16);
-                    break;
-                default:
-                    a.movzx8_bi(kA, kData, kX, disp);
-                    break;
-            }
-        } else {
-            ind_offset(k);
-            load_at_tmp(size);
-        }
-    }
-
-    // X = 4 * (pkt[k] & 0x0F); the guard (when needed) already ran.
+    // X = 4 * (pkt[k] & 0x0F); the guard already ran.
     void msh_body(std::uint32_t k) {
         if (k <= static_cast<std::uint32_t>(kMaxDisp)) {
             a.movzx8(kX, kData, static_cast<std::int32_t>(k));
@@ -204,11 +179,9 @@ bool touches_scratch(const DecodedProgram& prog) {
         switch (di.tok) {
             case Tok::kLdMem:
             case Tok::kLdxMem:
-                return true;
             case Tok::kSt:
             case Tok::kStx:
-                if ((di.flags & kDecodedDeadStore) == 0) return true;
-                break;
+                return true;
             default:
                 break;
         }
@@ -302,10 +275,6 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
                 e.flush();
                 if (e.guard_abs(di.k, 1)) e.load_abs(kA, di.k, 1);
                 break;
-            case Tok::kLdAbsWU: e.load_abs(kA, di.k, 4); break;
-            case Tok::kLdAbsHU: e.load_abs(kA, di.k, 2); break;
-            case Tok::kLdAbsBU: e.load_abs(kA, di.k, 1); break;
-
             case Tok::kLdIndW:
                 e.flush();
                 e.ind_offset(di.k);
@@ -324,9 +293,6 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
                 e.guard_ind(1);
                 e.load_at_tmp(1);
                 break;
-            case Tok::kLdIndWU: e.load_ind_unchecked(di.k, 4); break;
-            case Tok::kLdIndHU: e.load_ind_unchecked(di.k, 2); break;
-            case Tok::kLdIndBU: e.load_ind_unchecked(di.k, 1); break;
 
             case Tok::kLdxImm: a.mov_ri32(kX, di.k); break;
             case Tok::kLdxLen: a.mov_rr32(kX, kWire); break;
@@ -335,16 +301,9 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
                 e.flush();
                 if (e.guard_abs(di.k, 1)) e.msh_body(di.k);
                 break;
-            case Tok::kLdxMshU: e.msh_body(di.k); break;
 
-            case Tok::kSt:
-                if ((di.flags & kDecodedDeadStore) == 0)
-                    a.store32(Reg::rsp, mem_slot, kA);
-                break;
-            case Tok::kStx:
-                if ((di.flags & kDecodedDeadStore) == 0)
-                    a.store32(Reg::rsp, mem_slot, kX);
-                break;
+            case Tok::kSt: a.store32(Reg::rsp, mem_slot, kA); break;
+            case Tok::kStx: a.store32(Reg::rsp, mem_slot, kX); break;
 
             case Tok::kAddK: a.alu32_ri(AluOp::kAdd, kA, di.k); break;
             case Tok::kSubK: a.alu32_ri(AluOp::kSub, kA, di.k); break;

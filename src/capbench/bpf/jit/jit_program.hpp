@@ -12,10 +12,10 @@
 // the end) and the executed-instruction count are byte-identical to the
 // interpreter: the count register is flushed to the exact value before
 // every faultable check, counting the faulting instruction itself, just as
-// the interpreter counts an instruction before executing it.  The verifier
-// facts drive the elisions decode() picked — unchecked loads
-// (`safe_load`), folded constants — and scratch stores flagged
-// liveness-dead emit no code at all (still counted as executed).
+// the interpreter counts an instruction before executing it.  Every packet
+// load is bounds-checked against the captured length, exactly as the
+// interpreter checks it, so truncated captures fault at the same
+// instruction on both tiers.
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <mutex>
-#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -63,11 +62,8 @@ CachedFilter cache_filter(const Program& prog, bool want_jit) {
     // counted with its hit or miss, so a rejected program counts none and
     // lookups == hits + misses holds for the whole process.
     if (!have_decoded) {
-        VerifyResult verdict = verify(prog);
-        if (const analysis::Finding* err = verdict.first_error())
-            throw std::invalid_argument("BPF verifier rejected filter: " +
-                                        analysis::to_string(*err));
-        decoded = std::make_shared<DecodedProgram>(decode(prog, verdict.facts));
+        verify_or_throw(prog);
+        decoded = std::make_shared<DecodedProgram>(decode(prog));
     }
     std::shared_ptr<const JitProgram> jitted;
     if (want_jit) jitted = JitProgram::compile(*decoded);
@@ -104,16 +100,6 @@ std::shared_ptr<const Program> compiled_filter(const std::string& expression,
     auto prog = std::make_shared<const Program>(filter::compile_filter(expression, snaplen));
     const std::lock_guard<std::mutex> lock(c.mu);
     return c.compiled.try_emplace(std::move(key), std::move(prog)).first->second;
-}
-
-std::shared_ptr<const DecodedProgram> cache_decoded(const Program& prog) {
-    return cache_filter(prog, false).decoded;
-}
-
-std::size_t cached_program_count() {
-    Cache& c = cache();
-    const std::lock_guard<std::mutex> lock(c.mu);
-    return c.entries.size();
 }
 
 CacheStats cache_stats() {

@@ -8,12 +8,12 @@
 // then attaches the program through FilterRunner::install; that cache keys
 // on program content, so the four endpoints of a sweep point (and every
 // sweep point of a run) installing the same filter share one
-// DecodedProgram — verified once, decoded once, tagged with a monotonic
-// program id — and, under the jit tier, one compiled code mapping.
+// DecodedProgram — passed through verify_or_throw once, decoded once,
+// tagged with a monotonic program id — and, under the jit tier, one
+// compiled code mapping.
 // Thread-safe: parallel sweep workers attach concurrently.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,8 +31,8 @@ struct CachedFilter {
     std::shared_ptr<const JitProgram> jit;
 };
 
-/// Verifies `prog` (throwing std::invalid_argument with the structured
-/// finding when it is rejected) and returns the shared decoded form;
+/// Gates `prog` through verify_or_throw (std::invalid_argument with the
+/// structured finding when it is rejected) and returns the shared decoded form;
 /// with `want_jit` (caller must have checked JitProgram::supported())
 /// also the native code, compiled at most once per distinct program.
 CachedFilter cache_filter(const Program& prog, bool want_jit);
@@ -44,12 +44,6 @@ CachedFilter cache_filter(const Program& prog, bool want_jit);
 /// counts nothing: each install still goes through cache_filter once.
 std::shared_ptr<const Program> compiled_filter(const std::string& expression,
                                                std::uint32_t snaplen);
-
-/// Shorthand for cache_filter(prog, false).decoded.
-std::shared_ptr<const DecodedProgram> cache_decoded(const Program& prog);
-
-/// Number of distinct programs decoded so far (test/introspection hook).
-std::size_t cached_program_count();
 
 /// Monotonic process-wide cache statistics.  Counting is winner-only:
 /// when parallel installs race on the same new program, exactly the call

@@ -1,10 +1,13 @@
 #include "capbench/bpf/verifier.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "capbench/bpf/analysis/cfg.hpp"
 #include "capbench/bpf/analysis/interp.hpp"
+#include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/validator.hpp"
 
 namespace capbench::bpf {
@@ -28,11 +31,9 @@ VerifyResult verify(const Program& prog) {
         return res;
     }
 
-    // One run of each pass; the fact table shares them.
     const analysis::Cfg cfg = analysis::Cfg::build(prog);
     const analysis::Liveness live = analysis::Liveness::build(prog);
     const analysis::InterpResult interp = analysis::interpret(prog);
-    res.facts = analysis::FactTable::build(prog, cfg, live, interp);
 
     std::vector<Finding>& findings = res.findings;
     findings = interp.findings;
@@ -41,51 +42,16 @@ VerifyResult verify(const Program& prog) {
     // every reachable path must end in a RET.  These are the only errors
     // past validate(); the abstract interpreter's verdicts stay warnings,
     // since a filter that faults on every path is legal and rejects all.
-    bool reachable_ret = false;
+    // Info findings carry what the passes prove: dead stores and the
+    // range of each returned A.
+    std::optional<std::size_t> first_ret;
     for (std::size_t pc = 0; pc < prog.size(); ++pc) {
         if (!cfg.reachable[pc]) {
             findings.push_back(Finding{Severity::kWarning, pc, "unreachable instruction"});
             continue;
         }
-        if (bpf_class(prog[pc].code) == BPF_RET)
-            reachable_ret = true;
-        else if (analysis::insn_successors(prog, pc).empty())
-            findings.push_back(Finding{Severity::kError, pc,
-                                       "falls through the end of the program"});
-    }
-    if (!reachable_ret)
-        findings.push_back(
-            Finding{Severity::kError, 0, "no reachable return instruction"});
-    else if (!interp.has_reachable_ret)
-        findings.push_back(Finding{Severity::kWarning, 0,
-                                   "every path faults; the filter rejects every packet"});
-
-    // Per-path precondition facts and value proofs (info rank).
-    std::optional<std::size_t> first_ret;
-    std::uint32_t packet_loads = 0;
-    std::uint32_t safe_loads = 0;
-    for (std::size_t pc = 0; pc < prog.size(); ++pc) {
-        const analysis::InsnFacts& f = res.facts[pc];
-        if (!f.reachable) continue;
         const std::uint16_t code = prog[pc].code;
-        const std::uint16_t mode = bpf_mode(code);
-        const bool packet_load =
-            (bpf_class(code) == BPF_LD && (mode == BPF_ABS || mode == BPF_IND)) ||
-            (bpf_class(code) == BPF_LDX && mode == BPF_MSH);
-        if (packet_load) {
-            ++packet_loads;
-            if (f.safe_load) {
-                ++safe_loads;
-                findings.push_back(Finding{
-                    Severity::kInfo, pc,
-                    f.redundant_load
-                        ? "bounds check elidable: an identical load already succeeded "
-                          "on every path"
-                        : "bounds check elidable: dominating loads prove at least " +
-                              std::to_string(f.min_data_len) + " packet bytes"});
-            }
-        }
-        if (f.dead_store)
+        if (live.dead_store[pc])
             findings.push_back(Finding{Severity::kInfo, pc,
                                        "dead store: the written value is never read"});
         if (bpf_class(code) == BPF_RET) {
@@ -99,17 +65,21 @@ VerifyResult verify(const Program& prog) {
                         : "returns A in [" + std::to_string(a.lo) + ", " +
                               std::to_string(a.hi) + "]"});
             }
+        } else if (analysis::insn_successors(prog, pc).empty()) {
+            findings.push_back(Finding{Severity::kError, pc,
+                                       "falls through the end of the program"});
         }
     }
+    if (!first_ret)
+        findings.push_back(
+            Finding{Severity::kError, 0, "no reachable return instruction"});
+    else if (!interp.has_reachable_ret)
+        findings.push_back(Finding{Severity::kWarning, 0,
+                                   "every path faults; the filter rejects every packet"});
     if (interp.never_accepts && first_ret)
         findings.push_back(Finding{Severity::kWarning, *first_ret,
                                    "filter can never accept a packet (every reachable "
                                    "return path yields 0)"});
-    if (packet_loads > 0)
-        findings.push_back(Finding{
-            Severity::kInfo, 0,
-            "fact table: " + std::to_string(safe_loads) + " of " +
-                std::to_string(packet_loads) + " packet loads proven in bounds"});
 
     std::stable_sort(findings.begin(), findings.end(),
                      [](const Finding& a, const Finding& b) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include "capbench/bpf/analysis/cfg.hpp"
-#include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/analysis/optimize.hpp"
 #include "capbench/bpf/asm_text.hpp"

@@ -19,12 +19,8 @@ void AppObserver::filter_installed(const bpf::DecodedProgram* decoded) {
     if (!decoded_registered_) {
         decoded_registered_ = true;
         reg.add(prefix + ".decoded_insns", bpf_.decoded_insns);
-        reg.add(prefix + ".dead_stores_elided", bpf_.dead_stores_elided);
-        reg.add(prefix + ".unchecked_loads", bpf_.unchecked_loads);
     }
     bpf_.decoded_insns += decoded->insns.size();
-    bpf_.dead_stores_elided += decoded->stats.dead_stores;
-    bpf_.unchecked_loads += decoded->stats.unchecked_loads;
 }
 
 void AppObserver::disk_writer_attached(const std::uint64_t& spilled) {

@@ -64,8 +64,7 @@ public:
 
     /// A BPF filter was attached to this endpoint.  Attach time, not the
     /// hot path: bumps the per-SUT `bpf.*` counts (installs, decoded
-    /// program size, dead stores elided, unchecked loads), registering
-    /// each on its first bump.  `decoded` is null under the interpreter
+    /// program size), registering each on its first bump.  `decoded` is null under the interpreter
     /// tier; otherwise the filter runs as native code compiled from it.
     void filter_installed(const bpf::DecodedProgram* decoded);
 
@@ -97,8 +96,6 @@ private:
     struct BpfCounts {
         std::uint64_t filter_installs = 0;
         std::uint64_t decoded_insns = 0;
-        std::uint64_t dead_stores_elided = 0;
-        std::uint64_t unchecked_loads = 0;
     };
 
     SutObserver* sut_;

@@ -378,13 +378,13 @@ std::vector<Scenario> build_registry() {
         };
         s.variants = {
             Variant{"inline write on the capture thread (classic)", "-inline",
-                    dw_suts(false, 256, load::SpillPolicy::kBlock)},
+                    dw_suts(false, 256, load::SpillPolicy::kBlock), nullptr},
             Variant{"writer thread, 256-slot ring, block on full", "-ring256",
-                    dw_suts(true, 256, load::SpillPolicy::kBlock)},
+                    dw_suts(true, 256, load::SpillPolicy::kBlock), nullptr},
             Variant{"writer thread, 32-slot ring, drop-newest", "-ring32-dropnew",
-                    dw_suts(true, 32, load::SpillPolicy::kDropNewest)},
+                    dw_suts(true, 32, load::SpillPolicy::kDropNewest), nullptr},
             Variant{"writer thread, 32-slot ring, drop-oldest", "-ring32-dropold",
-                    dw_suts(true, 32, load::SpillPolicy::kDropOldest)},
+                    dw_suts(true, 32, load::SpillPolicy::kDropOldest), nullptr},
         };
         s.postscript =
             "The inline variant charges write() + per-byte disk cost on the capture\n"

@@ -467,7 +467,7 @@ TEST(AllocGuard, JitFilterRunDoesNotAllocate) {
     if (!bpf::JitProgram::supported()) GTEST_SKIP() << "no native jit on this build";
     const auto prog = bpf::filter::compile_filter(
         capbench::harness::fig_6_5_filter_expression(), 1515);
-    const auto jitted = bpf::JitProgram::compile(bpf::decode(prog, bpf::verify(prog).facts));
+    const auto jitted = bpf::JitProgram::compile(bpf::decode(prog));
     EXPECT_EQ(filter_allocations([&](const auto& frame) { return jitted->run(frame); }), 0u)
         << "JitProgram::run allocated per packet";
 }

@@ -104,8 +104,11 @@ TEST(PacketArena, PacketsOutliveTheArenasLastOwner) {
     for (std::size_t i = 0; i < kept.size(); ++i) {
         if (kept[i] == nullptr || !kept[i]->has_bytes()) continue;
         const auto want = static_cast<std::byte>(kept[i]->id());
-        for (const std::byte b : kept[i]->bytes())
-            if (kept[i]->id() < 100) ASSERT_EQ(b, want) << "packet " << kept[i]->id();
+        for (const std::byte b : kept[i]->bytes()) {
+            if (kept[i]->id() < 100) {
+                ASSERT_EQ(b, want) << "packet " << kept[i]->id();
+            }
+        }
     }
     // Drop from both ends toward the middle; the last one frees the arena.
     std::size_t lo = 0;

@@ -460,7 +460,7 @@ TEST(OptimizeProperty, PreservesVmSemanticsOnRandomPrograms) {
 }
 
 // The optimizer's dead-def sweep now rides on the shared analysis::Liveness
-// module (the same computation behind the fact table's dead_store flags).
+// module (the same computation behind verify()'s dead-store findings).
 // Exercise it with the tier-equivalence generator too — a different
 // instruction mix, richer in scratch stores and runtime-abort paths.
 TEST(OptimizeProperty, SharedLivenessSweepPreservesSemantics) {
@@ -509,10 +509,13 @@ TEST(Optimize, RemovesShadowedScratchStores) {
 // the attach path a capture stack takes: verify() passes it, and its
 // decoded jit code matches the interpreter on verdict, executed
 // instructions and abort flag.  Half the packets are truncated captures
-// (wire length past the data), where bounds-check elision is riskiest;
-// the last two expressions fault at runtime on every IPv4 frame.
+// (wire length past the data), where a load the data cannot back must
+// reject on both tiers; "ether[70000] = 1" and the division by zero fault
+// at runtime on every IPv4 frame.  The Fig 6.5 filter is the one program
+// the scenario registry installs; its stock form has the most packet
+// loads that an earlier load already proves present.
 TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
-    const char* expressions[] = {
+    const std::string expressions[] = {
         "ip",
         "tcp or udp",
         "not not ip",
@@ -522,12 +525,13 @@ TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
         "len > 100 and len <= 1400",
         "ether[70000] = 1",
         "ip[2:2] / (len & 0) > 1",
+        harness::fig_6_5_filter_expression(),
     };
     std::mt19937 rng{1234};
     std::uniform_int_distribution<int> byte{0, 255};
     std::uniform_int_distribution<std::size_t> len{0, 120};
     std::uniform_int_distribution<std::uint32_t> cut{1, 64};
-    for (const char* expr : expressions) {
+    for (const std::string& expr : expressions) {
         const auto stock = filter::compile_filter(expr, 1515, {.optimize = false});
         const auto optimized = filter::compile_filter(expr, 1515);
         EXPECT_LE(optimized.size(), stock.size());
@@ -537,7 +541,7 @@ TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
             ASSERT_TRUE(verdict.ok())
                 << expr << ": " << analysis::to_string(*verdict.first_error());
             if (JitProgram::supported())
-                jitted.push_back(JitProgram::compile(decode(*prog, verdict.facts)));
+                jitted.push_back(JitProgram::compile(decode(*prog)));
         }
         for (int i = 0; i < 200; ++i) {
             std::vector<std::byte> pkt(len(rng));
@@ -546,6 +550,11 @@ TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
                 pkt[12] = std::byte{0x08};
                 pkt[13] = std::byte{0x00};
             }
+            // Zero ether[6:5] on half the frames: the Fig 6.5 filter
+            // tests it first, so these frames reach its later loads.
+            if (i % 8 < 4)
+                for (std::size_t b = 6; b < std::min<std::size_t>(pkt.size(), 11); ++b)
+                    pkt[b] = std::byte{0};
             // Odd packets are truncated captures: wire length past the data.
             const auto wire =
                 static_cast<std::uint32_t>(pkt.size()) + (i % 2 == 0 ? 0 : cut(rng));

@@ -3,6 +3,7 @@
 // fallback policy, and the program cache's jit/stats extensions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <latch>
@@ -31,10 +32,6 @@
 namespace capbench::bpf {
 namespace {
 
-DecodedProgram decode_standalone(const Program& prog) {
-    return decode(prog, verify(prog).facts);
-}
-
 // ---- interpreter-vs-jit equivalence property sweep -------------------------
 
 TEST(JitTierEquivalence, ThousandRandomProgramsMatchByteForByte) {
@@ -46,7 +43,7 @@ TEST(JitTierEquivalence, ThousandRandomProgramsMatchByteForByte) {
         const Program prog = testgen::random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const DecodedProgram decoded = decode_standalone(prog);
+        const DecodedProgram decoded = decode(prog);
         const auto jitted = JitProgram::compile(decoded);
 
         for (int trial = 0; trial < 4; ++trial) {
@@ -79,7 +76,7 @@ TEST(JitAbort, DivisionByXZeroCountsTheFaultingInstruction) {
         stmt(BPF_ALU | BPF_DIV | BPF_X, 0),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto jitted = JitProgram::compile(decode_standalone(prog));
+    const auto jitted = JitProgram::compile(decode(prog));
 
     const std::vector<std::byte> zero{std::byte{0x20}};  // low nibble 0 -> X = 0
     const VmResult faulted = jitted->run(zero, 1);
@@ -100,7 +97,7 @@ TEST(JitAbort, OutOfBoundsLoadMatchesInterpreterExactly) {
         stmt(BPF_LD | BPF_W | BPF_ABS, 100),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto jitted = JitProgram::compile(decode_standalone(prog));
+    const auto jitted = JitProgram::compile(decode(prog));
     const std::vector<std::byte> tiny(4, std::byte{0xAB});
     const VmResult interp = Vm::run(prog, tiny, 4);
     const VmResult jit = jitted->run(tiny, 4);
@@ -124,7 +121,7 @@ TEST(JitAbort, FallthroughOffTheEndHitsTheDefensiveFaultPath) {
     // plain instruction, no RET.  The interpreter semantics for the same
     // source ({ld #5}) reject after executing the one instruction.
     DecodedProgram prog;
-    prog.insns.push_back(DecodedInsn{Tok::kLdImm, 0, 5, 0, 0});
+    prog.insns.push_back(DecodedInsn{Tok::kLdImm, 5, 0, 0});
     const auto jitted = JitProgram::compile(prog);
     const VmResult r = jitted->run({}, 0);
     EXPECT_TRUE(r.aborted);
@@ -147,30 +144,26 @@ TEST(JitAbort, EmptyProgramAbortsLikeTheInterpreter) {
     EXPECT_EQ(jit.accept_len, interp.accept_len);
 }
 
-// ---- fact-driven elisions --------------------------------------------------
+// ---- code generation -------------------------------------------------------
 
-TEST(JitElision, DeadStoreIsFlaggedSkippedAndStillCounted) {
-    // A store whose slot is never read is liveness-dead: flagged at decode
-    // time, elided from the emitted code, still counted as executed.
+TEST(JitCodegen, DeadStoreIsEmittedAndCounted) {
+    // A store whose slot is never read is liveness-dead (verify() reports
+    // it as an info finding); the jit still emits it and counts it as
+    // executed, exactly like the interpreter.
     const Program dead = {
         stmt(BPF_LD | BPF_IMM, 7),
         stmt(BPF_ST, 3),  // M[3] never read
         stmt(BPF_LD | BPF_IMM, 9),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const DecodedProgram decoded = decode_standalone(dead);
-    EXPECT_NE(decoded.insns[1].flags & kDecodedDeadStore, 0);
-    EXPECT_EQ(decoded.stats.dead_stores, 1u);
-
-    const Program live = {
-        stmt(BPF_LD | BPF_IMM, 7),
-        stmt(BPF_ST, 3),
-        stmt(BPF_LD | BPF_W | BPF_MEM, 3),
-        stmt(BPF_RET | BPF_A, 0),
-    };
-    const DecodedProgram live_decoded = decode_standalone(live);
-    EXPECT_EQ(live_decoded.insns[1].flags & kDecodedDeadStore, 0);
-    EXPECT_EQ(live_decoded.stats.dead_stores, 0u);
+    const VerifyResult verdict = verify(dead);
+    EXPECT_TRUE(std::any_of(verdict.findings.begin(), verdict.findings.end(),
+                            [](const analysis::Finding& f) {
+                                return f.insn == 1 &&
+                                       f.message.find("dead store") != std::string::npos;
+                            }));
+    const DecodedProgram decoded = decode(dead);
+    EXPECT_EQ(decoded.insns[1].tok, Tok::kSt);
 
     if (!JitProgram::supported()) return;
     const VmResult jit = JitProgram::compile(decoded)->run({}, 0);
@@ -178,16 +171,13 @@ TEST(JitElision, DeadStoreIsFlaggedSkippedAndStillCounted) {
     EXPECT_EQ(jit.accept_len, interp.accept_len);
     EXPECT_EQ(jit.insns_executed, interp.insns_executed);  // 4: the store counts
     EXPECT_EQ(jit.insns_executed, 4u);
-
-    const VmResult live_jit = JitProgram::compile(live_decoded)->run({}, 0);
-    EXPECT_EQ(live_jit.accept_len, 7u);
 }
 
 TEST(JitElision, CodegenIsDeterministicPerProgram) {
     std::mt19937 rng{7};
     for (int i = 0; i < 20; ++i) {
         const Program prog = testgen::random_program(rng);
-        const DecodedProgram decoded = decode_standalone(prog);
+        const DecodedProgram decoded = decode(prog);
         EXPECT_EQ(jit::compile_to_bytes(decoded), jit::compile_to_bytes(decoded));
     }
 }
@@ -225,7 +215,7 @@ TEST(JitExecMemory, RepeatedCompileFreeCyclesDoNotLeak) {
     std::mt19937 rng{99};
     for (int i = 0; i < 64; ++i) {
         const Program prog = testgen::random_program(rng);
-        const auto jitted = JitProgram::compile(decode_standalone(prog));
+        const auto jitted = JitProgram::compile(decode(prog));
         const std::vector<std::byte> data(64, std::byte{0x11});
         (void)jitted->run(data, 64);
     }

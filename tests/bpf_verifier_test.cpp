@@ -1,8 +1,7 @@
-// Tests for the verifier pipeline (liveness, the fact table verify()
-// builds, structured findings), the decoded form and its native
-// execution, the program cache, and the attach-time gate in the capture
-// stacks.  Ends with an interpreter-vs-jit property sweep over randomly
-// generated valid programs.
+// Tests for the verifier pipeline (liveness, structured findings), the
+// decoded form and its native execution, the program cache, and the
+// attach-time gate in the capture stacks.  Ends with an interpreter-vs-jit
+// property sweep over randomly generated valid programs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "capbench/bpf/asm_text.hpp"
-#include "capbench/bpf/analysis/fact_table.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
@@ -31,7 +29,6 @@
 namespace capbench::bpf {
 namespace {
 
-using analysis::FactTable;
 using analysis::kLiveA;
 using analysis::kLiveX;
 using analysis::Liveness;
@@ -80,32 +77,22 @@ TEST(Liveness, PacketLoadsAndDivisionsAreNeverDead) {
     EXPECT_FALSE(Liveness::build(divx).dead_store[2]);
 }
 
-// ---- fact table ---------------------------------------------------------------
+// ---- verifier -----------------------------------------------------------------
 
-TEST(FactTable, DominatingLoadProvesLaterLoadsInBounds) {
-    // A successful word load at 0 proves 4 data bytes on every
-    // continuation, so the byte load at 2 can never reject.
+TEST(Verifier, CleanProgramHasNoErrors) {
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = verify(prog).facts;
-    EXPECT_FALSE(facts[0].safe_load);
-    EXPECT_EQ(facts[1].min_data_len, 4u);
-    EXPECT_TRUE(facts[1].safe_load);
+    const VerifyResult result = verify(prog);
+    EXPECT_TRUE(result.ok());
+    EXPECT_EQ(result.first_error(), nullptr);
+    for (const auto& f : result.findings) EXPECT_NE(f.severity, Severity::kError);
 }
 
-TEST(FactTable, IdenticalRepeatLoadIsRedundant) {
-    const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 6), stmt(BPF_LD | BPF_B | BPF_ABS, 6),
-                       stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = verify(prog).facts;
-    EXPECT_FALSE(facts[0].redundant_load);
-    EXPECT_TRUE(facts[1].redundant_load);
-    EXPECT_TRUE(facts[1].safe_load);
-}
-
-TEST(FactTable, LenGuardProvesWireLengthButNeverDataBounds) {
+TEST(Verifier, LenGuardProvesWireLengthButNeverDataBounds) {
     // jge len, 40 proves the wire length on the taken path (the reloaded
     // LEN returns at least 40) — but a truncated capture can hold fewer
-    // data bytes than its wire length, so the load stays checked.
+    // data bytes than its wire length, so the guarded load still faults
+    // on one, on both tiers.
     const Program prog{stmt(BPF_LD | BPF_W | BPF_LEN, 0),
                        jump(BPF_JMP | BPF_JGE | BPF_K, 40, 0, 3),
                        stmt(BPF_LD | BPF_B | BPF_ABS, 20),  // guarded by LEN only
@@ -118,49 +105,15 @@ TEST(FactTable, LenGuardProvesWireLengthButNeverDataBounds) {
                                 return f.insn == 4 &&
                                        f.message.find("returns A in [40, ") != std::string::npos;
                             }));
-    EXPECT_EQ(result.facts[2].min_data_len, 0u);
-    EXPECT_FALSE(result.facts[2].safe_load);
-}
-
-TEST(FactTable, JoinTakesTheMinimumProof) {
-    // One arm proves 4 bytes, the other proves nothing extra; the join
-    // keeps only what both arms guarantee.
-    const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 0),       // proves 1 byte
-                       jump(BPF_JMP | BPF_JEQ | BPF_K, 5, 0, 1),
-                       stmt(BPF_LD | BPF_W | BPF_ABS, 0),       // proves 4 bytes
-                       stmt(BPF_LD | BPF_B | BPF_ABS, 2),       // join target
-                       stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = verify(prog).facts;
-    // Insn 3 is reached with 4 proven bytes via insn 2 but only 1 via the
-    // jump's false edge: min wins, the 3-byte-deep load stays checked.
-    EXPECT_EQ(facts[3].min_data_len, 1u);
-    EXPECT_FALSE(facts[3].safe_load);
-}
-
-TEST(FactTable, ConstantScratchRoundTripFolds) {
-    const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2),
-                       stmt(BPF_LD | BPF_IMM, 0), stmt(BPF_LD | BPF_W | BPF_MEM, 2),
-                       stmt(BPF_RET | BPF_A, 0)};
-    const FactTable facts = verify(prog).facts;
-    ASSERT_TRUE(facts[3].const_result);
-    EXPECT_EQ(facts[3].const_value, 77u);
-}
-
-// ---- verifier -----------------------------------------------------------------
-
-TEST(Verifier, CleanProgramHasFactSummaryAndNoErrors) {
-    const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
-                       stmt(BPF_RET | BPF_A, 0)};
-    const VerifyResult result = verify(prog);
-    EXPECT_TRUE(result.ok());
-    EXPECT_EQ(result.first_error(), nullptr);
-    EXPECT_EQ(result.facts.size(), prog.size());
-    bool saw_elidable = false;
-    for (const auto& f : result.findings) {
-        EXPECT_NE(f.severity, Severity::kError);
-        if (f.message.find("elidable") != std::string::npos) saw_elidable = true;
+    const std::vector<std::byte> truncated(10);
+    const VmResult interp = Vm::run(prog, truncated, 60);
+    EXPECT_TRUE(interp.aborted);
+    EXPECT_EQ(interp.insns_executed, 3u);
+    if (JitProgram::supported()) {
+        const VmResult jit = JitProgram::compile(decode(prog))->run(truncated, 60);
+        EXPECT_TRUE(jit.aborted);
+        EXPECT_EQ(jit.insns_executed, interp.insns_executed);
     }
-    EXPECT_TRUE(saw_elidable);
 }
 
 TEST(Verifier, ValidatorRejectionBecomesASingleErrorFinding) {
@@ -169,7 +122,7 @@ TEST(Verifier, ValidatorRejectionBecomesASingleErrorFinding) {
     EXPECT_FALSE(result.ok());
     ASSERT_NE(result.first_error(), nullptr);
     EXPECT_EQ(result.first_error()->severity, Severity::kError);
-    EXPECT_TRUE(result.facts.empty());
+    EXPECT_EQ(result.findings.size(), 1u);
 }
 
 TEST(Verifier, UnreachableCodeIsAWarningNotARejection) {
@@ -254,24 +207,29 @@ VmResult run_jit(const DecodedProgram& d, std::span<const std::byte> data) {
     return JitProgram::compile(d)->run(data);
 }
 
-TEST(Decode, ProvenLoadsBecomeUncheckedTokens) {
+TEST(Decode, PacketLoadsKeepTheirBoundsChecks) {
+    // The second load is proven in bounds by the first, yet every packet
+    // load decodes to its one checked token: decode is 1:1.
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
+                       stmt(BPF_LDX | BPF_B | BPF_MSH, 0), stmt(BPF_LD | BPF_H | BPF_IND, 0),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, verify(prog).facts);
+    const DecodedProgram d = decode(prog);
+    ASSERT_EQ(d.insns.size(), prog.size());
     EXPECT_EQ(d.insns[0].tok, Tok::kLdAbsW);
-    EXPECT_EQ(d.insns[1].tok, Tok::kLdAbsBU);
-    EXPECT_EQ(d.stats.packet_loads, 2u);
-    EXPECT_EQ(d.stats.unchecked_loads, 1u);
+    EXPECT_EQ(d.insns[1].tok, Tok::kLdAbsB);
+    EXPECT_EQ(d.insns[2].tok, Tok::kLdxMsh);
+    EXPECT_EQ(d.insns[3].tok, Tok::kLdIndH);
 }
 
-TEST(Decode, ConstantScratchLoadFoldsToImmediate) {
+TEST(Decode, ScratchRoundTripReturnsTheStoredValue) {
+    // M[2] provably holds 77 at the load, which stays a scratch load.
     const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2),
                        stmt(BPF_LD | BPF_IMM, 0), stmt(BPF_LD | BPF_W | BPF_MEM, 2),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, verify(prog).facts);
-    EXPECT_EQ(d.insns[3].tok, Tok::kLdImm);
-    EXPECT_EQ(d.insns[3].k, 77u);
-    EXPECT_EQ(d.stats.folded_loads, 1u);
+    const DecodedProgram d = decode(prog);
+    EXPECT_EQ(d.insns[3].tok, Tok::kLdMem);
+    EXPECT_EQ(d.insns[3].k, 2u);
+    EXPECT_EQ(Vm::run(prog, {}).accept_len, 77u);
     if (JitProgram::supported()) {
         EXPECT_EQ(run_jit(d, {}).accept_len, 77u);
     }
@@ -280,7 +238,7 @@ TEST(Decode, ConstantScratchLoadFoldsToImmediate) {
 TEST(Decode, OverShiftFoldsToZeroImmediate) {
     const Program prog{stmt(BPF_LD | BPF_IMM, 0xFFFF), stmt(BPF_ALU | BPF_LSH | BPF_K, 33),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog, verify(prog).facts);
+    const DecodedProgram d = decode(prog);
     EXPECT_EQ(d.insns[1].tok, Tok::kLdImm);
     EXPECT_EQ(d.insns[1].k, 0u);
     if (JitProgram::supported()) {
@@ -291,7 +249,7 @@ TEST(Decode, OverShiftFoldsToZeroImmediate) {
 TEST(Decode, JumpTargetsBecomeAbsolute) {
     const Program prog{jump(BPF_JMP | BPF_JA, 1, 0, 0), stmt(BPF_RET | BPF_K, 0),
                        stmt(BPF_RET | BPF_K, 42)};
-    const DecodedProgram d = decode(prog, verify(prog).facts);
+    const DecodedProgram d = decode(prog);
     EXPECT_EQ(d.insns[0].tok, Tok::kJa);
     EXPECT_EQ(d.insns[0].jt, 2u);
     if (JitProgram::supported()) {
@@ -302,7 +260,7 @@ TEST(Decode, JumpTargetsBecomeAbsolute) {
 TEST(Decode, AbortingLoadMatchesInterpreterOnJit) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_RET | BPF_K, 1)};
-    const DecodedProgram d = decode(prog, verify(prog).facts);
+    const DecodedProgram d = decode(prog);
     const auto data = bytes({1, 2});
     const VmResult interp = Vm::run(prog, data);
     const VmResult jit = run_jit(d, data);
@@ -333,21 +291,34 @@ TEST(ExecTierKnob, RejectsThreadedNamingTheAcceptedValues) {
 // ---- program cache ------------------------------------------------------------
 
 TEST(ProgramCache, SharesOneDecodedProgramPerContent) {
+    // A new program adds one miss; a repeat adds one hit and returns the
+    // same decoded program.
     const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 9), stmt(BPF_RET | BPF_A, 0)};
-    const auto first = cache_decoded(prog);
-    const auto again = cache_decoded(prog);
-    EXPECT_EQ(first.get(), again.get());
+    CacheStats before = cache_stats();
+    const auto first = cache_filter(prog, false).decoded;
+    CacheStats after = cache_stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, 0u);
     EXPECT_GT(first->id, 0u);
 
+    before = after;
+    const auto again = cache_filter(prog, false).decoded;
+    after = cache_stats();
+    EXPECT_EQ(again.get(), first.get());
+    EXPECT_EQ(after.misses - before.misses, 0u);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+
     const Program other{stmt(BPF_LD | BPF_B | BPF_ABS, 10), stmt(BPF_RET | BPF_A, 0)};
-    const auto different = cache_decoded(other);
+    before = after;
+    const auto different = cache_filter(other, false).decoded;
+    after = cache_stats();
     EXPECT_NE(different.get(), first.get());
     EXPECT_NE(different->id, first->id);
-    EXPECT_GE(cached_program_count(), 2u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
 }
 
 TEST(ProgramCache, RejectsVerifierFailingPrograms) {
-    EXPECT_THROW(cache_decoded({stmt(BPF_LD | BPF_IMM, 1)}), std::invalid_argument);
+    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 1)}, false), std::invalid_argument);
 }
 
 TEST(ProgramCache, RejectedProgramCountsNoLookup) {
@@ -514,7 +485,7 @@ TEST(TierEquivalence, ThousandRandomProgramsMatchByteForByte) {
         const Program prog = random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const auto jitted = JitProgram::compile(decode(prog, verify(prog).facts));
+        const auto jitted = JitProgram::compile(decode(prog));
 
         for (int trial = 0; trial < 4; ++trial) {
             std::vector<std::byte> data(rng() % 100);
