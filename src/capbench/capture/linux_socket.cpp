@@ -11,9 +11,12 @@ LinuxPacketSocket::LinuxPacketSocket(hostsim::Machine& machine, const OsSpec& os
     : StackEndpoint(machine, os, snaplen), rmem_bytes_(rmem_bytes), pool_(pool) {}
 
 std::uint64_t LinuxPacketSocket::truesize(std::uint32_t frame_len) const {
-    if (os_->skb_truesize_slab == 0) return frame_len;
     const std::uint64_t slab = os_->skb_truesize_slab;
-    const std::uint64_t data = (frame_len + slab - 1) / slab * slab;
+    if (slab == 0) return frame_len;
+    // Every standard frame fits one slab; only a larger one is rounded up
+    // by division.  An empty frame charges the bare overhead.
+    std::uint64_t data = frame_len == 0 ? 0 : slab;
+    if (frame_len > slab) data = (frame_len + slab - 1) / slab * slab;
     return data + os_->skb_overhead;
 }
 

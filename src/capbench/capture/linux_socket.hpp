@@ -38,13 +38,15 @@ public:
     [[nodiscard]] std::uint64_t buffer_occupancy() const override { return queued_truesize_; }
     [[nodiscard]] std::uint64_t buffer_capacity() const override { return rmem_bytes_; }
 
+    /// The skb truesize a queued packet charges: its frame length rounded
+    /// up to whole slabs plus the per-skb overhead (the bare frame length
+    /// when the OS has no slab).  A function of the frame length, so the
+    /// queue keeps bare records and recomputes it on read.
+    [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;
+
 private:
     bool store(CaptureRecord record) override;
     bool read(std::size_t max_packets, Batch& batch) override;
-
-    /// The skb truesize a queued packet charges: a function of its frame
-    /// length, so the queue keeps bare records and recomputes it on read.
-    [[nodiscard]] std::uint64_t truesize(std::uint32_t frame_len) const;
 
     std::uint64_t rmem_bytes_;
     sim::RingBuffer<CaptureRecord> queue_;

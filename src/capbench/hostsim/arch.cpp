@@ -35,25 +35,15 @@ const ArchSpec& ArchSpec::amd_opteron() {
     return spec;
 }
 
-double work_duration_ns(const ArchSpec& arch, const Work& work, bool other_cpu_busy,
-                        bool sibling_busy) {
-    const double contention = other_cpu_busy ? arch.mem_contention : 1.0;
-
-    // Cache-spill: ramps from 1x (working set <= cache) to spill_factor
-    // (working set >= 64x cache) on a log scale.
+double spill_factor(const ArchSpec& arch, double working_set_bytes) {
     double spill = 1.0;
     const double cache_bytes = static_cast<double>(arch.cache_kb) * 1024.0;
-    if (work.working_set_bytes > cache_bytes && work.copy_bytes > 0.0) {
-        const double ratio = work.working_set_bytes / cache_bytes;
+    if (working_set_bytes > cache_bytes) {
+        const double ratio = working_set_bytes / cache_bytes;
         const double t = std::min(std::log2(ratio) / 6.0, 1.0);
         spill = 1.0 + (arch.spill_factor - 1.0) * t;
     }
-
-    double ns = work.cycles / arch.clock_hz * 1e9;
-    ns += work.mem_misses * arch.mem_latency_ns * contention;
-    ns += work.copy_bytes * arch.copy_ns_per_byte * contention * spill;
-    if (sibling_busy) ns *= arch.ht_sibling_slowdown;
-    return ns;
+    return spill;
 }
 
 }  // namespace capbench::hostsim

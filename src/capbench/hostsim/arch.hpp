@@ -17,6 +17,12 @@
 //    cache-spill penalty once the working set far exceeds the cache
 //    (responsible for the single-CPU FreeBSD degradation with very large
 //    BPF buffers, Figure 6.4(a)).
+//
+// The spill multiplier is a pure function of the architecture and the
+// working set, and a machine's stacks use only a handful of working sets,
+// so `Machine` computes it once per working set (`spill_factor`) and
+// passes it to `work_duration_ns`; the per-item arithmetic is the same
+// operations in the same order either way, so durations are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +73,31 @@ struct Work {
     }
 };
 
-/// Nanoseconds `work` takes on `arch`, given whether another CPU is
-/// currently busy (FSB contention) and whether the HT sibling is busy.
-double work_duration_ns(const ArchSpec& arch, const Work& work, bool other_cpu_busy,
-                        bool sibling_busy);
+/// Copy-cost multiplier for a working set of `working_set_bytes`: 1 while
+/// it fits the cache, ramping on a log scale to `arch.spill_factor` at 64x
+/// the cache.
+double spill_factor(const ArchSpec& arch, double working_set_bytes);
+
+/// Nanoseconds `work` takes on `arch` with its copy part scaled by `spill`,
+/// given whether another CPU is currently busy (FSB contention) and
+/// whether the HT sibling is busy.
+inline double work_duration_ns(const ArchSpec& arch, const Work& work, bool other_cpu_busy,
+                               bool sibling_busy, double spill) {
+    const double contention = other_cpu_busy ? arch.mem_contention : 1.0;
+    double ns = work.cycles / arch.clock_hz * 1e9;
+    ns += work.mem_misses * arch.mem_latency_ns * contention;
+    ns += work.copy_bytes * arch.copy_ns_per_byte * contention * spill;
+    if (sibling_busy) ns *= arch.ht_sibling_slowdown;
+    return ns;
+}
+
+/// Nanoseconds `work` takes on `arch`: the reference form, which computes
+/// the spill multiplier of `work.working_set_bytes` on every call.
+inline double work_duration_ns(const ArchSpec& arch, const Work& work, bool other_cpu_busy,
+                               bool sibling_busy) {
+    const double spill =
+        work.copy_bytes > 0.0 ? spill_factor(arch, work.working_set_bytes) : 1.0;
+    return work_duration_ns(arch, work, other_cpu_busy, sibling_busy, spill);
+}
 
 }  // namespace capbench::hostsim

@@ -97,9 +97,18 @@ int Machine::pick_idle_cpu() const {
     return best;
 }
 
+double Machine::spill(double working_set_bytes) const {
+    for (const SpillEntry& entry : spill_cache_)
+        if (entry.working_set == working_set_bytes) return entry.spill;
+    SpillEntry& slot = spill_cache_[spill_next_++ % spill_cache_.size()];
+    slot = SpillEntry{working_set_bytes, spill_factor(spec_.arch, working_set_bytes)};
+    return slot.spill;
+}
+
 sim::Duration Machine::work_duration(const Work& work, int cpu_index) const {
-    const double ns =
-        work_duration_ns(spec_.arch, work, any_other_cpu_busy(cpu_index), sibling_busy(cpu_index));
+    const double spill_mult = work.copy_bytes > 0.0 ? spill(work.working_set_bytes) : 1.0;
+    const double ns = work_duration_ns(spec_.arch, work, any_other_cpu_busy(cpu_index),
+                                       sibling_busy(cpu_index), spill_mult);
     return sim::Duration{static_cast<std::int64_t>(ns + 0.5)};
 }
 
@@ -222,12 +231,6 @@ void Machine::kernel_work_complete(int cpu_index) {
     // succeed where the existing dispatch points would not, and skipping
     // it keeps the single-queue schedule untouched.
     if (kernel_spread_ && !ready_.empty()) try_dispatch();
-}
-
-std::size_t Machine::kernel_queue_len() const {
-    std::size_t n = 0;
-    for (const auto& fifo : kernel_done_) n += fifo.size();
-    return n;
 }
 
 sim::Duration Machine::kernel_backlog(int cpu_index) const {

@@ -19,6 +19,7 @@
 //    sees five percent, another nearly all" behaviour under overload).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -141,10 +142,6 @@ public:
     /// is serialized and has absolute priority per CPU.
     void post_kernel_work_on(int cpu, const Work& work, CpuState kind, Continuation done);
 
-    /// Number of kernel work items queued but not yet completed across all
-    /// CPUs.
-    [[nodiscard]] std::size_t kernel_queue_len() const;
-
     /// Kernel work items queued but not yet completed on one CPU (the
     /// per-CPU netdev backlog / ifqueue occupancy): its completion FIFO.
     [[nodiscard]] std::size_t kernel_queue_len(int cpu) const {
@@ -208,6 +205,7 @@ private:
     [[nodiscard]] bool any_other_cpu_busy(int i) const;
     [[nodiscard]] bool sibling_busy(int i) const;
     [[nodiscard]] int pick_idle_cpu() const;  // -1 when none
+    [[nodiscard]] double spill(double working_set_bytes) const;
 
     void enqueue_ready(Thread& thread, bool woken);
     void try_dispatch();
@@ -257,6 +255,16 @@ private:
     sim::Simulator* sim_;
     MachineSpec spec_;
     SchedPolicy policy_;
+    /// Cache-spill multipliers of the working sets seen last, replaced
+    /// round-robin: spill_factor() is a pure function of the arch and the
+    /// working set, and the stacks on one machine use a handful of sets.
+    /// Every entry starts as the empty working set, whose multiplier is 1.
+    struct SpillEntry {
+        double working_set = 0.0;
+        double spill = 1.0;
+    };
+    mutable std::array<SpillEntry, 8> spill_cache_{};
+    mutable std::size_t spill_next_ = 0;
     std::vector<Cpu> cpus_;
     std::vector<RunningChunk> chunks_;  // one per cpu
     sim::RingBuffer<Thread*> ready_;

@@ -28,14 +28,18 @@ BringRing::BringRing(std::size_t slots) : slots_(slots) {
     if (slots == 0) throw std::invalid_argument("BringRing: slots must be >= 1");
 }
 
+// head_ < slots and size_ <= slots, so one compare-and-subtract wraps an
+// index instead of a division by the runtime slot count.
 void BringRing::push(RecordRef rec) {
-    slots_[(head_ + size_) % slots_.size()] = std::move(rec);
+    std::size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(rec);
     ++size_;
 }
 
 RecordRef BringRing::pop() {
     RecordRef rec = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    if (++head_ == slots_.size()) head_ = 0;
     --size_;
     return rec;
 }

@@ -26,6 +26,7 @@
 #include "capbench/capture/linux_socket.hpp"
 #include "capbench/capture/mmap_ring.hpp"
 #include "capbench/capture/os.hpp"
+#include "capbench/capture/rss.hpp"
 #include "capbench/dist/builtin.hpp"
 #include "capbench/harness/experiment.hpp"
 #include "capbench/harness/testbed.hpp"
@@ -449,6 +450,21 @@ std::uint64_t filter_allocations(Filter&& filter) {
     const std::uint64_t allocs = allocations_during([&] { rounds(1'000); });
     EXPECT_GT(executed, 0u);
     return allocs;
+}
+
+TEST(AllocGuard, FlowHashDoesNotAllocate) {
+    SKIP_UNDER_SANITIZERS();
+    net::Packet packet{0, 64, sim::SimTime{}};
+    std::uint64_t sum = 0;  // not a XOR: the hash is linear, so XORs may cancel
+    const std::uint64_t allocs = allocations_during([&] {
+        for (std::uint32_t i = 0; i < 100'000; ++i) {
+            packet.set_flow(net::FlowTuple{i, ~i, static_cast<std::uint16_t>(i),
+                                           static_cast<std::uint16_t>(i >> 16)});
+            sum += capbench::capture::rss::flow_hash(packet);
+        }
+    });
+    EXPECT_NE(sum, 0u);
+    EXPECT_EQ(allocs, 0u) << "rss::flow_hash allocated per packet";
 }
 
 TEST(AllocGuard, InterpreterFilterRunDoesNotAllocate) {

@@ -156,6 +156,25 @@ TEST(LinuxSocket, TruesizeChargesSlabRounded) {
     EXPECT_EQ(sock.buffer_occupancy(), 2304u);
 }
 
+TEST(LinuxSocket, TruesizeMatchesTheSlabFormula) {
+    Fixture f;
+    for (const std::uint32_t slab : {2048u, 1000u, 1u, 0u}) {
+        OsSpec os = OsSpec::linux_2_6_11();
+        os.skb_truesize_slab = slab;
+        const LinuxPacketSocket sock{f.machine, os, 64 * 1024, 1515};
+        for (std::uint32_t len = 0; len <= 2 * slab + 1; ++len) {
+            const std::uint64_t expect =
+                slab == 0 ? len
+                          : (std::uint64_t{len} + slab - 1) / slab * slab + os.skb_overhead;
+            ASSERT_EQ(sock.truesize(len), expect) << "slab " << slab << " frame " << len;
+        }
+        if (slab == 0) {
+            for (const std::uint32_t len : {64u, 1500u, 9000u, 65535u})
+                EXPECT_EQ(sock.truesize(len), len);
+        }
+    }
+}
+
 TEST(LinuxSocket, DropsWhenRmemExhausted) {
     Fixture f;
     LinuxPacketSocket sock{f.machine, OsSpec::linux_2_6_11(), 8 * 1024, 1515};

@@ -28,26 +28,31 @@ RecordRef make_record(net::PacketArena& arena, std::uint64_t id, std::uint32_t l
 }
 
 TEST(BringRing, PushPopWrapsAround) {
-    BringRing ring{3};
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.slots(), 3u);
     auto arena = net::PacketArena::create();
-    std::uint64_t next_id = 1;
-    // Cycle more records through than the ring holds: FIFO order must
-    // survive the wraparound.
-    std::uint64_t expect_pop = 1;
-    for (int round = 0; round < 4; ++round) {
-        while (!ring.full())
+    for (const std::size_t slots : {1u, 3u, 32u}) {
+        BringRing ring{slots};
+        EXPECT_TRUE(ring.empty());
+        EXPECT_EQ(ring.slots(), slots);
+        std::uint64_t next_id = 1;
+        std::uint64_t expect_pop = 1;
+        // Cycle many laps of records through the ring: FIFO order must
+        // survive every wraparound.
+        const int laps = 2 * static_cast<int>(slots) + 3;
+        for (int lap = 0; lap < laps; ++lap) {
+            while (!ring.full()) ring.push(make_record(*arena, next_id++, 64, 0));
+            EXPECT_EQ(ring.size(), slots);
+            EXPECT_EQ(ring.pop().packet->id(), expect_pop++);  // free one slot
             ring.push(make_record(*arena, next_id++, 64, 0));
-        ring.pop();  // free one slot
-        ++expect_pop;
-        ring.push(make_record(*arena, next_id++, 64, 0));
-        EXPECT_TRUE(ring.full());
-        EXPECT_EQ(ring.pop().packet->id(), expect_pop);
-        ++expect_pop;
+            EXPECT_TRUE(ring.full());
+            // Drain to a different fill level each lap, so the indices
+            // wrap from varying head positions.
+            const std::size_t keep = static_cast<std::size_t>(lap) % slots;
+            while (ring.size() > keep) EXPECT_EQ(ring.pop().packet->id(), expect_pop++);
+        }
+        while (!ring.empty()) EXPECT_EQ(ring.pop().packet->id(), expect_pop++);
+        EXPECT_EQ(expect_pop, next_id);
+        EXPECT_EQ(ring.size(), 0u);
     }
-    while (!ring.empty()) ring.pop();
-    EXPECT_EQ(ring.size(), 0u);
 }
 
 TEST(BringRing, RejectsZeroSlots) {

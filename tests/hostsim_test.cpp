@@ -2,6 +2,8 @@
 // work priority, thread scheduling, accounting.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "capbench/hostsim/arch.hpp"
 #include "capbench/hostsim/machine.hpp"
 
@@ -77,13 +79,65 @@ TEST(Machine, KernelWorkRunsFifoAndAccounts) {
     std::vector<int> order;
     m.post_kernel_work(Work{.cycles = 1800}, CpuState::kInterrupt, [&] { order.push_back(1); });
     m.post_kernel_work(Work{.cycles = 1800}, CpuState::kInterrupt, [&] { order.push_back(2); });
-    EXPECT_EQ(m.kernel_queue_len(), 2u);
+    EXPECT_EQ(m.kernel_queue_len(0), 2u);
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(m.kernel_queue_len(), 0u);
+    EXPECT_EQ(m.kernel_queue_len(0), 0u);
     // 3600 cycles at 1.8 GHz = 2000 ns of interrupt time on CPU 0.
     EXPECT_EQ(m.cpu(0).in_state(CpuState::kInterrupt).ns(), 2000);
     EXPECT_EQ(m.cpu(1).busy().ns(), 0);
+}
+
+TEST(Machine, CachedSpillGivesTheReferenceDuration) {
+    struct Setup {
+        const ArchSpec* arch;
+        bool ht;
+    };
+    const Setup setups[] = {{&ArchSpec::intel_xeon(), false},
+                            {&ArchSpec::intel_xeon(), true},
+                            {&ArchSpec::amd_opteron(), false}};
+    std::mt19937_64 rng{20051025};
+    std::uniform_real_distribution<double> amount{0.0, 4000.0};
+    for (const Setup& setup : setups) {
+        const ArchSpec& arch = *setup.arch;
+        const double cache = static_cast<double>(arch.cache_kb) * 1024.0;
+        std::uniform_real_distribution<double> above{cache, 200.0 * cache};
+        for (const bool busy : {false, true}) {
+            sim::Simulator sim;
+            Machine m{sim, MachineSpec{arch, 2, setup.ht}, {}};
+            // Long kernel items keep every CPU but 0 busy; with HT, CPU 1
+            // is CPU 0's sibling.
+            if (busy) {
+                for (int c = 1; c < m.logical_cpus(); ++c)
+                    m.post_kernel_work_on(c, Work{.cycles = 1e9}, CpuState::kInterrupt, [] {});
+            }
+            const bool sibling = busy && setup.ht;
+            for (int block = 0; block < 200; ++block) {
+                // Two working sets drawn from below, at and above the
+                // cache (and past the 64x saturation), used alternately.
+                double sets[2];
+                for (double& ws : sets) {
+                    switch (rng() % 5) {
+                    case 0: ws = 0.0; break;
+                    case 1: ws = cache / 2.0; break;
+                    case 2: ws = cache; break;
+                    case 3: ws = 2.0 * cache; break;
+                    default: ws = above(rng); break;
+                    }
+                }
+                for (int i = 0; i < 50; ++i) {
+                    const Work w{.cycles = amount(rng),
+                                 .mem_misses = amount(rng) / 100.0,
+                                 .copy_bytes = rng() % 3 == 0 ? 0.0 : amount(rng),
+                                 .working_set_bytes = sets[i % 2]};
+                    const double ref = work_duration_ns(arch, w, busy, sibling);
+                    ASSERT_EQ(m.work_duration(w, 0).ns(), static_cast<std::int64_t>(ref + 0.5))
+                        << arch.name << " ht=" << setup.ht << " busy=" << busy
+                        << " ws=" << w.working_set_bytes << " copy=" << w.copy_bytes;
+                }
+            }
+        }
+    }
 }
 
 /// Thread that runs one chunk of work then exits.

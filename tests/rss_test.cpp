@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 
 #include "capbench/capture/rss.hpp"
 #include "capbench/net/packet.hpp"
@@ -38,8 +39,15 @@ constexpr Vector kVectors[] = {
 
 TEST(Toeplitz, MatchesMicrosoftIpv4TwoTupleVectors) {
     const Key& key = microsoft_key();
-    for (const Vector& v : kVectors)
-        EXPECT_EQ(hash_ipv4(key, v.src_ip, v.dst_ip), v.hash_2tuple);
+    for (const Vector& v : kVectors) {
+        // Source then destination address, each big-endian.
+        std::uint8_t input[8];
+        for (int i = 0; i < 4; ++i) {
+            input[i] = static_cast<std::uint8_t>(v.src_ip >> (24 - 8 * i));
+            input[4 + i] = static_cast<std::uint8_t>(v.dst_ip >> (24 - 8 * i));
+        }
+        EXPECT_EQ(toeplitz(key, input, sizeof(input)), v.hash_2tuple);
+    }
 }
 
 TEST(Toeplitz, MatchesMicrosoftIpv4FourTupleVectors) {
@@ -54,6 +62,35 @@ TEST(Toeplitz, FlowHashUsesThePacketsStampedTuple) {
     net::Packet packet{0, 1500, sim::SimTime{}};
     packet.set_flow(net::FlowTuple{v.src_ip, v.dst_ip, v.src_port, v.dst_port});
     EXPECT_EQ(flow_hash(packet), v.hash_4tuple);
+}
+
+TEST(Toeplitz, TableHashMatchesBitSerialReference) {
+    // The published vectors through the table-driven flow_hash...
+    net::Packet packet{0, 64, sim::SimTime{}};
+    for (const Vector& v : kVectors) {
+        packet.set_flow(net::FlowTuple{v.src_ip, v.dst_ip, v.src_port, v.dst_port});
+        EXPECT_EQ(flow_hash(packet), v.hash_4tuple);
+    }
+    // ...and random tuples against the bit-serial hash, with every byte
+    // value appearing at every input position many times over.
+    const Key& key = microsoft_key();
+    std::mt19937_64 rng{0x6d5a56da};
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t a = rng();
+        const std::uint64_t b = rng();
+        const net::FlowTuple f{static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(a >> 32),
+                               static_cast<std::uint16_t>(b), static_cast<std::uint16_t>(b >> 16)};
+        packet.set_flow(f);
+        ASSERT_EQ(flow_hash(packet),
+                  hash_ipv4_ports(key, f.src_ip, f.dst_ip, f.src_port, f.dst_port))
+            << "tuple " << f.src_ip << " " << f.dst_ip << " " << f.src_port << " "
+            << f.dst_port;
+    }
+    // The all-zero and all-ones tuples.
+    packet.set_flow(net::FlowTuple{0, 0, 0, 0});
+    EXPECT_EQ(flow_hash(packet), 0u);
+    packet.set_flow(net::FlowTuple{~0u, ~0u, 0xffff, 0xffff});
+    EXPECT_EQ(flow_hash(packet), hash_ipv4_ports(key, ~0u, ~0u, 0xffff, 0xffff));
 }
 
 TEST(Toeplitz, HashDependsOnEveryTupleField) {
