@@ -53,14 +53,4 @@ ExecMemory::ExecMemory(ExecMemory&& other) noexcept
       code_size_(std::exchange(other.code_size_, 0)),
       mapped_size_(std::exchange(other.mapped_size_, 0)) {}
 
-ExecMemory& ExecMemory::operator=(ExecMemory&& other) noexcept {
-    if (this != &other) {
-        ExecMemory tmp(std::move(other));
-        std::swap(mem_, tmp.mem_);
-        std::swap(code_size_, tmp.code_size_);
-        std::swap(mapped_size_, tmp.mapped_size_);
-    }
-    return *this;
-}
-
 }  // namespace capbench::bpf::jit

@@ -35,7 +35,6 @@ public:
     ExecMemory(const ExecMemory&) = delete;
     ExecMemory& operator=(const ExecMemory&) = delete;
     ExecMemory(ExecMemory&& other) noexcept;
-    ExecMemory& operator=(ExecMemory&& other) noexcept;
 
     /// Start of the sealed (read+execute) code; null when default-built.
     [[nodiscard]] const void* entry() const { return mem_; }

@@ -1,7 +1,10 @@
 #include "capbench/bpf/jit/jit_program.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "capbench/bpf/jit/assembler.hpp"
 
@@ -70,53 +73,46 @@ struct Emitter {
         return true;
     }
 
-    // Loads packet bytes at absolute offset k into `dst`, big-endian for
-    // W/H.  `size` selects the width.
-    void load_abs(Reg dst, std::uint32_t k, std::uint32_t size) {
-        const bool direct = k <= static_cast<std::uint32_t>(kMaxDisp);
-        if (!direct) a.mov_ri32(kTmp, k);
-        const auto disp = static_cast<std::int32_t>(direct ? k : 0);
+    // A = packet bytes at absolute offset k, big-endian for W/H; the guard
+    // already ran.
+    void load_abs(std::uint32_t k, std::uint32_t size) {
+        if (k > static_cast<std::uint32_t>(kMaxDisp)) {
+            a.mov_ri32(kTmp, k);
+            load_at_tmp(size);
+            return;
+        }
+        const auto disp = static_cast<std::int32_t>(k);
         switch (size) {
             case 4:
-                if (direct)
-                    a.load32(dst, kData, disp);
-                else
-                    a.load32_bi(dst, kData, kTmp, 0);
-                a.bswap32(dst);
+                a.load32(kA, kData, disp);
+                a.bswap32(kA);
                 break;
             case 2:
-                if (direct)
-                    a.movzx16(dst, kData, disp);
-                else
-                    a.movzx16_bi(dst, kData, kTmp, 0);
-                a.bswap32(dst);
-                a.shr32_ri(dst, 16);
+                a.movzx16(kA, kData, disp);
+                a.bswap32(kA);
+                a.shr32_ri(kA, 16);
                 break;
             default:
-                if (direct)
-                    a.movzx8(dst, kData, disp);
-                else
-                    a.movzx8_bi(dst, kData, kTmp, 0);
+                a.movzx8(kA, kData, disp);
                 break;
         }
     }
 
-    // kTmp = zero-extended X + k (cannot wrap: both fit 32 bits).
-    void ind_offset(std::uint32_t k) {
+    // A = packet bytes at X + k (zero-extended, so it cannot wrap), after
+    // the interpreter's check: B faults on off >= size, W/H on
+    // off + size > size.
+    void load_ind(std::uint32_t k, std::uint32_t size) {
         a.mov_ri32(kTmp, k);
         a.alu64_rr(AluOp::kAdd, kTmp, kX);
-    }
-
-    // Bounds check for an indirect load with the offset already in kTmp.
-    void guard_ind(std::uint32_t size) {
         if (size == 1) {
             a.alu64_rr(AluOp::kCmp, kTmp, kLen);
-            a.jcc(Cond::kAe, fault);  // off >= size
+            a.jcc(Cond::kAe, fault);
         } else {
             a.lea64(kTmp2, kTmp, static_cast<std::int32_t>(size));
             a.alu64_rr(AluOp::kCmp, kTmp2, kLen);
-            a.jcc(Cond::kA, fault);  // off + size > size
+            a.jcc(Cond::kA, fault);
         }
+        load_at_tmp(size);
     }
 
     // Loads packet bytes at [data + kTmp] into A, big-endian for W/H.
@@ -174,42 +170,50 @@ struct Emitter {
     }
 };
 
-bool touches_scratch(const DecodedProgram& prog) {
-    for (const DecodedInsn& di : prog.insns) {
-        switch (di.tok) {
-            case Tok::kLdMem:
-            case Tok::kLdxMem:
-            case Tok::kSt:
-            case Tok::kStx:
-                return true;
-            default:
-                break;
-        }
+[[noreturn]] void unlowered(std::size_t pc, const Insn& insn, const char* what) {
+    throw std::logic_error("compile_to_bytes: insn " + std::to_string(pc) + " (code " +
+                           std::to_string(insn.code) + ", k " + std::to_string(insn.k) +
+                           "): " + what);
+}
+
+// Packet-load width in bytes: W, H, else B.
+std::uint32_t load_size(std::uint16_t code) {
+    switch (bpf_size(code)) {
+        case BPF_W: return 4;
+        case BPF_H: return 2;
+        default: return 1;
     }
-    return false;
+}
+
+bool touches_scratch(const Program& prog) {
+    return std::any_of(prog.begin(), prog.end(), [](const Insn& insn) {
+        const std::uint16_t cls = bpf_class(insn.code);
+        return cls == BPF_ST || cls == BPF_STX ||
+               ((cls == BPF_LD || cls == BPF_LDX) && bpf_mode(insn.code) == BPF_MEM);
+    });
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
+std::vector<std::uint8_t> compile_to_bytes(const Program& prog) {
     Assembler a;
-    const std::size_t n = prog.insns.size();
+    const std::size_t n = prog.size();
     const bool uses_mem = touches_scratch(prog);
 
-    // Jump-target pcs get labels; everything else is straight-line.
+    // Jump-target pcs get labels; everything else is straight-line.  A
+    // target is pc + 1 + offset, computed in size_t so it cannot wrap.
     std::vector<std::uint8_t> is_target(n, 0);
-    for (const DecodedInsn& di : prog.insns) {
-        switch (di.tok) {
-            case Tok::kJa:
-                if (di.jt < n) is_target[di.jt] = 1;
-                break;
-            case Tok::kJeqK: case Tok::kJgtK: case Tok::kJgeK: case Tok::kJsetK:
-            case Tok::kJeqX: case Tok::kJgtX: case Tok::kJgeX: case Tok::kJsetX:
-                if (di.jt < n) is_target[di.jt] = 1;
-                if (di.jf < n) is_target[di.jf] = 1;
-                break;
-            default:
-                break;
+    const auto mark = [&](std::size_t t) {
+        if (t < n) is_target[t] = 1;
+    };
+    for (std::size_t pc = 0; pc < n; ++pc) {
+        const Insn& insn = prog[pc];
+        if (bpf_class(insn.code) != BPF_JMP) continue;
+        if (bpf_op(insn.code) == BPF_JA) {
+            mark(pc + 1 + insn.k);
+        } else {
+            mark(pc + 1 + insn.jt);
+            mark(pc + 1 + insn.jf);
         }
     }
     std::vector<Assembler::Label> at(n);
@@ -217,10 +221,10 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
         if (is_target[pc]) at[pc] = a.make_label();
 
     Emitter e{a, a.make_label()};
-    // A decoded jump target past the end (hand-built programs only — the
-    // verifier pins targets to real instructions) lands on the fault path,
+    // A jump target past the end (hand-built programs only — the verifier
+    // pins targets to real instructions) lands on the fault path,
     // mirroring the interpreter's fell-off-the-end rejection.
-    const auto target = [&](std::uint32_t t) { return t < n ? at[t] : e.fault; };
+    const auto target = [&](std::size_t t) { return t < n ? at[t] : e.fault; };
 
     // Prologue: save X's register, carve the scratch frame, zero the
     // machine state, normalize the 32-bit arguments.
@@ -236,17 +240,20 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
     a.mov_rr32(kLen, kLen);     // data_len: clear the undefined upper half
     a.mov_rr32(kWire, Reg::rdx);  // wire_len out of div's clobber set
 
-    const auto cond_jump = [&](Cond cond, const DecodedInsn& di, std::size_t pc) {
-        const auto next = static_cast<std::uint32_t>(pc + 1);
-        if (di.jt == di.jf) {
-            if (di.jt != next) a.jmp(target(di.jt));
-        } else if (di.jf == next) {
-            a.jcc(cond, target(di.jt));
-        } else if (di.jt == next) {
-            a.jcc(negate(cond), target(di.jf));
+    // Conditional jump on the flags just set: jt/jf are relative, so 0 is
+    // the fallthrough.
+    const auto cond_jump = [&](Cond cond, const Insn& insn, std::size_t pc) {
+        const std::size_t jt = pc + 1 + insn.jt;
+        const std::size_t jf = pc + 1 + insn.jf;
+        if (insn.jt == insn.jf) {
+            if (insn.jt != 0) a.jmp(target(jt));
+        } else if (insn.jf == 0) {
+            a.jcc(cond, target(jt));
+        } else if (insn.jt == 0) {
+            a.jcc(negate(cond), target(jf));
         } else {
-            a.jcc(cond, target(di.jt));
-            a.jmp(target(di.jf));
+            a.jcc(cond, target(jt));
+            a.jmp(target(jf));
         }
     };
 
@@ -256,144 +263,133 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
             a.bind(at[pc]);
         }
         ++e.pending;
-        const DecodedInsn& di = prog.insns[pc];
-        const auto mem_slot = static_cast<std::int32_t>(di.k * 4);
-        switch (di.tok) {
-            case Tok::kLdImm: a.mov_ri32(kA, di.k); break;
-            case Tok::kLdLen: a.mov_rr32(kA, kWire); break;
-            case Tok::kLdMem: a.load32(kA, Reg::rsp, mem_slot); break;
+        const Insn& insn = prog[pc];
+        const std::uint16_t code = insn.code;
+        const std::uint32_t k = insn.k;
+        const bool use_x = bpf_src(code) == BPF_X;
+        const std::uint32_t size = load_size(code);
+        const auto mem_slot = [&] {
+            if (k >= kMemWords) unlowered(pc, insn, "scratch index out of range");
+            return static_cast<std::int32_t>(k * 4);
+        };
+        // A op= (X or k); also the compare of a conditional jump.
+        const auto alu = [&](AluOp op) {
+            use_x ? a.alu32_rr(op, kA, kX) : a.alu32_ri(op, kA, k);
+        };
+        switch (bpf_class(code)) {
+            case BPF_LD:
+                switch (bpf_mode(code) | bpf_size(code)) {
+                    case BPF_IMM | BPF_W: a.mov_ri32(kA, k); break;
+                    case BPF_LEN | BPF_W: a.mov_rr32(kA, kWire); break;
+                    case BPF_MEM | BPF_W: a.load32(kA, Reg::rsp, mem_slot()); break;
+                    case BPF_ABS | BPF_W:
+                    case BPF_ABS | BPF_H:
+                    case BPF_ABS | BPF_B:
+                        e.flush();
+                        if (e.guard_abs(k, size)) e.load_abs(k, size);
+                        break;
+                    case BPF_IND | BPF_W:
+                    case BPF_IND | BPF_H:
+                    case BPF_IND | BPF_B:
+                        e.flush();
+                        e.load_ind(k, size);
+                        break;
+                    default: unlowered(pc, insn, "unknown load");
+                }
+                break;
+            case BPF_LDX:
+                switch (bpf_mode(code) | bpf_size(code)) {
+                    case BPF_IMM | BPF_W: a.mov_ri32(kX, k); break;
+                    case BPF_LEN | BPF_W: a.mov_rr32(kX, kWire); break;
+                    case BPF_MEM | BPF_W: a.load32(kX, Reg::rsp, mem_slot()); break;
+                    case BPF_MSH | BPF_B:
+                        e.flush();
+                        if (e.guard_abs(k, 1)) e.msh_body(k);
+                        break;
+                    default: unlowered(pc, insn, "unknown ldx");
+                }
+                break;
+            case BPF_ST: a.store32(Reg::rsp, mem_slot(), kA); break;
+            case BPF_STX: a.store32(Reg::rsp, mem_slot(), kX); break;
 
-            case Tok::kLdAbsW:
-                e.flush();
-                if (e.guard_abs(di.k, 4)) e.load_abs(kA, di.k, 4);
-                break;
-            case Tok::kLdAbsH:
-                e.flush();
-                if (e.guard_abs(di.k, 2)) e.load_abs(kA, di.k, 2);
-                break;
-            case Tok::kLdAbsB:
-                e.flush();
-                if (e.guard_abs(di.k, 1)) e.load_abs(kA, di.k, 1);
-                break;
-            case Tok::kLdIndW:
-                e.flush();
-                e.ind_offset(di.k);
-                e.guard_ind(4);
-                e.load_at_tmp(4);
-                break;
-            case Tok::kLdIndH:
-                e.flush();
-                e.ind_offset(di.k);
-                e.guard_ind(2);
-                e.load_at_tmp(2);
-                break;
-            case Tok::kLdIndB:
-                e.flush();
-                e.ind_offset(di.k);
-                e.guard_ind(1);
-                e.load_at_tmp(1);
-                break;
-
-            case Tok::kLdxImm: a.mov_ri32(kX, di.k); break;
-            case Tok::kLdxLen: a.mov_rr32(kX, kWire); break;
-            case Tok::kLdxMem: a.load32(kX, Reg::rsp, mem_slot); break;
-            case Tok::kLdxMsh:
-                e.flush();
-                if (e.guard_abs(di.k, 1)) e.msh_body(di.k);
-                break;
-
-            case Tok::kSt: a.store32(Reg::rsp, mem_slot, kA); break;
-            case Tok::kStx: a.store32(Reg::rsp, mem_slot, kX); break;
-
-            case Tok::kAddK: a.alu32_ri(AluOp::kAdd, kA, di.k); break;
-            case Tok::kSubK: a.alu32_ri(AluOp::kSub, kA, di.k); break;
-            case Tok::kMulK: a.imul32_rri(kA, kA, di.k); break;
-            case Tok::kDivK:  // k != 0: verifier-checked
-                a.mov_ri32(Reg::rcx, di.k);
-                a.alu32_rr(AluOp::kXor, Reg::rdx, Reg::rdx);
-                a.div32(Reg::rcx);
-                break;
-            case Tok::kOrK: a.alu32_ri(AluOp::kOr, kA, di.k); break;
-            case Tok::kAndK: a.alu32_ri(AluOp::kAnd, kA, di.k); break;
-            case Tok::kLshK: a.shl32_ri(kA, static_cast<std::uint8_t>(di.k)); break;
-            case Tok::kRshK: a.shr32_ri(kA, static_cast<std::uint8_t>(di.k)); break;
-
-            case Tok::kAddX: a.alu32_rr(AluOp::kAdd, kA, kX); break;
-            case Tok::kSubX: a.alu32_rr(AluOp::kSub, kA, kX); break;
-            case Tok::kMulX: a.imul32_rr(kA, kX); break;
-            case Tok::kDivX:
-                e.flush();
-                a.test32_rr(kX, kX);
-                a.jcc(Cond::kE, e.fault);
-                a.alu32_rr(AluOp::kXor, Reg::rdx, Reg::rdx);
-                a.div32(kX);
-                break;
-            case Tok::kOrX: a.alu32_rr(AluOp::kOr, kA, kX); break;
-            case Tok::kAndX: a.alu32_rr(AluOp::kAnd, kA, kX); break;
-            case Tok::kLshX: e.shift_by_x(true); break;
-            case Tok::kRshX: e.shift_by_x(false); break;
-            case Tok::kNeg: a.neg32(kA); break;
-
-            case Tok::kJa:
-                e.flush();
-                if (di.jt != pc + 1) a.jmp(target(di.jt));
-                break;
-            case Tok::kJeqK:
-                e.flush();
-                a.alu32_ri(AluOp::kCmp, kA, di.k);
-                cond_jump(Cond::kE, di, pc);
-                break;
-            case Tok::kJgtK:
-                e.flush();
-                a.alu32_ri(AluOp::kCmp, kA, di.k);
-                cond_jump(Cond::kA, di, pc);
-                break;
-            case Tok::kJgeK:
-                e.flush();
-                a.alu32_ri(AluOp::kCmp, kA, di.k);
-                cond_jump(Cond::kAe, di, pc);
-                break;
-            case Tok::kJsetK:
-                e.flush();
-                a.test32_ri(kA, di.k);
-                cond_jump(Cond::kNe, di, pc);
-                break;
-            case Tok::kJeqX:
-                e.flush();
-                a.alu32_rr(AluOp::kCmp, kA, kX);
-                cond_jump(Cond::kE, di, pc);
-                break;
-            case Tok::kJgtX:
-                e.flush();
-                a.alu32_rr(AluOp::kCmp, kA, kX);
-                cond_jump(Cond::kA, di, pc);
-                break;
-            case Tok::kJgeX:
-                e.flush();
-                a.alu32_rr(AluOp::kCmp, kA, kX);
-                cond_jump(Cond::kAe, di, pc);
-                break;
-            case Tok::kJsetX:
-                e.flush();
-                a.test32_rr(kA, kX);
-                cond_jump(Cond::kNe, di, pc);
+            case BPF_ALU:
+                switch (bpf_op(code)) {
+                    case BPF_ADD: alu(AluOp::kAdd); break;
+                    case BPF_SUB: alu(AluOp::kSub); break;
+                    case BPF_OR: alu(AluOp::kOr); break;
+                    case BPF_AND: alu(AluOp::kAnd); break;
+                    case BPF_MUL: use_x ? a.imul32_rr(kA, kX) : a.imul32_rri(kA, kA, k); break;
+                    case BPF_DIV:
+                        if (use_x) {
+                            e.flush();
+                            a.test32_rr(kX, kX);
+                            a.jcc(Cond::kE, e.fault);
+                            a.alu32_rr(AluOp::kXor, Reg::rdx, Reg::rdx);
+                            a.div32(kX);
+                        } else {
+                            if (k == 0) unlowered(pc, insn, "constant division by zero");
+                            a.mov_ri32(Reg::rcx, k);
+                            a.alu32_rr(AluOp::kXor, Reg::rdx, Reg::rdx);
+                            a.div32(Reg::rcx);
+                        }
+                        break;
+                    case BPF_LSH:
+                    case BPF_RSH: {
+                        const bool left = bpf_op(code) == BPF_LSH;
+                        if (use_x) {
+                            e.shift_by_x(left);
+                        } else if (k >= 32) {
+                            a.mov_ri32(kA, 0);  // a constant over-shift always yields 0
+                        } else {
+                            const auto bits = static_cast<std::uint8_t>(k);
+                            left ? a.shl32_ri(kA, bits) : a.shr32_ri(kA, bits);
+                        }
+                        break;
+                    }
+                    case BPF_NEG: a.neg32(kA); break;
+                    default: unlowered(pc, insn, "unknown alu op");
+                }
                 break;
 
-            case Tok::kRetK:
+            case BPF_JMP: {
                 e.flush();
-                a.mov_ri32(kA, di.k);
-                e.pack_and_ret(uses_mem);
+                if (bpf_op(code) == BPF_JA) {
+                    if (k != 0) a.jmp(target(pc + 1 + k));
+                    break;
+                }
+                Cond cond = Cond::kNe;  // JSET: A & operand != 0
+                switch (bpf_op(code)) {
+                    case BPF_JEQ: cond = Cond::kE; break;
+                    case BPF_JGT: cond = Cond::kA; break;
+                    case BPF_JGE: cond = Cond::kAe; break;
+                    case BPF_JSET: break;
+                    default: unlowered(pc, insn, "unknown jump op");
+                }
+                if (bpf_op(code) == BPF_JSET)
+                    use_x ? a.test32_rr(kA, kX) : a.test32_ri(kA, k);
+                else
+                    alu(AluOp::kCmp);
+                cond_jump(cond, insn, pc);
                 break;
-            case Tok::kRetA:
+            }
+
+            case BPF_RET:
                 e.flush();
+                switch (bpf_rval(code)) {
+                    case BPF_K: a.mov_ri32(kA, k); break;
+                    case BPF_A: break;
+                    default: unlowered(pc, insn, "unknown ret source");
+                }
                 e.pack_and_ret(uses_mem);
                 break;
 
-            case Tok::kTax: a.mov_rr32(kX, kA); break;
-            case Tok::kTxa: a.mov_rr32(kA, kX); break;
-
-            case Tok::kCount_:
-                throw std::logic_error("compile_to_bytes: kCount_ in program");
+            default:  // BPF_MISC
+                switch (bpf_miscop(code)) {
+                    case BPF_TAX: a.mov_rr32(kX, kA); break;
+                    case BPF_TXA: a.mov_rr32(kA, kX); break;
+                    default: unlowered(pc, insn, "unknown misc op");
+                }
+                break;
         }
     }
 
@@ -416,11 +412,26 @@ std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog) {
 
 }  // namespace jit
 
-std::shared_ptr<const JitProgram> JitProgram::compile(const DecodedProgram& prog) {
+std::shared_ptr<const JitProgram> JitProgram::compile(const Program& prog) {
     if (!supported())
         throw std::runtime_error("JitProgram: native tier unsupported on this build");
     jit::ExecMemory mem(jit::compile_to_bytes(prog));
     return std::shared_ptr<const JitProgram>(new JitProgram(std::move(mem)));
+}
+
+ExecTier parse_exec_tier(const std::string& value) {
+    if (value == "interpreter") return ExecTier::kInterpreter;
+    if (value == "jit") return ExecTier::kJit;
+    throw std::runtime_error("CAPBENCH_BPF_TIER: expected 'interpreter' or 'jit', got '" +
+                             value + "'");
+}
+
+ExecTier exec_tier() {
+    static const ExecTier tier = [] {
+        const char* env = std::getenv("CAPBENCH_BPF_TIER");
+        return env == nullptr ? ExecTier::kJit : parse_exec_tier(env);
+    }();
+    return tier;
 }
 
 }  // namespace capbench::bpf

@@ -1,4 +1,5 @@
-// Native BPF execution: DecodedProgram tokens lowered to x86-64 machine code.
+// Native BPF execution: verified classic BPF lowered to x86-64 machine code,
+// one instruction at a time, straight from `bpf::Program`.
 //
 // The generated function is the BESS `bpf_filter_func_t` shape — one call
 // per packet, no interpreter loop — with the whole VmResult packed into
@@ -22,22 +23,42 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/insn.hpp"
 #include "capbench/bpf/jit/exec_memory.hpp"
 #include "capbench/bpf/vm.hpp"
 
 namespace capbench::bpf {
+
+/// Which tier FilterRunner executes.  Read once per process from
+/// CAPBENCH_BPF_TIER ("jit", the default, or "interpreter", the checked
+/// reference tier); both produce bit-identical verdicts, so figures are
+/// unaffected.
+enum class ExecTier { kInterpreter, kJit };
+ExecTier exec_tier();
+/// Strict parse; throws std::runtime_error on anything else.
+ExecTier parse_exec_tier(const std::string& value);
+
+/// Portable fallback policy: a jit request downgrades to the interpreter
+/// on builds that cannot emit native code (JitProgram::supported() false).
+/// Pure so the non-x86-64 path is unit-testable everywhere.
+constexpr ExecTier effective_tier(ExecTier requested, bool jit_supported) {
+    return jit_supported ? requested : ExecTier::kInterpreter;
+}
 
 /// Native entry point (SysV x86-64).
 using JitFn = std::uint64_t (*)(const std::byte* data, std::uint32_t data_len,
                                 std::uint32_t wire_len);
 
 namespace jit {
-/// Lowers the token stream to machine code.  Pure byte generation — runs
-/// (and is unit-tested) on every host; only executing needs x86-64.
-std::vector<std::uint8_t> compile_to_bytes(const DecodedProgram& prog);
+/// Lowers `prog` to machine code, one classic instruction at a time.  Pure
+/// byte generation — runs (and is unit-tested) on every host; only
+/// executing needs x86-64.  Throws std::logic_error for an instruction
+/// with no lowering: an opcode the validator rejects, a scratch index
+/// >= kMemWords or a division by the constant 0.
+std::vector<std::uint8_t> compile_to_bytes(const Program& prog);
 }  // namespace jit
 
 class JitProgram {
@@ -46,9 +67,9 @@ public:
     static bool supported() { return jit::ExecMemory::supported(); }
 
     /// Compiles to an RX mapping.  Throws std::runtime_error when
-    /// !supported() or the mapping fails.  `prog` must come from decode()
-    /// of a verified program.
-    static std::shared_ptr<const JitProgram> compile(const DecodedProgram& prog);
+    /// !supported() or the mapping fails.  `prog` must have passed the
+    /// verifier.
+    static std::shared_ptr<const JitProgram> compile(const Program& prog);
 
     [[nodiscard]] VmResult run(std::span<const std::byte> data,
                                std::uint32_t wire_len) const {

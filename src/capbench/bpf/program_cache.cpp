@@ -26,7 +26,7 @@ struct ProgramLess {
 
 struct Cache {
     std::mutex mu;
-    std::map<Program, CachedFilter, ProgramLess> entries;
+    std::map<Program, std::shared_ptr<const JitProgram>, ProgramLess> entries;
     CacheStats stats;
     std::map<std::pair<std::string, std::uint32_t>, std::shared_ptr<const Program>> compiled;
 };
@@ -38,51 +38,33 @@ Cache& cache() {
 
 }  // namespace
 
-CachedFilter cache_filter(const Program& prog, bool want_jit) {
+std::shared_ptr<const JitProgram> cache_filter(const Program& prog) {
     Cache& c = cache();
-    bool have_decoded = false;
-    std::shared_ptr<const DecodedProgram> decoded;
     {
         const std::lock_guard<std::mutex> lock(c.mu);
         if (const auto it = c.entries.find(prog); it != c.entries.end()) {
-            if (!want_jit || it->second.jit != nullptr) {
-                ++c.stats.lookups;
-                ++c.stats.hits;
-                return it->second;
-            }
-            // Entry exists but the native code does not yet: compile below.
-            have_decoded = true;
-            decoded = it->second.decoded;
+            ++c.stats.lookups;
+            ++c.stats.hits;
+            return it->second;
         }
     }
-    // Verify + decode + compile outside the lock: attach-time work, and the
+    // Verify + compile outside the lock: attach-time work, and the
     // verifier may throw.  A racing install of the same program does the
-    // work twice but both sides agree; the first insert wins and fixes the
-    // id (and counts the miss/compile — losers count hits).  A lookup is
-    // counted with its hit or miss, so a rejected program counts none and
-    // lookups == hits + misses holds for the whole process.
-    if (!have_decoded) {
-        verify_or_throw(prog);
-        decoded = std::make_shared<DecodedProgram>(decode(prog));
-    }
-    std::shared_ptr<const JitProgram> jitted;
-    if (want_jit) jitted = JitProgram::compile(*decoded);
+    // work twice but both sides agree; the first insert wins (and counts
+    // the miss/compile — losers count hits).  A lookup is counted with its
+    // hit or miss, so a rejected program counts none and lookups == hits +
+    // misses holds for the whole process.
+    verify_or_throw(prog);
+    std::shared_ptr<const JitProgram> jitted = JitProgram::compile(prog);
 
     const std::lock_guard<std::mutex> lock(c.mu);
     ++c.stats.lookups;
-    const auto it = c.entries.find(prog);
-    if (it == c.entries.end()) {
-        auto owned = std::const_pointer_cast<DecodedProgram>(decoded);
-        owned->id = c.entries.size() + 1;
+    const auto [it, inserted] = c.entries.try_emplace(prog, std::move(jitted));
+    if (inserted) {
         ++c.stats.misses;
-        if (jitted != nullptr) ++c.stats.jit_compiles;
-        return c.entries.emplace(prog, CachedFilter{std::move(decoded), std::move(jitted)})
-            .first->second;
-    }
-    ++c.stats.hits;
-    if (jitted != nullptr && it->second.jit == nullptr) {
-        it->second.jit = std::move(jitted);
         ++c.stats.jit_compiles;
+    } else {
+        ++c.stats.hits;
     }
     return it->second;
 }

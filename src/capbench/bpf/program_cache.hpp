@@ -1,16 +1,15 @@
-// Process-wide caches of compiled filter expressions and of verified +
-// decoded (and jit-compiled) BPF programs.
+// Process-wide caches of compiled filter expressions and of verified,
+// jit-compiled BPF programs.
 //
 // pcap::Session::set_filter takes its program from compiled_filter(), a
 // memo keyed on (expression, snaplen), so each distinct expression is
 // parsed, generated and optimized once per process (pcap_compile runs once
 // per attach in the thesis, not once per sweep point).  Every capture stack
-// then attaches the program through FilterRunner::install; that cache keys
-// on program content, so the four endpoints of a sweep point (and every
-// sweep point of a run) installing the same filter share one
-// DecodedProgram — passed through verify_or_throw once, decoded once,
-// tagged with a monotonic program id — and, under the jit tier, one
-// compiled code mapping.
+// then attaches the program through FilterRunner::install; under the jit
+// tier that cache keys on program content, so the four endpoints of a
+// sweep point (and every sweep point of a run) installing the same filter
+// share one JitProgram — passed through verify_or_throw once and compiled
+// to one native code mapping.
 // Thread-safe: parallel sweep workers attach concurrently.
 #pragma once
 
@@ -18,24 +17,16 @@
 #include <memory>
 #include <string>
 
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/insn.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 
 namespace capbench::bpf {
 
-/// One cached filter: the decoded form (always present) plus its
-/// native code (null until some caller asked for it).
-struct CachedFilter {
-    std::shared_ptr<const DecodedProgram> decoded;
-    std::shared_ptr<const JitProgram> jit;
-};
-
 /// Gates `prog` through verify_or_throw (std::invalid_argument with the
-/// structured finding when it is rejected) and returns the shared decoded form;
-/// with `want_jit` (caller must have checked JitProgram::supported())
-/// also the native code, compiled at most once per distinct program.
-CachedFilter cache_filter(const Program& prog, bool want_jit);
+/// structured finding when it is rejected) and returns its shared native
+/// code, compiled at most once per distinct program.  The caller must have
+/// checked JitProgram::supported().
+std::shared_ptr<const JitProgram> cache_filter(const Program& prog);
 
 /// filter::compile_filter(expression, snaplen) at the default
 /// CompileOptions, memoized per (expression, snaplen) for the process.
@@ -53,7 +44,7 @@ std::shared_ptr<const Program> compiled_filter(const std::string& expression,
 struct CacheStats {
     std::uint64_t lookups = 0;       // calls that returned a filter: hits + misses
     std::uint64_t hits = 0;          // served from an existing entry
-    std::uint64_t misses = 0;        // created the entry == programs decoded
+    std::uint64_t misses = 0;        // created the entry == programs verified
     std::uint64_t jit_compiles = 0;  // native compilations installed
 };
 CacheStats cache_stats();

@@ -32,7 +32,7 @@ bool FanoutGroup::targets(std::size_t index, std::size_t tap_count, int queue,
 void FilterRunner::install(bpf::Program program) {
     // Nothing is committed until verification passes, so a rejected
     // program leaves the previous filter fully installed.
-    bpf::CachedFilter cached;
+    std::shared_ptr<const bpf::JitProgram> jitted;
     if (!program.empty()) {
         const bpf::ExecTier tier =
             bpf::effective_tier(bpf::exec_tier(), bpf::JitProgram::supported());
@@ -41,17 +41,16 @@ void FilterRunner::install(bpf::Program program) {
         } else {
             // Verifies (throws on rejection); compiles native code at most
             // once per distinct program.
-            cached = bpf::cache_filter(program, true);
+            jitted = bpf::cache_filter(program);
         }
     }
     program_ = std::move(program);
-    decoded_ = std::move(cached.decoded);
-    jit_ = std::move(cached.jit);
+    jit_ = std::move(jitted);
 }
 
 void StackEndpoint::install_filter(bpf::Program program) {
     filter_.install(std::move(program));
-    if (app_obs_ != nullptr) app_obs_->filter_installed(filter_.decoded());
+    if (app_obs_ != nullptr) app_obs_->filter_installed(filter_.jitted_insns());
 }
 
 hostsim::Work StackEndpoint::plan(const net::PacketPtr& packet) {

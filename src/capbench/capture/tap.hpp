@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/insn.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/vm.hpp"
@@ -150,18 +149,19 @@ public:
     /// The attach-time gate shared by all three capture stacks: runs the
     /// verifier (throwing std::invalid_argument with the structured
     /// finding on error-severity results) and, unless
-    /// CAPBENCH_BPF_TIER=interpreter, caches the decoded form and its
-    /// compiled native code per program id.  An empty program clears the
-    /// filter; a rejected one leaves the previous filter installed.  A
-    /// build without native support runs the interpreter.
+    /// CAPBENCH_BPF_TIER=interpreter, takes the program's native code from
+    /// the program cache (compiled once per distinct program).  An empty
+    /// program clears the filter; a rejected one leaves the previous filter
+    /// installed.  A build without native support runs the interpreter.
     void install(bpf::Program program);
 
     [[nodiscard]] bool has_filter() const { return !program_.empty(); }
 
-    /// The decoded program the native code was compiled from (it backs
-    /// the compiled code's id and stats); null when no filter is installed
-    /// or the interpreter runs.
-    [[nodiscard]] const bpf::DecodedProgram* decoded() const { return decoded_.get(); }
+    /// Instructions of the program the native code was compiled from; 0
+    /// when no filter is installed or the interpreter runs.
+    [[nodiscard]] std::size_t jitted_insns() const {
+        return jit_ != nullptr ? program_.size() : 0;
+    }
 
     [[nodiscard]] Verdict run(const net::Packet& packet, std::uint32_t snaplen) const {
         Verdict v;
@@ -189,7 +189,6 @@ private:
     static std::span<const std::byte> synthetic_template();
 
     bpf::Program program_;
-    std::shared_ptr<const bpf::DecodedProgram> decoded_;
     std::shared_ptr<const bpf::JitProgram> jit_;
 };
 

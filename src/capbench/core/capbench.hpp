@@ -11,7 +11,7 @@
 #include "capbench/bpf/analysis/liveness.hpp"
 #include "capbench/bpf/analysis/optimize.hpp"
 #include "capbench/bpf/asm_text.hpp"
-#include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
 #include "capbench/bpf/verifier.hpp"
 #include "capbench/bpf/filter/codegen.hpp"

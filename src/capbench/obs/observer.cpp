@@ -3,11 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "capbench/bpf/decoded.hpp"
-
 namespace capbench::obs {
 
-void AppObserver::filter_installed(const bpf::DecodedProgram* decoded) {
+void AppObserver::filter_installed(std::size_t jitted_insns) {
     // One install per endpoint per run and insertion-ordered views, so the
     // metrics snapshot stays byte-stable across --jobs.
     Registry& reg = sut_->owner_->registry_;
@@ -15,12 +13,12 @@ void AppObserver::filter_installed(const bpf::DecodedProgram* decoded) {
         "bpf." + sut_->name_ + ".app" + std::to_string(index_);
     if (bpf_.filter_installs++ == 0)
         reg.add(prefix + ".filter_installs", bpf_.filter_installs);
-    if (decoded == nullptr) return;
+    if (jitted_insns == 0) return;
     if (!decoded_registered_) {
         decoded_registered_ = true;
         reg.add(prefix + ".decoded_insns", bpf_.decoded_insns);
     }
-    bpf_.decoded_insns += decoded->insns.size();
+    bpf_.decoded_insns += jitted_insns;
 }
 
 void AppObserver::disk_writer_attached(const std::uint64_t& spilled) {

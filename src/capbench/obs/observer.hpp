@@ -29,14 +29,11 @@
 #include "capbench/sim/stats.hpp"
 #include "capbench/sim/time.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
-
-namespace capbench::bpf {
-struct DecodedProgram;
-}
 
 namespace capbench::obs {
 
@@ -63,10 +60,12 @@ public:
     void fetched(std::size_t n, Occupancy occupancy, sim::SimTime t);
 
     /// A BPF filter was attached to this endpoint.  Attach time, not the
-    /// hot path: bumps the per-SUT `bpf.*` counts (installs, decoded
-    /// program size), registering each on its first bump.  `decoded` is null under the interpreter
-    /// tier; otherwise the filter runs as native code compiled from it.
-    void filter_installed(const bpf::DecodedProgram* decoded);
+    /// hot path: bumps the per-SUT `bpf.*` counts (installs, and the
+    /// jitted program size as `decoded_insns`), registering each on its
+    /// first bump.  `jitted_insns` is 0 under the interpreter tier;
+    /// otherwise the filter runs as native code compiled from that many
+    /// instructions.
+    void filter_installed(std::size_t jitted_insns);
 
     /// A capture-to-disk writer pipeline attached to this app: registers
     /// a view of the writer's spill count and interns the ring-occupancy

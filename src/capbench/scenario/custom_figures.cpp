@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "capbench/bpf/analysis/optimize.hpp"
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/verifier.hpp"
@@ -209,10 +208,10 @@ CustomResult fig_6_13_table() {
 CustomResult ext_filter_tiers_table() {
     // The Figure 6.5 story, retold for execution tiers: the same filter
     // programs run through the portable interpreter and, where the build
-    // supports it, the native x86-64 jit (a 1:1 decode with every packet
-    // load still bounds-checked).  Host wall-time per packet is the payload
-    // here, so the numbers vary run to run; the instruction counts are
-    // deterministic.
+    // supports it, the native x86-64 jit (each instruction lowered 1:1,
+    // every packet load still bounds-checked).  Host wall-time per packet
+    // is the payload here, so the numbers vary run to run; the instruction
+    // counts are deterministic.
     const std::string expr = harness::fig_6_5_filter_expression();
     struct Case {
         const char* label;
@@ -250,7 +249,7 @@ CustomResult ext_filter_tiers_table() {
     for (const auto& c : cases) {
         bpf::verify_or_throw(c.prog);
         const auto compiled =
-            jit ? bpf::JitProgram::compile(bpf::decode(c.prog))
+            jit ? bpf::JitProgram::compile(c.prog)
                 : std::shared_ptr<const bpf::JitProgram>{};
         double executed = 0;
         for (const auto& frame : frames) {
@@ -287,9 +286,9 @@ CustomResult ext_filter_tiers_table() {
         std::string("jit: ") +
         (jit ? "native x86-64 code (W^X mmap, every packet load bounds-checked)"
              : "unavailable on this build — filters run on the interpreter") +
-        "\nBoth tiers execute the same instruction stream (1:1 decode), so the\n"
+        "\nBoth tiers execute the same instruction stream (lowered 1:1), so the\n"
         "simulated filter cost is identical; the speedup is host time saved by\n"
-        "pre-decoding and native dispatch.";
+        "native dispatch.";
     return result;
 }
 

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/verifier.hpp"
@@ -483,7 +482,7 @@ TEST(AllocGuard, JitFilterRunDoesNotAllocate) {
     if (!bpf::JitProgram::supported()) GTEST_SKIP() << "no native jit on this build";
     const auto prog = bpf::filter::compile_filter(
         capbench::harness::fig_6_5_filter_expression(), 1515);
-    const auto jitted = bpf::JitProgram::compile(bpf::decode(prog));
+    const auto jitted = bpf::JitProgram::compile(prog);
     EXPECT_EQ(filter_allocations([&](const auto& frame) { return jitted->run(frame); }), 0u)
         << "JitProgram::run allocated per packet";
 }

@@ -11,7 +11,6 @@
 #include "capbench/bpf/analysis/domain.hpp"
 #include "capbench/bpf/analysis/optimize.hpp"
 #include "capbench/bpf/asm_text.hpp"
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/insn.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
@@ -507,7 +506,7 @@ TEST(Optimize, RemovesShadowedScratchStores) {
 
 // Stock and optimized programs accept the same packets, and each one takes
 // the attach path a capture stack takes: verify() passes it, and its
-// decoded jit code matches the interpreter on verdict, executed
+// jit code matches the interpreter on verdict, executed
 // instructions and abort flag.  Half the packets are truncated captures
 // (wire length past the data), where a load the data cannot back must
 // reject on both tiers; "ether[70000] = 1" and the division by zero fault
@@ -541,7 +540,7 @@ TEST(OptimizeProperty, OptimizedFiltersMatchStockFilters) {
             ASSERT_TRUE(verdict.ok())
                 << expr << ": " << analysis::to_string(*verdict.first_error());
             if (JitProgram::supported())
-                jitted.push_back(JitProgram::compile(decode(*prog)));
+                jitted.push_back(JitProgram::compile(*prog));
         }
         for (int i = 0; i < 200; ++i) {
             std::vector<std::byte> pkt(len(rng));

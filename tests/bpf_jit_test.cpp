@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "capbench/bpf/asm_text.hpp"
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/filter/lexer.hpp"
 #include "capbench/bpf/jit/assembler.hpp"
@@ -43,8 +42,7 @@ TEST(JitTierEquivalence, ThousandRandomProgramsMatchByteForByte) {
         const Program prog = testgen::random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const DecodedProgram decoded = decode(prog);
-        const auto jitted = JitProgram::compile(decoded);
+        const auto jitted = JitProgram::compile(prog);
 
         for (int trial = 0; trial < 4; ++trial) {
             std::vector<std::byte> data(rng() % 100);
@@ -76,7 +74,7 @@ TEST(JitAbort, DivisionByXZeroCountsTheFaultingInstruction) {
         stmt(BPF_ALU | BPF_DIV | BPF_X, 0),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto jitted = JitProgram::compile(decode(prog));
+    const auto jitted = JitProgram::compile(prog);
 
     const std::vector<std::byte> zero{std::byte{0x20}};  // low nibble 0 -> X = 0
     const VmResult faulted = jitted->run(zero, 1);
@@ -97,7 +95,7 @@ TEST(JitAbort, OutOfBoundsLoadMatchesInterpreterExactly) {
         stmt(BPF_LD | BPF_W | BPF_ABS, 100),
         stmt(BPF_RET | BPF_A, 0),
     };
-    const auto jitted = JitProgram::compile(decode(prog));
+    const auto jitted = JitProgram::compile(prog);
     const std::vector<std::byte> tiny(4, std::byte{0xAB});
     const VmResult interp = Vm::run(prog, tiny, 4);
     const VmResult jit = jitted->run(tiny, 4);
@@ -117,25 +115,24 @@ TEST(JitAbort, OutOfBoundsLoadMatchesInterpreterExactly) {
 
 TEST(JitAbort, FallthroughOffTheEndHitsTheDefensiveFaultPath) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
-    // The verifier forbids fallthrough, so hand-build the decoded form: one
-    // plain instruction, no RET.  The interpreter semantics for the same
-    // source ({ld #5}) reject after executing the one instruction.
-    DecodedProgram prog;
-    prog.insns.push_back(DecodedInsn{Tok::kLdImm, 5, 0, 0});
+    // The verifier forbids fallthrough, so hand-build the program: one
+    // plain instruction, no RET.  The interpreter rejects it after
+    // executing the one instruction.
+    const Program prog{stmt(BPF_LD | BPF_IMM, 5)};
     const auto jitted = JitProgram::compile(prog);
     const VmResult r = jitted->run({}, 0);
     EXPECT_TRUE(r.aborted);
     EXPECT_EQ(r.accept_len, 0u);
     EXPECT_EQ(r.insns_executed, 1u);
 
-    const VmResult interp = Vm::run({stmt(BPF_LD | BPF_IMM, 5)}, {}, 0);
+    const VmResult interp = Vm::run(prog, {}, 0);
     EXPECT_EQ(r.aborted, interp.aborted);
     EXPECT_EQ(r.insns_executed, interp.insns_executed);
 }
 
 TEST(JitAbort, EmptyProgramAbortsLikeTheInterpreter) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
-    const auto jitted = JitProgram::compile(DecodedProgram{});
+    const auto jitted = JitProgram::compile(Program{});
     const VmResult jit = jitted->run({}, 0);
     const VmResult interp = Vm::run(Program{}, {}, 0);
     EXPECT_TRUE(jit.aborted);
@@ -162,23 +159,35 @@ TEST(JitCodegen, DeadStoreIsEmittedAndCounted) {
                                 return f.insn == 1 &&
                                        f.message.find("dead store") != std::string::npos;
                             }));
-    const DecodedProgram decoded = decode(dead);
-    EXPECT_EQ(decoded.insns[1].tok, Tok::kSt);
-
     if (!JitProgram::supported()) return;
-    const VmResult jit = JitProgram::compile(decoded)->run({}, 0);
+    const VmResult jit = JitProgram::compile(dead)->run({}, 0);
     const VmResult interp = Vm::run(dead, {}, 0);
     EXPECT_EQ(jit.accept_len, interp.accept_len);
     EXPECT_EQ(jit.insns_executed, interp.insns_executed);  // 4: the store counts
     EXPECT_EQ(jit.insns_executed, 4u);
 }
 
-TEST(JitElision, CodegenIsDeterministicPerProgram) {
+TEST(JitCodegen, CodegenIsDeterministicPerProgram) {
     std::mt19937 rng{7};
     for (int i = 0; i < 20; ++i) {
         const Program prog = testgen::random_program(rng);
-        const DecodedProgram decoded = decode(prog);
-        EXPECT_EQ(jit::compile_to_bytes(decoded), jit::compile_to_bytes(decoded));
+        EXPECT_EQ(jit::compile_to_bytes(prog), jit::compile_to_bytes(prog));
+    }
+}
+
+TEST(JitCodegen, UnloweredInstructionThrows) {
+    // Opcodes and operands the validator rejects have no lowering; the
+    // code generator refuses them instead of emitting something else.
+    const std::vector<Program> unlowered = {
+        {stmt(BPF_LD | BPF_B | BPF_MSH, 0), stmt(BPF_RET | BPF_A, 0)},  // MSH is ldx-only
+        {stmt(BPF_ST, static_cast<std::uint32_t>(kMemWords)), stmt(BPF_RET | BPF_A, 0)},
+        {stmt(BPF_LDX | BPF_W | BPF_MEM, static_cast<std::uint32_t>(kMemWords)),
+         stmt(BPF_RET | BPF_A, 0)},
+        {stmt(BPF_ALU | BPF_DIV | BPF_K, 0), stmt(BPF_RET | BPF_A, 0)},
+    };
+    for (const Program& prog : unlowered) {
+        EXPECT_NE(validate(prog), std::nullopt) << disassemble(prog);
+        EXPECT_THROW((void)jit::compile_to_bytes(prog), std::logic_error) << disassemble(prog);
     }
 }
 
@@ -215,7 +224,7 @@ TEST(JitExecMemory, RepeatedCompileFreeCyclesDoNotLeak) {
     std::mt19937 rng{99};
     for (int i = 0; i < 64; ++i) {
         const Program prog = testgen::random_program(rng);
-        const auto jitted = JitProgram::compile(decode(prog));
+        const auto jitted = JitProgram::compile(prog);
         const std::vector<std::byte> data(64, std::byte{0x11});
         (void)jitted->run(data, 64);
     }
@@ -243,7 +252,7 @@ TEST(JitTierSelect, EffectiveTierFallsBackToInterpreterWithoutNativeSupport) {
 
 TEST(JitTierSelect, CompileThrowsOnUnsupportedBuilds) {
     if (JitProgram::supported()) GTEST_SKIP() << "native tier available here";
-    EXPECT_THROW(JitProgram::compile(DecodedProgram{}), std::runtime_error);
+    EXPECT_THROW(JitProgram::compile(Program{}), std::runtime_error);
 }
 
 // ---- program cache ---------------------------------------------------------
@@ -253,49 +262,51 @@ Program unique_program(std::uint32_t tag) {
 }
 
 TEST(JitProgramCache, HitMissAndCompileCountsAreWinnerOnly) {
+    if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
+    // One miss compiles the program; every later lookup is a hit that
+    // shares the same JitProgram.
     const Program prog = unique_program(101);
     const CacheStats before = cache_stats();
 
-    const CachedFilter first = cache_filter(prog, false);
-    ASSERT_NE(first.decoded, nullptr);
-    EXPECT_EQ(first.jit, nullptr);
-    EXPECT_GT(first.decoded->id, 0u);
-
-    const CachedFilter second = cache_filter(prog, false);
-    EXPECT_EQ(second.decoded.get(), first.decoded.get());
+    const auto first = cache_filter(prog);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(cache_filter(prog).get(), first.get());
 
     CacheStats after = cache_stats();
     EXPECT_EQ(after.lookups - before.lookups, 2u);
     EXPECT_EQ(after.misses - before.misses, 1u);
     EXPECT_EQ(after.hits - before.hits, 1u);
-    EXPECT_EQ(after.jit_compiles - before.jit_compiles, 0u);
-
-    if (!JitProgram::supported()) return;
-    // A later jit-tier install upgrades the same entry: compiled once,
-    // shared afterwards, same program id.
-    const CachedFilter jit1 = cache_filter(prog, true);
-    ASSERT_NE(jit1.jit, nullptr);
-    EXPECT_EQ(jit1.decoded.get(), first.decoded.get());
-    const CachedFilter jit2 = cache_filter(prog, true);
-    EXPECT_EQ(jit2.jit.get(), jit1.jit.get());
-
-    after = cache_stats();
-    EXPECT_EQ(after.lookups - before.lookups, 4u);
-    EXPECT_EQ(after.misses - before.misses, 1u);  // still the one decode
-    EXPECT_EQ(after.hits - before.hits, 3u);
     EXPECT_EQ(after.jit_compiles - before.jit_compiles, 1u);
+    EXPECT_EQ(first->run({}, 0).accept_len, 0xCAFE0065u);
 
-    const VmResult r = jit1.jit->run({}, 0);
-    EXPECT_EQ(r.accept_len, 0xCAFE0065u);
+    // Racing installs of one new program: exactly the winning insert
+    // counts the miss and the compile, every loser a hit, and all of them
+    // get the winner's code.
+    constexpr int kThreads = 8;
+    const Program raced = unique_program(102);
+    std::vector<const JitProgram*> got(kThreads, nullptr);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[static_cast<std::size_t>(i)] = cache_filter(raced).get();
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const JitProgram* p : got) EXPECT_EQ(p, got[0]);
+    const CacheStats raced_after = cache_stats();
+    EXPECT_EQ(raced_after.lookups - after.lookups, static_cast<std::uint64_t>(kThreads));
+    EXPECT_EQ(raced_after.misses - after.misses, 1u);
+    EXPECT_EQ(raced_after.jit_compiles - after.jit_compiles, 1u);
+    EXPECT_EQ(raced_after.hits - after.hits, static_cast<std::uint64_t>(kThreads - 1));
 }
 
 TEST(JitProgramCache, JitRequestOnFreshProgramCompilesWithTheMiss) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
     const Program prog = unique_program(202);
     const CacheStats before = cache_stats();
-    const CachedFilter cached = cache_filter(prog, true);
-    ASSERT_NE(cached.jit, nullptr);
-    ASSERT_NE(cached.decoded, nullptr);
+    ASSERT_NE(cache_filter(prog), nullptr);
     const CacheStats after = cache_stats();
     EXPECT_EQ(after.misses - before.misses, 1u);
     EXPECT_EQ(after.jit_compiles - before.jit_compiles, 1u);

@@ -1,6 +1,6 @@
 // Tests for the verifier pipeline (liveness, structured findings), the
-// decoded form and its native execution, the program cache, and the
-// attach-time gate in the capture stacks.  Ends with an interpreter-vs-jit
+// jit's lowering checked against the interpreter, the program cache, and
+// the attach-time gate in the capture stacks.  Ends with an interpreter-vs-jit
 // property sweep over randomly generated valid programs.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "capbench/bpf/asm_text.hpp"
 #include "capbench/bpf/analysis/liveness.hpp"
-#include "capbench/bpf/decoded.hpp"
 #include "capbench/bpf/filter/codegen.hpp"
 #include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/bpf/program_cache.hpp"
@@ -110,7 +109,7 @@ TEST(Verifier, LenGuardProvesWireLengthButNeverDataBounds) {
     EXPECT_TRUE(interp.aborted);
     EXPECT_EQ(interp.insns_executed, 3u);
     if (JitProgram::supported()) {
-        const VmResult jit = JitProgram::compile(decode(prog))->run(truncated, 60);
+        const VmResult jit = JitProgram::compile(prog)->run(truncated, 60);
         EXPECT_TRUE(jit.aborted);
         EXPECT_EQ(jit.insns_executed, interp.insns_executed);
     }
@@ -199,82 +198,86 @@ TEST(VmAbort, OrdinaryRejectIsNotAborted) {
     EXPECT_FALSE(r.aborted);
 }
 
-// ---- decode + native execution ------------------------------------------------
+// ---- jit lowering vs. the interpreter ------------------------------------------
 
-/// A decoded program's result on the native tier, its only executor.
-/// Callers check JitProgram::supported() first.
-VmResult run_jit(const DecodedProgram& d, std::span<const std::byte> data) {
-    return JitProgram::compile(d)->run(data);
+/// Runs `prog` on both tiers and expects the same result; returns the
+/// interpreter's.  Without a native tier only the interpreter runs.
+VmResult run_both(const Program& prog, std::span<const std::byte> data) {
+    const VmResult interp = Vm::run(prog, data);
+    if (JitProgram::supported()) {
+        const VmResult jit = JitProgram::compile(prog)->run(data);
+        EXPECT_EQ(jit.accept_len, interp.accept_len) << disassemble(prog);
+        EXPECT_EQ(jit.aborted, interp.aborted) << disassemble(prog);
+        EXPECT_EQ(jit.insns_executed, interp.insns_executed) << disassemble(prog);
+    }
+    return interp;
 }
 
-TEST(Decode, PacketLoadsKeepTheirBoundsChecks) {
+TEST(JitLowering, PacketLoadsKeepTheirBoundsChecks) {
     // The second load is proven in bounds by the first, yet every packet
-    // load decodes to its one checked token: decode is 1:1.
+    // load lowers to its one checked form: on every capture length, each
+    // tier faults at the same instruction.
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_LD | BPF_B | BPF_ABS, 2),
                        stmt(BPF_LDX | BPF_B | BPF_MSH, 0), stmt(BPF_LD | BPF_H | BPF_IND, 0),
                        stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog);
-    ASSERT_EQ(d.insns.size(), prog.size());
-    EXPECT_EQ(d.insns[0].tok, Tok::kLdAbsW);
-    EXPECT_EQ(d.insns[1].tok, Tok::kLdAbsB);
-    EXPECT_EQ(d.insns[2].tok, Tok::kLdxMsh);
-    EXPECT_EQ(d.insns[3].tok, Tok::kLdIndH);
-}
-
-/// Stores 77 to M[2], clobbers A, then loads M[2] back and returns it.
-Program scratch_round_trip() {
-    return {stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2), stmt(BPF_LD | BPF_IMM, 0),
-            stmt(BPF_LD | BPF_W | BPF_MEM, 2), stmt(BPF_RET | BPF_A, 0)};
-}
-
-TEST(Decode, ScratchLoadStaysAScratchLoad) {
-    // M[2] provably holds 77 at the load, which still decodes to kLdMem.
-    const DecodedProgram d = decode(scratch_round_trip());
-    EXPECT_EQ(d.insns[3].tok, Tok::kLdMem);
-    EXPECT_EQ(d.insns[3].k, 2u);
-    if (JitProgram::supported()) {
-        EXPECT_EQ(run_jit(d, {}).accept_len, 77u);
+    for (std::size_t n = 0; n <= 8; ++n) {
+        const std::vector<std::byte> data(n, std::byte{0x01});  // MSH reads X = 4
+        const VmResult r = run_both(prog, data);
+        EXPECT_EQ(r.aborted, n < 6) << "capture length " << n;
     }
 }
 
-TEST(Decode, ScratchRoundTripReturnsTheStoredValue) {
-    // Both tiers return what the program stored, not the clobbered A.
-    const Program prog = scratch_round_trip();
-    EXPECT_EQ(Vm::run(prog, {}).accept_len, 77u);
-    if (JitProgram::supported()) {
-        EXPECT_EQ(run_jit(decode(prog), {}).accept_len, 77u);
+TEST(JitLowering, ScratchLoadStaysAScratchLoad) {
+    // Each scratch load reads its own slot, not a neighbour holding a
+    // different value, on every slot from the first to the last.
+    for (const std::uint32_t slot : {0u, 2u, 15u}) {
+        const std::uint32_t other = slot ^ 1u;
+        const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, slot),
+                           stmt(BPF_LDX | BPF_W | BPF_IMM, 11), stmt(BPF_STX, other),
+                           stmt(BPF_LD | BPF_IMM, 0), stmt(BPF_LD | BPF_W | BPF_MEM, slot),
+                           stmt(BPF_RET | BPF_A, 0)};
+        EXPECT_EQ(run_both(prog, {}).accept_len, 77u) << "slot " << slot;
     }
 }
 
-TEST(Decode, OverShiftFoldsToZeroImmediate) {
-    const Program prog{stmt(BPF_LD | BPF_IMM, 0xFFFF), stmt(BPF_ALU | BPF_LSH | BPF_K, 33),
-                       stmt(BPF_RET | BPF_A, 0)};
-    const DecodedProgram d = decode(prog);
-    EXPECT_EQ(d.insns[1].tok, Tok::kLdImm);
-    EXPECT_EQ(d.insns[1].k, 0u);
-    if (JitProgram::supported()) {
-        EXPECT_EQ(run_jit(d, {}).accept_len, 0u);
+TEST(JitLowering, ScratchRoundTripReturnsTheStoredValue) {
+    // Stores 77 to M[2], clobbers A, then loads M[2] back: both tiers
+    // return what the program stored, not the clobbered A.
+    const Program prog{stmt(BPF_LD | BPF_IMM, 77), stmt(BPF_ST, 2), stmt(BPF_LD | BPF_IMM, 0),
+                       stmt(BPF_LD | BPF_W | BPF_MEM, 2), stmt(BPF_RET | BPF_A, 0)};
+    EXPECT_EQ(run_both(prog, {}).accept_len, 77u);
+}
+
+TEST(JitLowering, OverShiftFoldsToZeroImmediate) {
+    // A constant shift by 32 or more yields 0 on both tiers; 31 still
+    // shifts.
+    for (const std::uint16_t op : {BPF_LSH, BPF_RSH}) {
+        for (const std::uint32_t k : {31u, 32u, 33u, 0xFFFFFFFFu}) {
+            const Program prog{stmt(BPF_LD | BPF_IMM, 0x8000FFFFu),
+                               stmt(BPF_ALU | op | BPF_K, k), stmt(BPF_RET | BPF_A, 0)};
+            const std::uint32_t expect = k >= 32 ? 0u : (op == BPF_LSH ? 0x80000000u : 1u);
+            EXPECT_EQ(run_both(prog, {}).accept_len, expect) << disassemble(prog);
+        }
     }
 }
 
-TEST(Decode, JumpTargetsBecomeAbsolute) {
+TEST(JitLowering, JumpTargetsBecomeAbsolute) {
+    // Relative offsets from three different pcs all land on the right
+    // RET: ja +1, then a jeq whose taken offset skips two instructions.
     const Program prog{jump(BPF_JMP | BPF_JA, 1, 0, 0), stmt(BPF_RET | BPF_K, 0),
-                       stmt(BPF_RET | BPF_K, 42)};
-    const DecodedProgram d = decode(prog);
-    EXPECT_EQ(d.insns[0].tok, Tok::kJa);
-    EXPECT_EQ(d.insns[0].jt, 2u);
-    if (JitProgram::supported()) {
-        EXPECT_EQ(run_jit(d, {}).accept_len, 42u);
-    }
+                       jump(BPF_JMP | BPF_JEQ | BPF_K, 0, 2, 0), stmt(BPF_RET | BPF_K, 1),
+                       stmt(BPF_RET | BPF_K, 2), stmt(BPF_RET | BPF_K, 42)};
+    const VmResult r = run_both(prog, {});
+    EXPECT_EQ(r.accept_len, 42u);
+    EXPECT_EQ(r.insns_executed, 3u);
 }
 
-TEST(Decode, AbortingLoadMatchesInterpreterOnJit) {
+TEST(JitLowering, AbortingLoadMatchesInterpreterOnJit) {
     if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
     const Program prog{stmt(BPF_LD | BPF_W | BPF_ABS, 0), stmt(BPF_RET | BPF_K, 1)};
-    const DecodedProgram d = decode(prog);
     const auto data = bytes({1, 2});
     const VmResult interp = Vm::run(prog, data);
-    const VmResult jit = run_jit(d, data);
+    const VmResult jit = JitProgram::compile(prog)->run(data);
     EXPECT_TRUE(jit.aborted);
     EXPECT_EQ(jit.accept_len, interp.accept_len);
     EXPECT_EQ(jit.insns_executed, interp.insns_executed);
@@ -301,35 +304,36 @@ TEST(ExecTierKnob, RejectsThreadedNamingTheAcceptedValues) {
 
 // ---- program cache ------------------------------------------------------------
 
-TEST(ProgramCache, SharesOneDecodedProgramPerContent) {
-    // A new program adds one miss; a repeat adds one hit and returns the
-    // same decoded program.
+TEST(ProgramCache, SharesOneJitProgramPerContent) {
+    if (!JitProgram::supported()) GTEST_SKIP() << "no native tier on this build";
+    // A new program adds one miss and one compile; a repeat adds one hit
+    // and returns the same JitProgram.
     const Program prog{stmt(BPF_LD | BPF_B | BPF_ABS, 9), stmt(BPF_RET | BPF_A, 0)};
     CacheStats before = cache_stats();
-    const auto first = cache_filter(prog, false).decoded;
+    const auto first = cache_filter(prog);
     CacheStats after = cache_stats();
     EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.jit_compiles - before.jit_compiles, 1u);
     EXPECT_EQ(after.hits - before.hits, 0u);
-    EXPECT_GT(first->id, 0u);
 
     before = after;
-    const auto again = cache_filter(prog, false).decoded;
+    const auto again = cache_filter(prog);
     after = cache_stats();
     EXPECT_EQ(again.get(), first.get());
     EXPECT_EQ(after.misses - before.misses, 0u);
+    EXPECT_EQ(after.jit_compiles - before.jit_compiles, 0u);
     EXPECT_EQ(after.hits - before.hits, 1u);
 
     const Program other{stmt(BPF_LD | BPF_B | BPF_ABS, 10), stmt(BPF_RET | BPF_A, 0)};
     before = after;
-    const auto different = cache_filter(other, false).decoded;
+    const auto different = cache_filter(other);
     after = cache_stats();
     EXPECT_NE(different.get(), first.get());
-    EXPECT_NE(different->id, first->id);
     EXPECT_EQ(after.misses - before.misses, 1u);
 }
 
 TEST(ProgramCache, RejectsVerifierFailingPrograms) {
-    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 1)}, false), std::invalid_argument);
+    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 1)}), std::invalid_argument);
 }
 
 TEST(ProgramCache, RejectedProgramCountsNoLookup) {
@@ -337,7 +341,7 @@ TEST(ProgramCache, RejectedProgramCountsNoLookup) {
     // a lookup either: the metrics suite reports lookups == hits + misses
     // for the whole process.
     const CacheStats before = cache_stats();
-    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 2)}, false), std::invalid_argument);
+    EXPECT_THROW(cache_filter({stmt(BPF_LD | BPF_IMM, 2)}), std::invalid_argument);
     const CacheStats after = cache_stats();
     EXPECT_EQ(after.lookups, before.lookups);
     EXPECT_EQ(after.misses, before.misses);
@@ -407,7 +411,7 @@ TEST(AttachGate, RejectedInstallKeepsThePreviousFilter) {
 
     FilterRunner runner;
     runner.install(bpf::filter::compile_filter("udp"));
-    const bpf::DecodedProgram* decoded = runner.decoded();
+    const std::size_t jitted_insns = runner.jitted_insns();
     const FilterRunner::Verdict udp_before = runner.run(udp, 1515);
     const FilterRunner::Verdict tcp_before = runner.run(tcp, 1515);
     ASSERT_TRUE(udp_before.accept);
@@ -415,9 +419,9 @@ TEST(AttachGate, RejectedInstallKeepsThePreviousFilter) {
 
     EXPECT_THROW(runner.install(invalid_program()), std::invalid_argument);
     EXPECT_TRUE(runner.has_filter());
-    // Same decoded program (and so the same native code and program id),
-    // not a silent fall-back to the interpreter.
-    EXPECT_EQ(runner.decoded(), decoded);
+    // Still the same native program under the jit tier, not a silent
+    // fall-back to the interpreter.
+    EXPECT_EQ(runner.jitted_insns(), jitted_insns);
     for (const auto& [packet, before] : {std::pair{&udp, udp_before}, std::pair{&tcp, tcp_before}}) {
         const FilterRunner::Verdict after = runner.run(*packet, 1515);
         EXPECT_EQ(after.accept, before.accept);
@@ -496,7 +500,7 @@ TEST(TierEquivalence, ThousandRandomProgramsMatchByteForByte) {
         const Program prog = random_program(rng);
         ASSERT_EQ(validate(prog), std::nullopt) << disassemble(prog);
         ++programs;
-        const auto jitted = JitProgram::compile(decode(prog));
+        const auto jitted = JitProgram::compile(prog);
 
         for (int trial = 0; trial < 4; ++trial) {
             std::vector<std::byte> data(rng() % 100);

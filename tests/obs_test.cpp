@@ -12,7 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "capbench/bpf/decoded.hpp"
+#include "capbench/bpf/filter/codegen.hpp"
+#include "capbench/bpf/jit/jit_program.hpp"
 #include "capbench/capture/bsd_bpf.hpp"
 #include "capbench/capture/driver.hpp"
 #include "capbench/capture/linux_socket.hpp"
@@ -440,9 +441,13 @@ TEST(ObsBpfCounters, FilterInstallRegistersPerAppCounters) {
     }
     ASSERT_TRUE(saw_installs);
     EXPECT_EQ(installs, 1u);
-    if (bpf::exec_tier() != bpf::ExecTier::kInterpreter) {
-        EXPECT_GT(decoded_insns, 0u);
-    }
+    // decoded_insns counts the jitted program's instructions; the
+    // interpreter tier registers no such counter.
+    const bool jit_tier = bpf::effective_tier(bpf::exec_tier(), bpf::JitProgram::supported()) ==
+                          bpf::ExecTier::kJit;
+    EXPECT_EQ(decoded_insns,
+              jit_tier ? bpf::filter::compile_filter(sut.filter_expression, sut.snaplen).size()
+                       : 0u);
 }
 
 TEST(ObsBpfCounters, MetricsSuiteCarriesProcessCacheStats) {

@@ -6,11 +6,11 @@
 # their config, so each jobs value has its own hash.
 #
 # A scenario set with a filter (fig_6_6) depends on the BPF execution tier:
-# the metrics document carries the filter-program cache counters and
-# decoded-program gauges, which only the jit tier reports.  Such a test
-# keeps one hash per tier and passes GOLDEN with a "<tier>" placeholder,
-# replaced by CAPBENCH_BPF_TIER (default jit), the variable capbench_figures
-# reads.
+# the metrics document carries the filter-program cache counters and the
+# jitted-program size (`decoded_insns`), which only the jit tier reports.
+# Such a test keeps one hash per tier and passes GOLDEN with a "<tier>"
+# placeholder, replaced by CAPBENCH_BPF_TIER (default jit), the variable
+# capbench_figures reads.
 #
 # Expects: FIGURES_BIN, JOBS, PACKETS, REPS, SCENARIOS (a list of ids), OUT,
 # GOLDEN (a file holding the hex digest).

@@ -6,9 +6,9 @@
 #
 # The figures and time-series documents do not depend on the BPF execution
 # tier.  The metrics document does: it carries the filter-program cache
-# counters and decoded-program gauges, which only the jit tier reports.  So
-# the metrics hash is kept per tier, chosen by CAPBENCH_BPF_TIER (default
-# jit), the variable capbench_figures reads.
+# counters and the jitted-program size (`decoded_insns`), which only the jit
+# tier reports.  So the metrics hash is kept per tier, chosen by
+# CAPBENCH_BPF_TIER (default jit), the variable capbench_figures reads.
 #
 # Expects: FIGURES_BIN, OUT_DIR, GOLDEN_DIR (holding
 # scenarios_golden.{figures,timeseries,metrics.<tier>}.sha256).
