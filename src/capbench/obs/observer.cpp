@@ -14,11 +14,11 @@ void AppObserver::filter_installed(std::size_t jitted_insns) {
     if (bpf_.filter_installs++ == 0)
         reg.add(prefix + ".filter_installs", bpf_.filter_installs);
     if (jitted_insns == 0) return;
-    if (!decoded_registered_) {
-        decoded_registered_ = true;
-        reg.add(prefix + ".decoded_insns", bpf_.decoded_insns);
+    if (!jitted_registered_) {
+        jitted_registered_ = true;
+        reg.add(prefix + ".decoded_insns", bpf_.jitted_insns);
     }
-    bpf_.decoded_insns += jitted_insns;
+    bpf_.jitted_insns += jitted_insns;
 }
 
 void AppObserver::disk_writer_attached(const std::uint64_t& spilled) {

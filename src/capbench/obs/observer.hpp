@@ -94,14 +94,14 @@ private:
     /// Attach-time filter counts behind the `bpf.*` views.
     struct BpfCounts {
         std::uint64_t filter_installs = 0;
-        std::uint64_t decoded_insns = 0;
+        std::uint64_t jitted_insns = 0;  // emitted as `decoded_insns`
     };
 
     SutObserver* sut_;
     int index_;
     const capture::CaptureStats* stats_;  // the endpoint's; checked at finalize
     BpfCounts bpf_;
-    bool decoded_registered_ = false;
+    bool jitted_registered_ = false;
     const char* occupancy_name_ = nullptr;  // interned; null when untraced
     const char* disk_ring_name_ = nullptr;  // interned; null when untraced
     sim::RingBuffer<Stored> stored_;        // one per buffered record, store order
